@@ -13,127 +13,3 @@ mandatory agreement.
 """
 
 __version__ = "0.1.0"
-
-from .coeff import (
-    CONVENTION_A,
-    CONVENTION_B,
-    Convention,
-    LaurentPoly,
-    Rational,
-    convention,
-    mu_over_lambda,
-)
-from .combin import (
-    TwoColumnPartition,
-    Tableau,
-    catalan,
-    count_N,
-    enumerate_syt,
-    fine,
-    first_peak_count_B,
-    jacobsthal_number,
-    syt_count,
-    theorem_C_multiplicity,
-    two_column_partitions,
-)
-from .diagram import (
-    Diagram,
-    MulResult,
-    enumerate_diagrams,
-    from_dyck,
-    generator_u,
-    identity,
-    multiply,
-    to_dyck,
-)
-from .algebra import (
-    AlgebraElement,
-    augment,
-    braiding_s,
-    braiding_s_inv,
-    elt_mul,
-    word_product,
-)
-from .indmod import BlackBoxBasis, ModuleVector, act, black_box_basis, quotient_project
-from .linalg import PolyMatrix, rank_at
-from .chains import (
-    ChainComplexData,
-    DEFAULT_POINTS,
-    HomologyReport,
-    SpecializationMismatch,
-    boundary_element,
-    build_complex,
-    euler_characteristic,
-    homology_ranks,
-    right_mult_matrix,
-    theorem_B_rank_identity,
-)
-from .jacobsthal import (
-    JacobsthalElement,
-    MATCHING_RATIO_SIGN,
-    TheoremDReport,
-    descending_sequences,
-    jacobsthal_element,
-    jacobsthal_kernel_rank,
-    verify_theorem_D,
-)
-
-__all__ = [
-    "__version__",
-    "CONVENTION_A",
-    "CONVENTION_B",
-    "Convention",
-    "LaurentPoly",
-    "Rational",
-    "convention",
-    "mu_over_lambda",
-    "TwoColumnPartition",
-    "Tableau",
-    "catalan",
-    "count_N",
-    "enumerate_syt",
-    "fine",
-    "first_peak_count_B",
-    "jacobsthal_number",
-    "syt_count",
-    "theorem_C_multiplicity",
-    "two_column_partitions",
-    "Diagram",
-    "MulResult",
-    "enumerate_diagrams",
-    "from_dyck",
-    "generator_u",
-    "identity",
-    "multiply",
-    "to_dyck",
-    "AlgebraElement",
-    "augment",
-    "braiding_s",
-    "braiding_s_inv",
-    "elt_mul",
-    "word_product",
-    "BlackBoxBasis",
-    "ModuleVector",
-    "act",
-    "black_box_basis",
-    "quotient_project",
-    "PolyMatrix",
-    "rank_at",
-    "ChainComplexData",
-    "DEFAULT_POINTS",
-    "HomologyReport",
-    "SpecializationMismatch",
-    "boundary_element",
-    "build_complex",
-    "euler_characteristic",
-    "homology_ranks",
-    "right_mult_matrix",
-    "theorem_B_rank_identity",
-    "JacobsthalElement",
-    "MATCHING_RATIO_SIGN",
-    "TheoremDReport",
-    "descending_sequences",
-    "jacobsthal_element",
-    "jacobsthal_kernel_rank",
-    "verify_theorem_D",
-]

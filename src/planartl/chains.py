@@ -37,6 +37,7 @@ __all__ = [
     "HomologyReport",
     "SpecializationMismatch",
     "DEFAULT_POINTS",
+    "specialization_points",
     "boundary_element",
     "right_mult_matrix",
     "build_complex",
@@ -52,6 +53,23 @@ DEFAULT_POINTS = (Fraction(2), Fraction(3))
 
 class SpecializationMismatch(RuntimeError):
     """Raised when exact ranks disagree across specialization points."""
+
+
+def specialization_points(points) -> tuple[Fraction, ...]:
+    """The points as exact rationals (anything ``Fraction`` accepts).
+
+    Raises ValueError unless every point is a finite nonzero rational
+    (v must be a unit) and at least two of them are distinct.
+    """
+    try:
+        pts = tuple(Fraction(p) for p in points)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"specialization point with zero denominator: {exc}") from None
+    if any(p == 0 for p in pts):
+        raise ValueError("specialization points must be nonzero")
+    if len(set(pts)) < 2:
+        raise ValueError("need at least two distinct specialization points")
+    return pts
 
 
 def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
@@ -84,16 +102,10 @@ def right_mult_matrix(
     target basis (the projection kills arcs inside the target box)."""
     if elt.n != source.n or source.n != target.n:
         raise ValueError("strand counts do not match")
-    columns: list[dict[int, LaurentPoly]] = []
-    target_index = target.index
-    for x in source.diagrams:
-        prod = elt_mul(AlgebraElement.from_diagram(x), elt)
-        col: dict[int, LaurentPoly] = {}
-        for d, cval in prod.terms.items():
-            r = target_index.get(d)
-            if r is not None:
-                col[r] = cval
-        columns.append(col)
+    columns = [
+        target.project(elt_mul(AlgebraElement.from_diagram(x), elt))
+        for x in source.diagrams
+    ]
     return PolyMatrix(len(target.diagrams), len(source.diagrams), columns)
 
 
@@ -195,26 +207,29 @@ class HomologyReport:
         return all(self.homology_ranks[d] == 0 for d in range(-1, self.n - 1))
 
     @property
+    def chain_alternating_sum(self) -> int:
+        return sum(_sign(i) * r for i, r in self.chain_ranks.items())
+
+    @property
+    def homology_alternating_sum(self) -> int:
+        return sum(_sign(i) * r for i, r in self.homology_ranks.items())
+
+    @property
     def hopf_trace_holds(self) -> bool:
         """Alternating sums of chain and homology ranks agree."""
-        chain_sum = sum(_sign(i) * r for i, r in self.chain_ranks.items())
-        homology_sum = sum(_sign(i) * r for i, r in self.homology_ranks.items())
-        return chain_sum == homology_sum
+        return self.chain_alternating_sum == self.homology_alternating_sum
 
 
 def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyReport:
     """Exact homology ranks of the complex at the given points.
 
-    Needs at least two distinct nonzero points; the per-degree boundary
+    Needs at least two distinct nonzero points (see
+    :func:`specialization_points`); the per-degree boundary
     ranks must agree across all of them, otherwise
     :class:`SpecializationMismatch` is raised and the caller should
     retry with different points.
     """
-    pts = tuple(Fraction(p) for p in points)
-    if len(set(pts)) < 2:
-        raise ValueError("need at least two distinct specialization points")
-    if any(p == 0 for p in pts):
-        raise ValueError("v must be a unit")
+    pts = specialization_points(points)
     n = cx.n
     tables = {p: cx.boundary_ranks(p) for p in pts}
     first = tables[pts[0]]

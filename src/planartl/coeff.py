@@ -22,21 +22,14 @@ from fractions import Fraction
 
 __all__ = [
     "LaurentPoly",
-    "Rational",
     "Convention",
     "CONVENTION_A",
     "CONVENTION_B",
     "convention",
     "mu_over_lambda",
-    "poly_add",
-    "poly_mul",
-    "specialize",
-    "parse_rational",
     "LOOP_FACTOR",
     "loop_factor_power",
 ]
-
-Rational = Fraction
 
 _TERM_RE = re.compile(r"([+-]?)((?:\d+\*)?v(?:\^(-?\d+))?|\d+)")
 
@@ -311,17 +304,6 @@ class Convention:
     lam: LaurentPoly
     mu: LaurentPoly
 
-    def __post_init__(self):
-        expected = {
-            "A": (LaurentPoly.constant(-1), LaurentPoly.v_power(1)),
-            "B": (LaurentPoly.v_power(2), LaurentPoly.v_power(1, -1)),
-        }
-        if self.tag not in expected:
-            raise ValueError(f"unknown convention tag {self.tag!r}")
-        lam, mu = expected[self.tag]
-        if self.lam != lam or self.mu != mu:
-            raise ValueError(f"convention {self.tag} requires (lam, mu) = ({lam}, {mu})")
-
 
 CONVENTION_A = Convention("A", LaurentPoly.constant(-1), LaurentPoly.v_power(1))
 CONVENTION_B = Convention("B", LaurentPoly.v_power(2), LaurentPoly.v_power(1, -1))
@@ -340,20 +322,3 @@ def mu_over_lambda(c: Convention) -> LaurentPoly:
     """The unit mu * lam^-1: -v for convention A, -v^-1 for convention B."""
     return c.mu * c.lam.inverse()
 
-
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def specialize(p: LaurentPoly, x: Fraction) -> Fraction:
-    """Evaluate p at v = x; rejects x = 0 since v must be invertible."""
-    return p.specialize(x)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into an exact rational."""
-    return Fraction(text)

@@ -217,33 +217,24 @@ def compositions_ending_odd(n: int) -> tuple[tuple[int, ...], ...]:
 def descending_opposite_parity_sequences(n: int) -> tuple[tuple[int, ...], ...]:
     """All sequences n > a_1 > ... > a_r > 0 with a_1 of opposite parity
     to n; the empty sequence is included exactly when n is odd (its
-    initial term counts as 0)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    initial term counts as 0), so n = 0 gives none.
+
+    Depth-first, largest entry first: each sequence is followed by its
+    extensions before its next sibling.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out: list[tuple[int, ...]] = []
     if n % 2 == 1:
         out.append(())
-    for a1 in range(1, n):
-        if (a1 - n) % 2 == 1:
-            # any subset of {1, ..., a1-1} continues the descent
-            tail = list(_descending_tails(a1))
-            for t in tail:
-                out.append((a1,) + t)
-    return tuple(out)
 
+    def rec(prefix: tuple[int, ...], floor: int) -> None:
+        out.append(prefix)
+        for a in range(floor - 1, 0, -1):
+            rec(prefix + (a,), a)
 
-@cache
-def _descending_tails(a: int) -> tuple[tuple[int, ...], ...]:
-    """All strictly descending sequences with entries in {1, ..., a-1}."""
-    if a <= 1:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-    for t in _descending_tails(a - 1):
-        out.append(t)
-    for t in _descending_tails(a - 1):
-        out.append((a - 1,) + t)
-    # keep deterministic descending-lex order: sequences starting with a-1 last
-    out.sort(reverse=True)
+    for a1 in range(n - 1, 0, -2):
+        rec((a1,), a1)
     return tuple(out)
 
 

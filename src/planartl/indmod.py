@@ -7,16 +7,18 @@ Dyck bijection these are exactly the words that start with m u's, so a
 basis is obtained by filtering the full Dyck-lex diagram list by prefix.
 
 A diagram product that lands on a banned diagram (an arc inside the
-box) is identified with 0; that rule makes the span a left module.
+box) is identified with 0; that rule makes the span a left module.  The
+action is the algebra product followed by that projection, and
+:meth:`BlackBoxBasis.project` is the one place the projection is made.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .algebra import AlgebraElement
-from .coeff import LaurentPoly, loop_factor_power
-from .diagram import Diagram, enumerate_diagrams, multiply
+from .algebra import AlgebraElement, elt_mul
+from .coeff import LaurentPoly
+from .diagram import Diagram, enumerate_diagrams
 
 __all__ = [
     "BlackBoxBasis",
@@ -48,6 +50,18 @@ class BlackBoxBasis:
 
     def __len__(self) -> int:
         return len(self.diagrams)
+
+    def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
+        """Coordinates of x's image in this module: the coefficient of
+        each basis diagram, every diagram with an arc inside the box
+        dropped."""
+        index = self.index
+        coords: dict[int, LaurentPoly] = {}
+        for d, c in x.terms.items():
+            k = index.get(d)
+            if k is not None:
+                coords[k] = c
+        return coords
 
     def __repr__(self) -> str:
         return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.diagrams)})"
@@ -88,30 +102,6 @@ class ModuleVector:
             return NotImplemented
         return self.basis is other.basis and self.coords == other.coords
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.basis is not other.basis:
-            raise ValueError("vectors live in different bases")
-        coords = dict(self.coords)
-        for k, c in other.coords.items():
-            w = coords.get(k)
-            w = c if w is None else w + c
-            if w:
-                coords[k] = w
-            elif k in coords:
-                del coords[k]
-        out = ModuleVector.__new__(ModuleVector)
-        out.basis = self.basis
-        out.coords = coords
-        return out
-
-    def scale(self, c: LaurentPoly) -> "ModuleVector":
-        if not c:
-            return ModuleVector(self.basis)
-        out = ModuleVector.__new__(ModuleVector)
-        out.basis = self.basis
-        out.coords = {k: c * w for k, w in self.coords.items()}
-        return out
-
     def to_element(self) -> AlgebraElement:
         """The underlying combination of basis diagrams in the ambient
         algebra."""
@@ -130,35 +120,11 @@ def quotient_project(x: AlgebraElement, m: int) -> ModuleVector:
     if not 0 <= m <= x.n:
         raise ValueError(f"box size must lie in 0..{x.n}, got {m}")
     basis = black_box_basis(x.n, m)
-    coords: dict[int, LaurentPoly] = {}
-    for d, c in x.terms.items():
-        k = basis.index.get(d)
-        if k is not None:
-            coords[k] = c
-    return ModuleVector(basis, coords)
+    return ModuleVector(basis, basis.project(x))
 
 
 def act(x: AlgebraElement, vec: ModuleVector) -> ModuleVector:
     """The left action: multiply in the algebra (erased loops still
     weigh v + v^-1), then kill every diagram with an arc inside the box."""
     basis = vec.basis
-    if x.n != basis.n:
-        raise ValueError(f"strand-count mismatch: {x.n} != {basis.n}")
-    coords: dict[int, LaurentPoly] = {}
-    for k, cv in vec.coords.items():
-        y = basis.diagrams[k]
-        for dx, cx in x.terms.items():
-            prod = multiply(dx, y)
-            j = basis.index.get(prod.diagram)
-            if j is None:
-                continue
-            c = cx * cv
-            if prod.loops:
-                c = c * loop_factor_power(prod.loops)
-            w = coords.get(j)
-            w = c if w is None else w + c
-            if w:
-                coords[j] = w
-            elif j in coords:
-                del coords[j]
-    return ModuleVector(basis, coords)
+    return ModuleVector(basis, basis.project(elt_mul(x, vec.to_element())))

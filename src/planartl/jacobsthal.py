@@ -21,13 +21,17 @@ sign is -1 for every n and both conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 
 from .algebra import AlgebraElement
-from .chains import DEFAULT_POINTS, SpecializationMismatch, build_complex, right_mult_matrix
+from .chains import (
+    DEFAULT_POINTS,
+    SpecializationMismatch,
+    build_complex,
+    right_mult_matrix,
+    specialization_points,
+)
 from .coeff import Convention, mu_over_lambda
-from .combin import jacobsthal_number
+from .combin import descending_opposite_parity_sequences, jacobsthal_number
 from .diagram import generator_u, identity, multiply
 from .indmod import black_box_basis
 from .linalg import rank_at
@@ -35,7 +39,6 @@ from .linalg import rank_at
 __all__ = [
     "MATCHING_RATIO_SIGN",
     "JacobsthalElement",
-    "descending_sequences",
     "jacobsthal_element",
     "DegreeComparison",
     "TheoremDReport",
@@ -46,27 +49,6 @@ __all__ = [
 #: The ratio sign under which right multiplication by the elements
 #: reproduces the boundary matrices (verified by verify_theorem_D).
 MATCHING_RATIO_SIGN = -1
-
-
-@cache
-def descending_sequences(l: int) -> tuple[tuple[int, ...], ...]:
-    """All sequences l > a_1 > ... > a_r > 0 with l - a_1 odd, the empty
-    sequence included exactly when l is odd."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    out: list[tuple[int, ...]] = []
-    if l % 2 == 1:
-        out.append(())
-
-    def rec(prefix: tuple[int, ...], floor: int) -> None:
-        out.append(prefix)
-        for a in range(floor - 1, 0, -1):
-            rec(prefix + (a,), a)
-
-    for a1 in range(l - 1, 0, -1):
-        if (l - a1) % 2 == 1:
-            rec((a1,), a1)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,7 +76,7 @@ def jacobsthal_element(
     if ratio_sign == -1:
         rho = -rho
     terms: dict = {}
-    seqs = descending_sequences(l)
+    seqs = descending_opposite_parity_sequences(l)
     for seq in seqs:
         r = len(seq)
         coeff = rho**r
@@ -198,9 +180,7 @@ def jacobsthal_kernel_rank(
     the kernel rank is the rank of the top homology module; the points
     must agree on the rank.
     """
-    pts = tuple(Fraction(p) for p in points)
-    if len(set(pts)) < 2:
-        raise ValueError("need at least two distinct specialization points")
+    pts = specialization_points(points)
     jelt = jacobsthal_element(n, n, c, ratio_sign)
     basis = black_box_basis(n, 0)
     matrix = right_mult_matrix(jelt.element, basis, basis)

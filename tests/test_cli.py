@@ -1,6 +1,7 @@
 """Command line tests: table output, diagram products, verify reports,
 exit codes, and byte-level determinism."""
 
+import hashlib
 import io
 import json
 
@@ -180,6 +181,8 @@ def test_verify_bad_points_exit_2():
     assert code == 2
     code, _ = run_cli_capture(["verify", "homology", "--n-max", "3", "--points", "0,2"])
     assert code == 2
+    code, _ = run_cli_capture(["verify", "homology", "--n-max", "3", "--points", "1/0,2"])
+    assert code == 2
 
 
 def test_verify_failure_exits_one(monkeypatch):
@@ -228,6 +231,36 @@ def test_verify_emit_matrices(tmp_path):
     first = path.read_text()
     run_cli_capture(["verify", "ddzero", "--n-max", "3", "--emit-matrices", str(path)])
     assert path.read_text() == first
+
+
+# sha256 of the JSON report and of the matrix dump of every check at
+# n <= 6; any change to a number, a basis order or a polynomial's text
+# shows here.
+PINNED_DIGESTS = {
+    "A": (
+        "31257ef7451fdc3c9aa5ae7978dd4bfedfbcda83c2ae602797f13775548a1fe1",
+        "e850b434d65262dafa244a78664eb6f861dc54ce9e52f737e42081ef93cab091",
+    ),
+    "B": (
+        "1dbf18a28fde1413ebfb105d8a40dca0c4a0c2f3c2083a28e69ba2bd46641cf6",
+        "8926aa4e5560ca2f8a60132266e36b85a7b8dd014d8a20a76c83a7e4ecb5596a",
+    ),
+}
+
+
+@pytest.mark.parametrize("conv", sorted(PINNED_DIGESTS))
+def test_verify_all_checks_byte_identical(tmp_path, conv):
+    import planartl.cli as cli
+
+    path = tmp_path / "matrices.json"
+    code, out = run_cli_capture(
+        ["verify", *cli.CHECK_NAMES, "--n-max", "6", "--convention", conv,
+         "--format", "json", "--emit-matrices", str(path)]
+    )
+    assert code == 0
+    report_sha, dump_sha = PINNED_DIGESTS[conv]
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha
 
 
 def test_version_flag():

@@ -8,10 +8,9 @@ import pytest
 from planartl.algebra import AlgebraElement
 from planartl.chains import build_complex, homology_ranks
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
-from planartl.combin import fine, jacobsthal_number
+from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
-    descending_sequences,
     jacobsthal_element,
     jacobsthal_kernel_rank,
     verify_theorem_D,
@@ -21,12 +20,12 @@ CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
 
 def test_descending_sequences_pinned_l4():
-    assert set(descending_sequences(4)) == {(3,), (1,), (3, 2), (3, 1), (3, 2, 1)}
+    assert set(descending_opposite_parity_sequences(4)) == {(3,), (1,), (3, 2), (3, 1), (3, 2, 1)}
 
 
 def test_descending_sequences_counts():
     for l in range(1, 13):
-        seqs = descending_sequences(l)
+        seqs = descending_opposite_parity_sequences(l)
         assert len(seqs) == jacobsthal_number(l)
         assert len(set(seqs)) == len(seqs)
         for seq in seqs:
