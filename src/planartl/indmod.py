@@ -3,30 +3,32 @@
 For 0 <= m <= n, the module induced from the rank-one trivial module of
 the m-strand subalgebra has a diagram basis: the diagrams on n strands
 with no arc joining two of the right dots 1..m (the box).  Under the
-Dyck bijection these are exactly the words that start with m u's, so a
-basis is obtained by filtering the full Dyck-lex diagram list by prefix.
+Dyck bijection these are exactly the words that start with m u's, and
+since u < d they are the first B_m(n) (first-peak count) entries of the
+full Dyck-lex diagram list.  So every basis is a prefix of one basis per
+n, and all box sizes on n strands share one diagram -> Dyck-lex
+position index.
 
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
 action is the algebra product followed by that projection, and
-:meth:`BlackBoxBasis.project` is the one place the projection is made.
+:meth:`BlackBoxBasis.project` is the one place the projection is made:
+it keeps a term exactly when its diagram's position is below B_m(n).
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .algebra import AlgebraElement, elt_mul
+from .algebra import AlgebraElement
 from .coeff import LaurentPoly
+from .combin import first_peak_count_B
 from .diagram import Diagram, enumerate_diagrams
 
 __all__ = [
     "BlackBoxBasis",
-    "ModuleVector",
     "has_cup_in_box",
     "black_box_basis",
-    "act",
-    "quotient_project",
 ]
 
 
@@ -36,17 +38,28 @@ def has_cup_in_box(d: Diagram, m: int) -> bool:
     return any(pairing[p] < m for p in range(min(m, 2 * d.n)))
 
 
+@cache
+def _dyck_lex_index(n: int) -> dict[Diagram, int]:
+    """Position of every diagram on n strands in the Dyck-lex list."""
+    return {d: k for k, d in enumerate(enumerate_diagrams(n))}
+
+
 class BlackBoxBasis:
     """The ordered diagram basis of the size-m black box module on n
-    strands, in Dyck-lex order."""
+    strands: the first B_m(n) diagrams in Dyck-lex order.
+
+    ``index`` maps every diagram on n strands to its Dyck-lex position
+    and is shared by all box sizes on n strands; a diagram lies in this
+    basis exactly when its position is below ``len(self)``.
+    """
 
     __slots__ = ("n", "m", "diagrams", "index")
 
-    def __init__(self, n: int, m: int, diagrams: tuple[Diagram, ...]):
+    def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.diagrams = diagrams
-        self.index = {d: k for k, d in enumerate(diagrams)}
+        self.diagrams = enumerate_diagrams(n)[: first_peak_count_B(n, m)]
+        self.index = _dyck_lex_index(n)
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -56,10 +69,11 @@ class BlackBoxBasis:
         each basis diagram, every diagram with an arc inside the box
         dropped."""
         index = self.index
+        size = len(self.diagrams)
         coords: dict[int, LaurentPoly] = {}
         for d, c in x.terms.items():
-            k = index.get(d)
-            if k is not None:
+            k = index[d]
+            if k < size:
                 coords[k] = c
         return coords
 
@@ -73,58 +87,4 @@ def black_box_basis(n: int, m: int) -> BlackBoxBasis:
     equivalently those whose Dyck word starts with m u's."""
     if not 0 <= m <= n:
         raise ValueError(f"box size must lie in 0..{n}, got {m}")
-    prefix = "u" * m
-    diagrams = tuple(
-        d for d in enumerate_diagrams(n) if d.word.startswith(prefix)
-    )
-    return BlackBoxBasis(n, m, diagrams)
-
-
-class ModuleVector:
-    """A vector in a black box module, stored as sparse coordinates over
-    the basis (no zero coordinates)."""
-
-    __slots__ = ("basis", "coords")
-
-    def __init__(self, basis: BlackBoxBasis, coords: dict[int, LaurentPoly] | None = None):
-        self.basis = basis
-        self.coords = {k: c for k, c in (coords or {}).items() if c}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.basis is other.basis and self.coords == other.coords
-
-    def to_element(self) -> AlgebraElement:
-        """The underlying combination of basis diagrams in the ambient
-        algebra."""
-        return AlgebraElement(
-            self.basis.n,
-            {self.basis.diagrams[k]: c for k, c in self.coords.items()},
-        )
-
-    def __repr__(self) -> str:
-        return f"ModuleVector({self.basis!r}, {self.to_element().to_text()})"
-
-
-def quotient_project(x: AlgebraElement, m: int) -> ModuleVector:
-    """Image of x in the size-m black box module: terms whose diagram has
-    an arc inside the box are dropped."""
-    if not 0 <= m <= x.n:
-        raise ValueError(f"box size must lie in 0..{x.n}, got {m}")
-    basis = black_box_basis(x.n, m)
-    return ModuleVector(basis, basis.project(x))
-
-
-def act(x: AlgebraElement, vec: ModuleVector) -> ModuleVector:
-    """The left action: multiply in the algebra (erased loops still
-    weigh v + v^-1), then kill every diagram with an arc inside the box."""
-    basis = vec.basis
-    return ModuleVector(basis, basis.project(elt_mul(x, vec.to_element())))
+    return BlackBoxBasis(n, m)

@@ -167,12 +167,7 @@ def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
     return TheoremDReport(n=n, convention_tag=c.tag, comparisons=tuple(comparisons))
 
 
-def jacobsthal_kernel_rank(
-    n: int,
-    c: Convention,
-    points=DEFAULT_POINTS,
-    ratio_sign: int = MATCHING_RATIO_SIGN,
-) -> int:
+def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     """Exact kernel rank of right multiplication by the top Jacobsthal
     element on the full diagram algebra, at the given points.
 
@@ -181,7 +176,7 @@ def jacobsthal_kernel_rank(
     must agree on the rank.
     """
     pts = specialization_points(points)
-    jelt = jacobsthal_element(n, n, c, ratio_sign)
+    jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
     basis = black_box_basis(n, 0)
     matrix = right_mult_matrix(jelt.element, basis, basis)
     ranks = {p: rank_at(matrix, p) for p in pts}

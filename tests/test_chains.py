@@ -153,3 +153,19 @@ def test_theorem_B_rank_identity():
         assert theorem_B_rank_identity(n)
     assert sum((-1) ** m * first_peak_count_B(3, m) for m in range(4)) == 2
     assert sum((-1) ** m * first_peak_count_B(1, m) for m in range(2)) == 0
+
+
+def test_theorem_B_rank_identity_detects_wrong_counts(monkeypatch):
+    import planartl.chains as chains_module
+    import planartl.combin as combin_module
+
+    def wrong_count(n, m):
+        return first_peak_count_B(n, m) + (m == 1)
+
+    # a cold cache, so that no Fine number computed from the right counts
+    # can stand in for the check
+    combin_module.fine.cache_clear()
+    monkeypatch.setattr(combin_module, "first_peak_count_B", wrong_count)
+    monkeypatch.setattr(chains_module, "first_peak_count_B", wrong_count)
+    for n in range(1, 13):
+        assert theorem_B_rank_identity(n) is False

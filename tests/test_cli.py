@@ -98,11 +98,14 @@ def test_mul_intro_example():
     assert out == f"(v^1+v^-1) * {x.word}\n"
 
 
-def test_mul_bad_word_exits_2():
+def test_mul_bad_word_exits_2(capsys):
     code, _ = run_cli_capture(["mul", "2", "uddu", "udud"])
     assert code == 2
     code, _ = run_cli_capture(["mul", "3", "udud", "udud"])
     assert code == 2
+    code, _ = run_cli_capture(["mul", "-1", "", ""])
+    assert code == 2
+    assert "n must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_passes_and_exit_zero():

@@ -19,10 +19,6 @@ from planartl.jacobsthal import (
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
 
-def test_descending_sequences_pinned_l4():
-    assert set(descending_opposite_parity_sequences(4)) == {(3,), (1,), (3, 2), (3, 1), (3, 2, 1)}
-
-
 def test_descending_sequences_counts():
     for l in range(1, 13):
         seqs = descending_opposite_parity_sequences(l)
