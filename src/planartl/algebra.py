@@ -5,17 +5,41 @@ weight of every erased loop.
 The diagram basis is the source of truth; the familiar presentation by
 the U_i and their relations is exercised by the test suite rather than
 used as a rewriting system.
+
+Two routes multiply.  :func:`elt_mul` glues diagrams with
+:func:`planartl.diagram.multiply`, one call per pair of terms; it serves
+the one-off products (the ``mul`` command, the relation and braid
+checks) at any n, and it is the oracle the tables below are tested
+against.  :func:`generator_tables` records, once per n, right
+multiplication by each cup generator U_j as a map on Dyck-lex positions,
+together with a loop-free U-word for every diagram.  Right
+multiplication by a whole element then becomes integer lookups, which
+is how :func:`planartl.chains.right_mult_matrix` assembles every
+boundary and Jacobsthal matrix.  Building the tables costs (n-1) * C_n
+products, so ``elt_mul`` does not use them: at n = 12 that would be
+about 2.3 million products for what is often a single one.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .coeff import Convention, LaurentPoly, loop_factor_power
 from .combin import dyck_lex_key
-from .diagram import Diagram, generator_u, identity, multiply
+from .diagram import (
+    Diagram,
+    dyck_lex_index,
+    enumerate_diagrams,
+    generator_u,
+    identity,
+    multiply,
+)
 
 __all__ = [
     "AlgebraElement",
     "elt_mul",
+    "GeneratorTables",
+    "generator_tables",
     "augment",
     "braiding_s",
     "braiding_s_inv",
@@ -23,6 +47,7 @@ __all__ = [
 ]
 
 _ONE = LaurentPoly.one()
+_EMPTY_WORD = '""'
 
 
 class AlgebraElement:
@@ -139,11 +164,13 @@ class AlgebraElement:
         return self.terms.get(d, LaurentPoly.zero())
 
     def to_text(self) -> str:
-        """Terms as '(coeff) * dyckword', in Dyck-lex order of the word."""
+        """Terms as '(coeff) * dyckword', in Dyck-lex order of the word;
+        the empty word (n = 0) is written "", as the ``mul`` command
+        takes it."""
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({self.terms[d].to_text(compact=True)}) * {d.word}"
+            f"({self.terms[d].to_text(compact=True)}) * {d.word or _EMPTY_WORD}"
             for d in sorted(self.terms, key=lambda d: dyck_lex_key(d.word))
         )
 
@@ -176,6 +203,61 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     out.n = x.n
     out.terms = terms
     return out
+
+
+class GeneratorTables:
+    """Right multiplication by the cup generators on n strands, over the
+    Dyck-lex positions of :func:`planartl.diagram.enumerate_diagrams`.
+
+    ``next[j - 1][k]`` and ``loops[j - 1][k]`` give the product of
+    diagram k and U_j: diagram k times U_j is a^loops times diagram
+    next.  ``words[k]`` is a U-word (generator indices) whose product is
+    diagram k with no loop closed; the words are prefix-closed, so the
+    terms of any element form a trie.  Along a word, right products from
+    any diagram x add up to x times diagram k: the word itself closes no
+    loop, so by associativity the loops met on the way are exactly
+    those of the one product.
+    """
+
+    __slots__ = ("next", "loops", "words")
+
+    def __init__(self, n: int):
+        diagrams = enumerate_diagrams(n)
+        index = dyck_lex_index(n)
+        nexts = []
+        loops = []
+        for j in range(1, n):
+            u = generator_u(n, j)
+            row_next = []
+            row_loops = []
+            for d in diagrams:
+                product = multiply(d, u)
+                row_next.append(index[product.diagram])
+                row_loops.append(product.loops)
+            nexts.append(tuple(row_next))
+            loops.append(tuple(row_loops))
+        # Breadth first out of the identity along loop-free edges.
+        words: list[tuple[int, ...] | None] = [None] * len(diagrams)
+        start = index[identity(n)]
+        words[start] = ()
+        queue = [start]
+        for k in queue:
+            for j in range(1, n):
+                target = nexts[j - 1][k]
+                if words[target] is None and not loops[j - 1][k]:
+                    words[target] = words[k] + (j,)
+                    queue.append(target)
+        if len(queue) != len(diagrams):
+            raise RuntimeError("some diagram has no loop-free generator word")
+        self.next = tuple(nexts)
+        self.loops = tuple(loops)
+        self.words = tuple(words)
+
+
+@cache
+def generator_tables(n: int) -> GeneratorTables:
+    """The generator tables on n strands, built on first use."""
+    return GeneratorTables(n)
 
 
 def augment(x: AlgebraElement) -> LaurentPoly:

@@ -15,6 +15,13 @@ matrix identities and makes every report reproducible.  They are built
 lazily per degree: Euler characteristics only need basis sizes and stay
 cheap well past the scale where matrices are practical.
 
+Every right-multiplication matrix (the boundary maps, and the Jacobsthal
+matrices they are compared with) is assembled by one kernel,
+:func:`right_mult_matrix`.  It walks the per-n generator tables of
+:mod:`planartl.algebra` over Dyck-lex positions, so assembly is integer
+lookups and counting; no diagram is glued in the loop.  The diagram
+product builds those tables and stays the test suite's oracle for them.
+
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises
 (it signals a non-generic point, never a silent wrong answer).
@@ -26,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, braiding_s, elt_mul
-from .coeff import Convention, LaurentPoly, convention
+from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
+from .coeff import Convention, LaurentPoly, convention, loop_factor_power
 from .combin import (
     _ENUM_LIMIT,
     fine_by_alternating_binomials,
@@ -104,14 +111,72 @@ def right_mult_matrix(
     elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis
 ) -> PolyMatrix:
     """Matrix of x -> project(x * elt) from the source basis to the
-    target basis (the projection kills arcs inside the target box)."""
+    target basis (the projection kills arcs inside the target box).
+
+    Every term of elt is reached by its loop-free U-word in the
+    generator tables, and the words form a trie.  Each column walks that
+    trie from its source diagram's position, one table lookup per node.
+    Where a term's word ends, its coefficient is counted in integers per
+    (row, loops, v-exponent); each count is then multiplied by a^loops
+    once.
+    """
     if elt.n != source.n or source.n != target.n:
         raise ValueError("strand counts do not match")
-    columns = [
-        target.project(elt_mul(AlgebraElement.from_diagram(x), elt))
-        for x in source.diagrams
-    ]
-    return PolyMatrix(len(target.diagrams), len(source.diagrams), columns)
+    tables = generator_tables(elt.n)
+    index = source.index
+    root = ()  # coefficient of the identity term, whose word is empty
+    # The trie in preorder: (letter depth, next row, loops row, the
+    # coefficient of the term ending here or ()).  Sorted words list a
+    # prefix before its extensions, so each word adds the nodes past its
+    # common prefix with the word before it.
+    nodes: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple]] = []
+    previous: tuple[int, ...] = ()
+    for word, c in sorted(
+        ((tables.words[index[d]], c) for d, c in elt.terms.items()),
+        key=lambda term: term[0],
+    ):
+        coeff = tuple(c.coefficients().items())
+        if not word:
+            root = coeff
+        depth = 0
+        while depth < min(len(word), len(previous)) and word[depth] == previous[depth]:
+            depth += 1
+        for t in range(depth, len(word)):
+            j = word[t]
+            end = coeff if t == len(word) - 1 else ()
+            nodes.append((t, tables.next[j - 1], tables.loops[j - 1], end))
+        previous = word
+    # A product closes at most n/2 loops.
+    powers = [tuple(loop_factor_power(l).coefficients().items()) for l in range(elt.n + 1)]
+    states = [0] * (max((node[0] for node in nodes), default=-1) + 2)
+    loops = [0] * len(states)
+    columns = []
+    for k in range(len(source)):
+        states[0] = k
+        counts = {(k, 0, e): x for e, x in root}
+        for depth, nxt, closed, coeff in nodes:
+            s = states[depth]
+            states[depth + 1] = row = nxt[s]
+            loops[depth + 1] = l = loops[depth] + closed[s]
+            for e, x in coeff:
+                key = (row, l, e)
+                counts[key] = counts.get(key, 0) + x
+        column: dict[int, dict[int, int]] = {}
+        for (row, l, e), x in counts.items():
+            poly = column.get(row)
+            if poly is None:
+                poly = column[row] = {}
+            for f, y in powers[l]:
+                poly[e + f] = poly.get(e + f, 0) + x * y
+        # Entries that cancel are dropped here, not left for PolyMatrix
+        # to filter out of a second copy of the column.
+        entries = {}
+        for row, poly in target.restrict(column).items():
+            entry = LaurentPoly(poly)
+            if entry:
+                entries[row] = entry
+        columns.append(entries)
+    return PolyMatrix(len(target), len(source), columns)
 
 
 class ChainComplexData:

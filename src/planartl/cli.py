@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__
 from .algebra import AlgebraElement, augment, braiding_s, braiding_s_inv, elt_mul
@@ -142,17 +143,24 @@ def _check_bijection(n: int, ctx: CheckContext):
 
 
 def _check_bcounts(n: int, ctx: CheckContext):
-    from .indmod import black_box_basis, has_cup_in_box
+    from .indmod import black_box_basis, largest_free_box
 
-    if len(enumerate_diagrams(n)) != catalan(n):
+    diagrams = enumerate_diagrams(n)
+    if len(diagrams) != catalan(n):
         return False, {"failed": "diagram count differs from Catalan number"}
+    # Every basis is a Dyck-lex prefix, so one pass finds, for each
+    # prefix, the largest box that none of its diagrams has an arc in
+    # (kept as bytes: a box size is at most n).
+    prefix_box = bytes(accumulate(map(largest_free_box, diagrams), min))
     sizes = {}
     for m in range(n + 1):
         basis = black_box_basis(n, m)
         expected = first_peak_count_B(n, m)
         if len(basis) != expected:
             return False, {"failed": f"basis size at box {m} is {len(basis)}, expected {expected}"}
-        if any(has_cup_in_box(d, m) for d in basis.diagrams):
+        if basis.diagrams != diagrams[: len(basis)]:
+            return False, {"failed": f"basis at box {m} is not a Dyck-lex prefix"}
+        if expected and prefix_box[expected - 1] < m:
             return False, {"failed": f"banned diagram in basis at box {m}"}
         if n <= _ORACLE_N_LIMIT and first_peak_count_by_enumeration(n, m) != expected:
             return False, {"failed": f"first-peak enumeration disagrees at m={m}"}

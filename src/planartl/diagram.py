@@ -27,6 +27,7 @@ __all__ = [
     "to_dyck",
     "from_dyck",
     "enumerate_diagrams",
+    "dyck_lex_index",
 ]
 
 
@@ -233,3 +234,9 @@ def from_dyck(word: str) -> Diagram:
 def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
     """All diagrams on n strands in Dyck-lex order (u < d)."""
     return tuple(from_dyck(w) for w in dyck_words(n))
+
+
+@cache
+def dyck_lex_index(n: int) -> dict[Diagram, int]:
+    """Position of every diagram on n strands in the Dyck-lex list."""
+    return {d: k for k, d in enumerate(enumerate_diagrams(n))}

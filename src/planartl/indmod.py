@@ -12,8 +12,10 @@ position index.
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
 action is the algebra product followed by that projection, and
-:meth:`BlackBoxBasis.project` is the one place the projection is made:
-it keeps a term exactly when its diagram's position is below B_m(n).
+:meth:`BlackBoxBasis.restrict` is the one place the projection is made:
+it keeps an entry exactly when its Dyck-lex position is below B_m(n).
+:meth:`BlackBoxBasis.project` applies it to an algebra element, and the
+boundary-matrix kernel in :mod:`planartl.chains` to each matrix column.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from functools import cache
 from .algebra import AlgebraElement
 from .coeff import LaurentPoly
 from .combin import first_peak_count_B
-from .diagram import Diagram, enumerate_diagrams
+from .diagram import Diagram, dyck_lex_index, enumerate_diagrams
 
 __all__ = [
     "BlackBoxBasis",
     "has_cup_in_box",
+    "largest_free_box",
     "black_box_basis",
 ]
 
@@ -38,10 +41,19 @@ def has_cup_in_box(d: Diagram, m: int) -> bool:
     return any(pairing[p] < m for p in range(min(m, 2 * d.n)))
 
 
-@cache
-def _dyck_lex_index(n: int) -> dict[Diagram, int]:
-    """Position of every diagram on n strands in the Dyck-lex list."""
-    return {d: k for k, d in enumerate(enumerate_diagrams(n))}
+def largest_free_box(d: Diagram) -> int:
+    """The largest box size m with no arc inside the box, by the rule of
+    :func:`has_cup_in_box`: the right dots 0..m-1 (0-indexed) all pair
+    outside the box.  A box with an arc inside makes every larger box
+    fail too, and the box of size n + 1 always does, so the answer is at
+    most n."""
+    low = len(d.pairing)
+    for m, q in enumerate(d.pairing):
+        if q < low:
+            low = q
+        if low <= m:
+            return m
+    return 0
 
 
 class BlackBoxBasis:
@@ -59,23 +71,23 @@ class BlackBoxBasis:
         self.n = n
         self.m = m
         self.diagrams = enumerate_diagrams(n)[: first_peak_count_B(n, m)]
-        self.index = _dyck_lex_index(n)
+        self.index = dyck_lex_index(n)
 
     def __len__(self) -> int:
         return len(self.diagrams)
 
+    def restrict(self, coords: dict) -> dict:
+        """The entries of coords (keyed by Dyck-lex position on n
+        strands) that lie in this basis: every diagram with an arc
+        inside the box dropped."""
+        size = len(self.diagrams)
+        return {k: c for k, c in coords.items() if k < size}
+
     def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
         """Coordinates of x's image in this module: the coefficient of
-        each basis diagram, every diagram with an arc inside the box
-        dropped."""
+        each basis diagram."""
         index = self.index
-        size = len(self.diagrams)
-        coords: dict[int, LaurentPoly] = {}
-        for d, c in x.terms.items():
-            k = index[d]
-            if k < size:
-                coords[k] = c
-        return coords
+        return self.restrict({index[d]: c for d, c in x.terms.items()})
 
     def __repr__(self) -> str:
         return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.diagrams)})"

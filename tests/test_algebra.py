@@ -1,9 +1,12 @@
 """Algebra tests: relations as element identities, braiding elements,
-the augmentation, and generator word products."""
+the augmentation, generator word products, and the generator tables
+that right multiplication is assembled from."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planartl.algebra import (
     AlgebraElement,
@@ -11,6 +14,7 @@ from planartl.algebra import (
     braiding_s,
     braiding_s_inv,
     elt_mul,
+    generator_tables,
     word_product,
 )
 from planartl.coeff import (
@@ -18,8 +22,15 @@ from planartl.coeff import (
     CONVENTION_B,
     LOOP_FACTOR,
     LaurentPoly,
+    loop_factor_power,
 )
-from planartl.diagram import enumerate_diagrams
+from planartl.diagram import (
+    dyck_lex_index,
+    enumerate_diagrams,
+    generator_u,
+    identity,
+    multiply,
+)
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 V = LaurentPoly.v_power(1)
@@ -178,3 +189,95 @@ def test_element_text_zero_and_order():
     x = AlgebraElement.one(2) + AlgebraElement.generator(2, 1)
     # identity word uudd precedes udud in the u < d order
     assert x.to_text() == "(1) * uudd + (1) * udud"
+
+
+# -- generator tables ------------------------------------------------------
+
+
+def step(tables, k, loops, j):
+    """Right-multiply the diagram at position k by U_j in the tables."""
+    return tables.next[j - 1][k], loops + tables.loops[j - 1][k]
+
+
+def test_tables_equal_multiply():
+    for n in range(8):
+        tables = generator_tables(n)
+        diagrams = enumerate_diagrams(n)
+        assert len(tables.next) == len(tables.loops) == max(n - 1, 0)
+        for j in range(1, n):
+            u = generator_u(n, j)
+            for k, d in enumerate(diagrams):
+                product = multiply(d, u)
+                assert diagrams[tables.next[j - 1][k]] == product.diagram
+                assert tables.loops[j - 1][k] == product.loops
+
+
+def test_tables_satisfy_the_relations():
+    for n in range(2, 9):
+        tables = generator_tables(n)
+        for k in range(len(enumerate_diagrams(n))):
+            for i in range(1, n):
+                once = step(tables, k, 0, i)
+                # U_i^2 = a U_i
+                assert step(tables, *once, i) == (once[0], once[1] + 1)
+                for j in range(1, n):
+                    if abs(i - j) == 1:
+                        # U_i U_j U_i = U_i
+                        assert step(tables, *step(tables, *once, j), i) == once
+                    elif abs(i - j) >= 2:
+                        # far generators commute
+                        assert step(tables, *once, j) == step(tables, *step(tables, k, 0, j), i)
+
+
+def test_words_are_loop_free_and_prefix_closed():
+    for n in range(9):
+        tables = generator_tables(n)
+        diagrams = enumerate_diagrams(n)
+        words = set(tables.words)
+        assert len(words) == len(diagrams)
+        for d, word in zip(diagrams, tables.words):
+            product = identity(n)
+            for j in word:
+                result = multiply(product, generator_u(n, j))
+                assert result.loops == 0
+                product = result.diagram
+            assert product == d
+            assert not word or word[:-1] in words
+
+
+@st.composite
+def elements(draw, n):
+    diagrams = enumerate_diagrams(n)
+    keys = st.integers(0, len(diagrams) - 1)
+    coeffs = st.builds(
+        LaurentPoly, st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3)
+    )
+    terms = draw(st.dictionaries(keys, coeffs, max_size=5))
+    return AlgebraElement(n, {diagrams[k]: c for k, c in terms.items()})
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(0, 6))
+    return draw(elements(n)), draw(elements(n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(element_pairs())
+def test_walking_words_gives_elt_mul(pair):
+    # x * dy is reached from each term of x by the loop-free word of dy
+    x, y = pair
+    n = x.n
+    tables = generator_tables(n)
+    index = dyck_lex_index(n)
+    diagrams = enumerate_diagrams(n)
+    walked = AlgebraElement.zero(n)
+    for dx, cx in x.terms.items():
+        for dy, cy in y.terms.items():
+            k, loops = index[dx], 0
+            for j in tables.words[index[dy]]:
+                k, loops = step(tables, k, loops, j)
+            walked = walked + AlgebraElement.from_diagram(
+                diagrams[k], cx * cy * loop_factor_power(loops)
+            )
+    assert walked == elt_mul(x, y)

@@ -17,6 +17,9 @@ from planartl.chains import (
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
 from planartl.diagram import identity
+from planartl.indmod import black_box_basis
+from planartl.jacobsthal import jacobsthal_element
+from planartl.linalg import PolyMatrix
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -73,6 +76,60 @@ def test_degree_two_boundary_expansion():
             )
             expected = right_mult_matrix(elt, cx.bases[2], cx.bases[1])
             assert cx.differential(2) == expected
+
+
+def reference_right_mult_matrix(elt, source, target):
+    """The definition, on the independent product path: one elt_mul and
+    one projection per source diagram."""
+    columns = [
+        target.project(elt_mul(AlgebraElement.from_diagram(x), elt))
+        for x in source.diagrams
+    ]
+    return PolyMatrix(len(target), len(source), columns)
+
+
+def test_right_mult_matrix_equals_reference():
+    for conv in CONVENTIONS:
+        for n in range(1, 7):
+            cx = build_complex(n, conv)
+            for i in range(n):
+                source, target = cx.bases[i], cx.bases[i - 1]
+                elements = [boundary_element(n, i, conv)] + [
+                    jacobsthal_element(n, i + 1, conv, sign).element for sign in (1, -1)
+                ]
+                for elt in elements:
+                    assert right_mult_matrix(elt, source, target) == reference_right_mult_matrix(
+                        elt, source, target
+                    )
+            # the fineberg matrix: the top element on the full algebra
+            full = black_box_basis(n, 0)
+            top = jacobsthal_element(n, n, conv).element
+            assert right_mult_matrix(top, full, full) == reference_right_mult_matrix(
+                top, full, full
+            )
+
+
+def test_right_mult_matrix_on_every_box_pair():
+    # an identity term, a two-term coefficient (U_2^2 = a U_2) and words
+    # that close loops, between every pair of box sizes
+    n = 4
+    u1, u2, u3 = (AlgebraElement.generator(n, j) for j in (1, 2, 3))
+    v = LaurentPoly.v_power(1)
+    elt = (
+        AlgebraElement.one(n).scale(v)
+        + elt_mul(u2, u2)
+        + elt_mul(u1, u3).scale(-1)
+        + elt_mul(elt_mul(u1, u2), u3).scale(v * v)
+        + u3
+    )
+    for m in range(n + 1):
+        for m2 in range(n + 1):
+            source, target = black_box_basis(n, m), black_box_basis(n, m2)
+            assert right_mult_matrix(elt, source, target) == reference_right_mult_matrix(
+                elt, source, target
+            )
+    with pytest.raises(ValueError):
+        right_mult_matrix(elt, black_box_basis(3, 0), black_box_basis(3, 0))
 
 
 def test_degree_zero_boundary_is_identity_coefficient():

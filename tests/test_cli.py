@@ -4,6 +4,10 @@ exit codes, and byte-level determinism."""
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,13 @@ def test_mul_intro_example():
     code, out = run_cli_capture(["mul", "5", x.word, y.word])
     assert code == 0
     assert out == f"(v^1+v^-1) * {x.word}\n"
+
+
+def test_mul_empty_word():
+    # n = 0: the empty word is written as the literal the command takes
+    code, out = run_cli_capture(["mul", "0", "", ""])
+    assert code == 0
+    assert out == '(1) * ""\n'
 
 
 def test_mul_bad_word_exits_2(capsys):
@@ -205,6 +216,61 @@ def test_verify_failure_exits_one(monkeypatch):
     assert statuses == ["pass", "fail", "pass"]
 
 
+class _Basis:
+    def __init__(self, diagrams):
+        self.diagrams = tuple(diagrams)
+
+    def __len__(self):
+        return len(self.diagrams)
+
+
+def test_verify_bcounts_fails_on_out_of_order_basis(monkeypatch):
+    import planartl.indmod as indmod
+
+    real = indmod.black_box_basis
+
+    def swapped(n, m):
+        basis = real(n, m)
+        if (n, m) != (4, 2):
+            return basis
+        d = list(basis.diagrams)
+        d[0], d[1] = d[1], d[0]
+        return _Basis(d)
+
+    monkeypatch.setattr(indmod, "black_box_basis", swapped)
+    code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
+    assert code == 1
+    assert "FAIL bcounts n=4  basis at box 2 is not a Dyck-lex prefix" in out
+
+
+def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
+    # the Dyck-lex list with the last box-2 diagram and the first banned
+    # one swapped: every basis is still a prefix of it, and the box-2
+    # basis holds a diagram with an arc inside the box
+    import planartl.cli as cli
+    import planartl.indmod as indmod
+    from planartl.combin import first_peak_count_B
+
+    real_enumerate = cli.enumerate_diagrams
+    cut = first_peak_count_B(4, 2)
+
+    def enumerate_swapped(n):
+        d = list(real_enumerate(n))
+        if n == 4:
+            d[cut - 1], d[cut] = d[cut], d[cut - 1]
+        return tuple(d)
+
+    def prefix_basis(n, m):
+        return _Basis(enumerate_swapped(n)[: first_peak_count_B(n, m)])
+
+    monkeypatch.setattr(cli, "enumerate_diagrams", enumerate_swapped)
+    monkeypatch.setattr(indmod, "black_box_basis", prefix_basis)
+    code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
+    assert code == 1
+    assert "PASS bcounts n=3" in out
+    assert "FAIL bcounts n=4  banned diagram in basis at box 2" in out
+
+
 def test_verify_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli_capture(["verify", "nonsense", "--n-max", "3"])
@@ -264,6 +330,27 @@ def test_verify_all_checks_byte_identical(tmp_path, conv):
     report_sha, dump_sha = PINNED_DIGESTS[conv]
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha
+
+
+def test_traced_run_reports_the_cli_output():
+    # perfbench/traced.py wraps library functions by name wherever the
+    # planartl modules bind them, and must print the CLI's own report
+    root = Path(__file__).resolve().parents[1]
+    argv = ["verify", "ddzero", "thmD", "fineberg", "bcounts", "--n-max", "4", "--format", "json"]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), "0", *argv],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    code, out = run_cli(argv)
+    assert code == 0
+    assert traced["exit"] == 0
+    assert traced["report"] == out
+    layers = {span[0] for span in traced["spans"]}
+    assert {"chains.assemble", "jacobsthal.assemble", "jacobsthal.compare", "linalg.compose"} <= layers
 
 
 def test_version_flag():

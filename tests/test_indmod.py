@@ -9,7 +9,7 @@ from planartl.algebra import AlgebraElement, elt_mul
 from planartl.coeff import LaurentPoly
 from planartl.combin import catalan, first_peak_count_B
 from planartl.diagram import Diagram, enumerate_diagrams, identity
-from planartl.indmod import black_box_basis, has_cup_in_box
+from planartl.indmod import black_box_basis, has_cup_in_box, largest_free_box
 
 
 def random_element(rng, n):
@@ -55,6 +55,15 @@ def test_box_predicate_equals_word_prefix():
             prefix = "u" * m
             for d in enumerate_diagrams(n):
                 assert has_cup_in_box(d, m) == (not d.word.startswith(prefix))
+
+
+def test_largest_free_box_follows_the_box_rule():
+    for n in range(9):
+        for d in enumerate_diagrams(n):
+            free = largest_free_box(d)
+            assert 0 <= free <= n
+            for m in range(n + 1):
+                assert (free >= m) == (not has_cup_in_box(d, m))
 
 
 def test_basis_is_prefix_filter_in_order():
