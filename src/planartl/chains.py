@@ -36,11 +36,12 @@ from functools import cache
 from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from .coeff import Convention, LaurentPoly, convention, loop_factor_power
 from .combin import (
-    _ENUM_LIMIT,
+    ENUM_LIMIT,
     fine_by_alternating_binomials,
     fine_by_enumeration,
     first_peak_count_B,
 )
+from .diagram import dyck_lex_index
 from .indmod import BlackBoxBasis, black_box_basis
 from .linalg import PolyMatrix, rank_at
 
@@ -123,7 +124,7 @@ def right_mult_matrix(
     if elt.n != source.n or source.n != target.n:
         raise ValueError("strand counts do not match")
     tables = generator_tables(elt.n)
-    index = source.index
+    index = dyck_lex_index(elt.n)
     root = ()  # coefficient of the identity term, whose word is empty
     # The trie in preorder: (letter depth, next row, loops row, the
     # coefficient of the term ending here or ()).  Sorted words list a
@@ -168,14 +169,9 @@ def right_mult_matrix(
                 poly = column[row] = {}
             for f, y in powers[l]:
                 poly[e + f] = poly.get(e + f, 0) + x * y
-        # Entries that cancel are dropped here, not left for PolyMatrix
-        # to filter out of a second copy of the column.
-        entries = {}
-        for row, poly in target.restrict(column).items():
-            entry = LaurentPoly(poly)
-            if entry:
-                entries[row] = entry
-        columns.append(entries)
+        columns.append(
+            {row: LaurentPoly(poly) for row, poly in target.restrict(column).items()}
+        )
     return PolyMatrix(len(target), len(source), columns)
 
 
@@ -344,4 +340,4 @@ def theorem_B_rank_identity(n: int) -> bool:
     alternating = sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
     if alternating != fine_by_alternating_binomials(n):
         return False
-    return n > _ENUM_LIMIT or alternating == fine_by_enumeration(n)
+    return n > ENUM_LIMIT or alternating == fine_by_enumeration(n)

@@ -29,6 +29,7 @@ __all__ = [
     "jacobsthal_number",
     "compositions_ending_odd",
     "descending_opposite_parity_sequences",
+    "ENUM_LIMIT",
     "TwoColumnPartition",
     "Tableau",
     "two_column_partitions",
@@ -38,9 +39,10 @@ __all__ = [
     "theorem_C_multiplicity",
 ]
 
-# Enumeration cross-checks inside the closed-form functions are capped
-# here; beyond the cap the closed forms have already been validated.
-_ENUM_LIMIT = 12
+#: Largest n at which the enumeration oracles back up the closed forms,
+#: here and in the chain-complex and CLI checks; past it they get
+#: expensive, and the closed forms have already been validated.
+ENUM_LIMIT = 12
 
 
 def binom(a: int, b: int) -> int:
@@ -140,18 +142,26 @@ def first_peak_count_B(n: int, m: int) -> int:
 
 
 @cache
+def _first_peak_height_counts(n: int) -> tuple[int, ...]:
+    """Number of Dyck words of length 2n with each first-peak height
+    0..n, from one scan of the words."""
+    counts = [0] * (n + 1)
+    for w in dyck_words(n):
+        counts[first_peak_height(w)] += 1
+    return tuple(counts)
+
+
 def first_peak_count_by_enumeration(n: int, m: int) -> int:
     """Brute-force oracle for :func:`first_peak_count_B`."""
-    return sum(1 for w in dyck_words(n) if first_peak_height(w) >= m)
+    return sum(c for h, c in enumerate(_first_peak_height_counts(n)) if h >= m)
 
 
-@cache
 def fine_by_enumeration(n: int) -> int:
     """Number of Dyck paths of length 2n whose first peak has even height.
 
     The empty path (n = 0) has no peak and counts as even height 0.
     """
-    return sum(1 for w in dyck_words(n) if first_peak_height(w) % 2 == 0)
+    return sum(_first_peak_height_counts(n)[::2])
 
 
 def fine_by_alternating_binomials(n: int) -> int:
@@ -184,7 +194,7 @@ def fine(n: int) -> int:
     by_binomials = fine_by_alternating_binomials(n)
     if by_peaks != by_binomials:
         raise RuntimeError(f"Fine number routes disagree at n={n}")
-    if n <= _ENUM_LIMIT and fine_by_enumeration(n) != by_peaks:
+    if n <= ENUM_LIMIT and fine_by_enumeration(n) != by_peaks:
         raise RuntimeError(f"Fine number enumeration disagrees at n={n}")
     return by_peaks
 

@@ -24,7 +24,6 @@ __all__ = [
     "identity",
     "generator_u",
     "multiply",
-    "to_dyck",
     "from_dyck",
     "enumerate_diagrams",
     "dyck_lex_index",
@@ -36,10 +35,11 @@ class Diagram:
     the 2n boundary points.
 
     Immutable and hashable; ``pairing[p]`` is the 0-indexed partner of
-    the 0-indexed point p, and ``word`` is the diagram's Dyck word.
+    the 0-indexed point p.  The pairing is the only stored form; the
+    Dyck word is read off it.
     """
 
-    __slots__ = ("n", "pairing", "word", "_hash")
+    __slots__ = ("n", "pairing", "_hash")
 
     def __init__(self, pairing: tuple[int, ...]):
         size = len(pairing)
@@ -47,33 +47,26 @@ class Diagram:
             raise ValueError("pairing must have even length")
         # One stack sweep checks everything at once: the involution
         # property, freeness from fixed points, and noncrossingness.
-        letters = []
         stack: list[int] = []
         for p, q in enumerate(pairing):
             if q == p or not 0 <= q < size:
                 raise ValueError("pairing must be a fixed-point-free involution")
             if q > p:
                 stack.append(p)
-                letters.append("u")
             else:
                 if not stack or stack[-1] != q or pairing[q] != p:
                     raise ValueError("pairing is crossing or not an involution")
                 stack.pop()
-                letters.append("d")
         self.n = size // 2
         self.pairing = tuple(pairing)
-        self.word = "".join(letters)
         self._hash = hash(self.pairing)
 
     @classmethod
-    def _trusted(cls, n: int, pairing: tuple[int, ...], word: str | None = None) -> "Diagram":
+    def _trusted(cls, n: int, pairing: tuple[int, ...]) -> "Diagram":
         """Construction bypass for pairings already known to be valid."""
         self = cls.__new__(cls)
         self.n = n
         self.pairing = pairing
-        if word is None:
-            word = "".join("u" if q > p else "d" for p, q in enumerate(pairing))
-        self.word = word
         self._hash = hash(pairing)
         return self
 
@@ -87,6 +80,12 @@ class Diagram:
         if any(q < 0 for q in pairing):
             raise ValueError("pairs do not cover all boundary points")
         return cls(tuple(pairing))
+
+    @property
+    def word(self) -> str:
+        """The Dyck word: u where the partner comes later in the sweep,
+        d where it came earlier."""
+        return "".join("u" if q > p else "d" for p, q in enumerate(self.pairing))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The matched point pairs, 1-based, each (low, high), sorted."""
@@ -106,11 +105,7 @@ class Diagram:
         return self.word
 
     def __repr__(self) -> str:
-        return f"Diagram.from_dyck({self.word!r})"
-
-    @staticmethod
-    def from_dyck(word: str) -> "Diagram":
-        return from_dyck(word)
+        return f"from_dyck({self.word!r})"
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,7 @@ def identity(n: int) -> Diagram:
         raise ValueError("n must be nonnegative")
     size = 2 * n
     pairing = tuple(size - 1 - p for p in range(size))
-    return Diagram._trusted(n, pairing, "u" * n + "d" * n)
+    return Diagram._trusted(n, pairing)
 
 
 def generator_u(n: int, i: int) -> Diagram:
@@ -208,11 +203,6 @@ def multiply(x: Diagram, y: Diagram) -> MulResult:
     return MulResult(Diagram._trusted(n, tuple(res)), loops)
 
 
-def to_dyck(x: Diagram) -> str:
-    """The Dyck word of a diagram (u at first visits, d at second)."""
-    return x.word
-
-
 def from_dyck(word: str) -> Diagram:
     """The diagram whose arcs match each d with its unmatched u."""
     if not is_dyck_word(word):
@@ -227,7 +217,7 @@ def from_dyck(word: str) -> Diagram:
             q = stack.pop()
             pairing[p] = q
             pairing[q] = p
-    return Diagram._trusted(size // 2, tuple(pairing), word)
+    return Diagram._trusted(size // 2, tuple(pairing))
 
 
 @cache

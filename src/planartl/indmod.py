@@ -6,8 +6,8 @@ with no arc joining two of the right dots 1..m (the box).  Under the
 Dyck bijection these are exactly the words that start with m u's, and
 since u < d they are the first B_m(n) (first-peak count) entries of the
 full Dyck-lex diagram list.  So every basis is a prefix of one basis per
-n, and all box sizes on n strands share one diagram -> Dyck-lex
-position index.
+n; a basis carries no index of its own, and positions are looked up in
+the one per-n :func:`planartl.diagram.dyck_lex_index`.
 
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
@@ -60,18 +60,16 @@ class BlackBoxBasis:
     """The ordered diagram basis of the size-m black box module on n
     strands: the first B_m(n) diagrams in Dyck-lex order.
 
-    ``index`` maps every diagram on n strands to its Dyck-lex position
-    and is shared by all box sizes on n strands; a diagram lies in this
-    basis exactly when its position is below ``len(self)``.
+    A diagram lies in this basis exactly when its position in
+    ``dyck_lex_index(n)`` is below ``len(self)``.
     """
 
-    __slots__ = ("n", "m", "diagrams", "index")
+    __slots__ = ("n", "m", "diagrams")
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
         self.diagrams = enumerate_diagrams(n)[: first_peak_count_B(n, m)]
-        self.index = dyck_lex_index(n)
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -86,7 +84,7 @@ class BlackBoxBasis:
     def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
         """Coordinates of x's image in this module: the coefficient of
         each basis diagram."""
-        index = self.index
+        index = dyck_lex_index(self.n)
         return self.restrict({index[d]: c for d, c in x.terms.items()})
 
     def __repr__(self) -> str:

@@ -32,7 +32,7 @@ from planartl.combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from planartl.diagram import Diagram, enumerate_diagrams, from_dyck, to_dyck
+from planartl.diagram import Diagram, enumerate_diagrams, from_dyck
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
@@ -101,9 +101,9 @@ def test_criterion_03_bijection_round_trip():
     ok = True
     for n in range(9):
         for diagram in enumerate_diagrams(n):
-            ok &= from_dyck(to_dyck(diagram)) == diagram
+            ok &= from_dyck(diagram.word) == diagram
         for word in dyck_words(n):
-            ok &= to_dyck(from_dyck(word)) == word
+            ok &= from_dyck(word).word == word
     sample = Diagram.from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
     ok &= sample.word == "uuuddudd" and from_dyck("uuuddudd") == sample
     report(3, "Dyck bijection round trips on all diagrams, n <= 8, worked example included", ok)

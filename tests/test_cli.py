@@ -271,6 +271,47 @@ def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
     assert "FAIL bcounts n=4  banned diagram in basis at box 2" in out
 
 
+def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
+    # match each d with the earliest open u instead of the latest: for
+    # uudd that gives the crossing arcs {1,3},{2,4}, whose word still
+    # reads uudd, so only the checking constructor can catch it
+    import planartl.cli as cli
+    from planartl.combin import dyck_words
+    from planartl.diagram import Diagram
+
+    def from_dyck_fifo(word):
+        pairing = [0] * len(word)
+        opened = []
+        for p, ch in enumerate(word):
+            if ch == "u":
+                opened.append(p)
+            else:
+                q = opened.pop(0)
+                pairing[p], pairing[q] = q, p
+        return Diagram._trusted(len(word) // 2, tuple(pairing))
+
+    monkeypatch.setattr(cli, "from_dyck", from_dyck_fifo)
+    monkeypatch.setattr(
+        cli, "enumerate_diagrams", lambda n: tuple(map(from_dyck_fifo, dyck_words(n)))
+    )
+    code, out = run_cli_capture(["verify", "bijection", "--n-max", "2"])
+    assert code == 1
+    assert "PASS bijection n=1" in out
+    assert "FAIL bijection n=2  round trip broke at uudd" in out
+
+
+def test_verify_enumeration_checks_build_no_index():
+    # bases that are only counted or listed never look a position up
+    from planartl.diagram import dyck_lex_index
+    from planartl.indmod import black_box_basis
+
+    black_box_basis.cache_clear()
+    dyck_lex_index.cache_clear()
+    code, _ = run_cli_capture(["verify", "euler", "bcounts", "bijection", "--n-max", "9"])
+    assert code == 0
+    assert dyck_lex_index.cache_info().currsize == 0
+
+
 def test_verify_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli_capture(["verify", "nonsense", "--n-max", "3"])
@@ -330,6 +371,17 @@ def test_verify_all_checks_byte_identical(tmp_path, conv):
     report_sha, dump_sha = PINNED_DIGESTS[conv]
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha
+
+
+def test_verify_enumeration_checks_byte_identical():
+    # the enumerate path past the all-checks pin: sha256 of the report
+    code, out = run_cli_capture(
+        ["verify", "euler", "bcounts", "bijection", "--n-max", "10", "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "598d179d3ee2e3f4b3c8a2105aada759fa50e4a2aeb2ca261226b65bcd7d689d"
+    )
 
 
 def test_traced_run_reports_the_cli_output():

@@ -13,7 +13,6 @@ from planartl.diagram import (
     generator_u,
     identity,
     multiply,
-    to_dyck,
 )
 
 
@@ -21,7 +20,7 @@ def test_identity_pairs():
     assert identity(0).pairs() == ()
     assert identity(3).pairs() == ((1, 6), (2, 5), (3, 4))
     for n in range(9):
-        assert to_dyck(identity(n)) == "u" * n + "d" * n
+        assert identity(n).word == "u" * n + "d" * n
 
 
 def test_generator_pinned():
@@ -118,9 +117,9 @@ def test_intro_product_example():
 def test_bijection_round_trip_exhaustive():
     for n in range(9):
         for diagram in enumerate_diagrams(n):
-            assert from_dyck(to_dyck(diagram)) == diagram
+            assert from_dyck(diagram.word) == diagram
         for word in dyck_words(n):
-            assert to_dyck(from_dyck(word)) == word
+            assert from_dyck(word).word == word
 
 
 def test_from_dyck_rejects_non_dyck():
