@@ -10,17 +10,18 @@ right multiplications by descending products of braiding elements:
 
 followed by the projection that kills any arc landing in the enlarged
 box.  Boundary matrices are materialized explicitly in the Dyck-lex
-bases, which turns d o d = 0 and the Jacobsthal comparison into literal
-matrix identities and makes every report reproducible.  They are built
-lazily per degree: Euler characteristics only need basis sizes and stay
-cheap well past the scale where matrices are practical.
+bases, which turns d o d = 0 into a literal matrix identity and makes
+every report reproducible.  They are built lazily per degree: Euler
+characteristics only need basis sizes and stay cheap well past the
+scale where matrices are practical.
 
-Every right-multiplication matrix (the boundary maps, and the Jacobsthal
-matrices they are compared with) is assembled by one kernel,
-:func:`right_mult_matrix`.  It walks the per-n generator tables of
-:mod:`planartl.algebra` over Dyck-lex positions, so assembly is integer
-lookups and counting; no diagram is glued in the loop.  The diagram
-product builds those tables and stays the test suite's oracle for them.
+Every right-multiplication matrix (the boundary maps, and a Jacobsthal
+matrix where its element differs from the boundary element) is assembled
+by one kernel, :func:`right_mult_matrix`.  It walks the per-n generator
+tables of :mod:`planartl.algebra` over Dyck-lex positions, so assembly
+is integer lookups and counting; no diagram is glued in the loop.  The
+diagram product builds those tables and stays the test suite's oracle
+for them.
 
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises
@@ -151,28 +152,28 @@ def right_mult_matrix(
     powers = [tuple(loop_factor_power(l).coefficients().items()) for l in range(elt.n + 1)]
     states = [0] * (max((node[0] for node in nodes), default=-1) + 2)
     loops = [0] * len(states)
-    columns = []
-    for k in range(len(source)):
-        states[0] = k
-        counts = {(k, 0, e): x for e, x in root}
-        for depth, nxt, closed, coeff in nodes:
-            s = states[depth]
-            states[depth + 1] = row = nxt[s]
-            loops[depth + 1] = l = loops[depth] + closed[s]
-            for e, x in coeff:
-                key = (row, l, e)
-                counts[key] = counts.get(key, 0) + x
-        column: dict[int, dict[int, int]] = {}
-        for (row, l, e), x in counts.items():
-            poly = column.get(row)
-            if poly is None:
-                poly = column[row] = {}
-            for f, y in powers[l]:
-                poly[e + f] = poly.get(e + f, 0) + x * y
-        columns.append(
-            {row: LaurentPoly(poly) for row, poly in target.restrict(column).items()}
-        )
-    return PolyMatrix(len(target), len(source), columns)
+    # One column at a time, so PolyMatrix drops cancelled entries as they come.
+    def columns():
+        for k in range(len(source)):
+            states[0] = k
+            counts = {(k, 0, e): x for e, x in root}
+            for depth, nxt, closed, coeff in nodes:
+                s = states[depth]
+                states[depth + 1] = row = nxt[s]
+                loops[depth + 1] = l = loops[depth] + closed[s]
+                for e, x in coeff:
+                    key = (row, l, e)
+                    counts[key] = counts.get(key, 0) + x
+            column: dict[int, dict[int, int]] = {}
+            for (row, l, e), x in counts.items():
+                poly = column.get(row)
+                if poly is None:
+                    poly = column[row] = {}
+                for f, y in powers[l]:
+                    poly[e + f] = poly.get(e + f, 0) + x * y
+            yield {row: LaurentPoly(poly) for row, poly in target.restrict(column).items()}
+
+    return PolyMatrix(len(target), len(source), columns())
 
 
 class ChainComplexData:
@@ -210,11 +211,6 @@ class ChainComplexData:
             mat = right_mult_matrix(elt, self.bases[i], self.bases[i - 1])
             self._differentials[i] = mat
         return mat
-
-    @property
-    def differentials(self) -> dict[int, PolyMatrix]:
-        """All boundary matrices, materializing any not yet built."""
-        return {i: self.differential(i) for i in range(self.n)}
 
     def boundary_ranks(self, point: Fraction) -> dict[int, int]:
         """Exact rank of every boundary matrix at v = point."""

@@ -13,6 +13,7 @@ the test suite keeps the two routes in agreement.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
@@ -31,20 +32,24 @@ class PolyMatrix:
 
     __slots__ = ("nrows", "ncols", "columns")
 
-    def __init__(self, nrows: int, ncols: int, columns: list[dict[int, LaurentPoly]] | None = None):
+    def __init__(self, nrows: int, ncols: int, columns: Iterable[dict] | None = None):
+        """Takes ownership of the column dicts; one holding a zero entry is
+        replaced by its nonzero entries.  ``columns`` is read once, so a
+        generator can hand the columns over one at a time."""
         if columns is None:
             columns = [{} for _ in range(ncols)]
-        if len(columns) != ncols:
-            raise ValueError("column count mismatch")
         self.nrows = nrows
         self.ncols = ncols
-        self.columns = [
-            {r: c for r, c in col.items() if c} for col in columns
-        ]
-        for col in self.columns:
+        self.columns = []
+        for col in columns:
+            if not all(col.values()):
+                col = {r: c for r, c in col.items() if c}
             for r in col:
                 if not 0 <= r < nrows:
                     raise ValueError(f"row index {r} out of range")
+            self.columns.append(col)
+        if len(self.columns) != ncols:
+            raise ValueError("column count mismatch")
 
     def entry(self, r: int, c: int) -> LaurentPoly:
         return self.columns[c].get(r, LaurentPoly.zero())
@@ -81,9 +86,6 @@ class PolyMatrix:
         out.ncols = other.ncols
         out.columns = cols
         return out
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.compose(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

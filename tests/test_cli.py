@@ -384,6 +384,22 @@ def test_verify_enumeration_checks_byte_identical():
     )
 
 
+# sha256 of the Theorem D report at n <= 9, past the all-checks pin
+THMD_DIGESTS = {
+    "A": "80386eaac19ffd9e91658d0b1bfd7b5d2719ecd1d828f94550b41a00ceba2534",
+    "B": "e420b7fbced28d2e22588282b0b8b0865a79b1102a7666e74c3f8e1bd5e67871",
+}
+
+
+@pytest.mark.parametrize("conv", sorted(THMD_DIGESTS))
+def test_verify_thmD_byte_identical_past_n7(conv):
+    code, out = run_cli_capture(
+        ["verify", "thmD", "--n-max", "9", "--convention", conv, "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THMD_DIGESTS[conv]
+
+
 def test_traced_run_reports_the_cli_output():
     # perfbench/traced.py wraps library functions by name wherever the
     # planartl modules bind them, and must print the CLI's own report

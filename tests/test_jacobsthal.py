@@ -1,12 +1,15 @@
 """Jacobsthal element tests: term structure, the boundary comparison
 with its sign bookkeeping, and the kernel rank of the top element."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import planartl.chains as chains
+import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
-from planartl.chains import build_complex, homology_ranks
+from planartl.chains import boundary_element, build_complex, homology_ranks, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
 from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
 from planartl.jacobsthal import (
@@ -100,6 +103,77 @@ def test_theorem_D_records_mismatch_entries():
     for comparison in wrong:
         row, col, left, right = comparison.first_mismatch
         assert left != right
+
+
+def test_element_route_agrees_with_matrix_route():
+    # the elements are equal exactly where the matrices are, so comparing
+    # elements decides every degree the matrix route decides
+    for conv in CONVENTIONS:
+        for n in range(1, 8):
+            cx = build_complex(n, conv)
+            for i in range(n):
+                expected = boundary_element(n, i, conv)
+                for sign in (1, -1):
+                    jelt = jacobsthal_element(n, i + 1, conv, sign).element
+                    got = right_mult_matrix(jelt, cx.bases[i], cx.bases[i - 1])
+                    assert (jelt == expected) == (got == cx.differential(i)), (conv.tag, n, i, sign)
+
+
+def _with_extra_term(monkeypatch, generator):
+    """Make the n = 3, l = 2, sign -1 element gain a U_generator term."""
+    real = jacobsthal.jacobsthal_element
+
+    def patched(n, l, c, ratio_sign=MATCHING_RATIO_SIGN):
+        jelt = real(n, l, c, ratio_sign)
+        if (n, l, ratio_sign) == (3, 2, -1):
+            extra = AlgebraElement.generator(3, generator)
+            return dataclasses.replace(jelt, element=jelt.element + extra)
+        return jelt
+
+    monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
+
+
+def test_theorem_D_falls_back_to_matrices_where_elements_differ(monkeypatch):
+    # U_1 lands in the degree-0 box, so the projection kills it and the
+    # degree-1 matrices still agree
+    _with_extra_term(monkeypatch, 1)
+    report = verify_theorem_D(3, CONVENTION_A)
+    assert report.passes
+    assert report.signs_matching_all_degrees() == (-1,)
+    # U_2 survives the projection: a matrix-level mismatch at degree 1
+    _with_extra_term(monkeypatch, 2)
+    report = verify_theorem_D(3, CONVENTION_A)
+    assert not report.passes
+    assert report.signs_matching_all_degrees() == ()
+    wrong = [c for c in report.comparisons if c.ratio_sign == -1 and not c.matches]
+    assert [c.degree for c in wrong] == [1]
+    row, col, left, right = wrong[0].first_mismatch
+    assert 0 <= row < len(build_complex(3, CONVENTION_A).bases[0])
+    assert left != right
+
+
+def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
+    # the matching sign is decided on elements; the +1 control stops at
+    # degree 1, where one boundary and one Jacobsthal matrix are built
+    real = jacobsthal.right_mult_matrix
+    sources = []
+
+    def counting(elt, source, target):
+        sources.append(source)
+        return real(elt, source, target)
+
+    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
+    chains._build_complex_cached.cache_clear()
+    for conv in CONVENTIONS:
+        for n in range(2, 7):
+            sources.clear()
+            report = verify_theorem_D(n, conv)
+            cx = build_complex(n, conv)
+            assert set(cx._differentials) == {1}
+            assert sources == [cx.bases[1]]
+            wrong = [(c.ratio_sign, c.degree) for c in report.comparisons if not c.matches]
+            assert wrong == [(1, 1)]
+            assert len([c for c in report.comparisons if c.ratio_sign == -1]) == n
 
 
 def test_kernel_rank_equals_fine_number():

@@ -168,6 +168,19 @@ def test_compose_dimension_mismatch():
         a.compose(b)
 
 
+def test_constructor_drops_zero_entries_from_a_generator():
+    zero = LaurentPoly.zero()
+    kept = {0: V}
+    mat = PolyMatrix(2, 3, (col for col in [kept, {0: zero, 1: ONE}, {}]))
+    assert mat.columns == [{0: V}, {1: ONE}, {}]
+    assert mat.columns[0] is kept  # a column without zeros is kept, not copied
+    assert mat == poly_matrix_from_lists([[V, zero, zero], [zero, ONE, zero]])
+    with pytest.raises(ValueError, match="column count mismatch"):
+        PolyMatrix(2, 3, ({} for _ in range(2)))
+    with pytest.raises(ValueError, match="out of range"):
+        PolyMatrix(2, 1, [{2: ONE}])
+
+
 def test_first_difference():
     a = poly_matrix_from_lists([[ONE, V], [ONE, ONE]])
     b = poly_matrix_from_lists([[ONE, V], [ONE, V]])
