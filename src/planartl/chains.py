@@ -171,7 +171,7 @@ def right_mult_matrix(
                     poly = column[row] = {}
                 for f, y in powers[l]:
                     poly[e + f] = poly.get(e + f, 0) + x * y
-            yield {row: LaurentPoly(poly) for row, poly in target.restrict(column).items()}
+            yield target.restrict(column)
 
     return PolyMatrix(len(target), len(source), columns())
 

@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic.
 
 Everything symbolic in this package is linear algebra over the ring of
-integer Laurent polynomials Z[v, v^-1].  Rank computations specialize v
-to a nonzero rational and continue with exact fractions, so no floating
-point is ever involved.
+integer Laurent polynomials Z[v, v^-1].  Matrix entries are kept as
+plain exponent -> coefficient maps (see :mod:`planartl.linalg`), and
+rank computations evaluate them at a nonzero rational v = p/q in
+integers, so no floating point is ever involved.
 
 The two weight conventions for the braiding elements s_i = lam + mu*U_i
 are packaged as :class:`Convention`:
@@ -148,18 +149,6 @@ class LaurentPoly:
         a, b = self._terms, q._terms
         if not a or not b:
             return _ZERO
-        if len(a) == 1:
-            ((ea, ca),) = a.items()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {ea + e: ca * c for e, c in b.items()}
-            out._hash = None
-            return out
-        if len(b) == 1:
-            ((eb, cb),) = b.items()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {e + eb: c * cb for e, c in a.items()}
-            out._hash = None
-            return out
         terms: dict[int, int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():

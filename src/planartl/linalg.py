@@ -1,9 +1,11 @@
 """Sparse matrices over Z[v, v^-1] and exact rank at rational points.
 
 Matrices are stored column-major as dicts, which matches how boundary
-matrices are built (one column per basis diagram).  Rank is computed by
-specializing v exactly, clearing denominators columnwise, and running a
-fraction-free sparse elimination over the integers: rows are combined by
+matrices are built (one column per basis diagram); an entry is the
+exponent -> coefficient map of its Laurent polynomial, so composition
+and specialization stay in the integers.  Rank is computed by
+evaluating each column at v = p/q in integers and running a
+fraction-free sparse elimination: rows are combined by
 cross-multiplication only, with a gcd content reduction after each
 update, so no division ever leaves the integers.
 
@@ -28,22 +30,25 @@ __all__ = [
 
 
 class PolyMatrix:
-    """A rows x cols matrix over Z[v, v^-1], column-major sparse."""
+    """A rows x cols matrix over Z[v, v^-1], column-major sparse, with
+    exponent -> coefficient dicts as entries."""
 
     __slots__ = ("nrows", "ncols", "columns")
 
     def __init__(self, nrows: int, ncols: int, columns: Iterable[dict] | None = None):
-        """Takes ownership of the column dicts; one holding a zero entry is
-        replaced by its nonzero entries.  ``columns`` is read once, so a
-        generator can hand the columns over one at a time."""
+        """Takes ownership of the column dicts.  Zero coefficients and the
+        entries they leave empty are dropped; a column holding neither is
+        kept as it is.  ``columns`` is read once, so a generator can hand
+        the columns over one at a time."""
         if columns is None:
             columns = [{} for _ in range(ncols)]
         self.nrows = nrows
         self.ncols = ncols
         self.columns = []
         for col in columns:
-            if not all(col.values()):
-                col = {r: c for r, c in col.items() if c}
+            if not all(poly and all(poly.values()) for poly in col.values()):
+                col = {r: {e: c for e, c in poly.items() if c} for r, poly in col.items()}
+                col = {r: poly for r, poly in col.items() if poly}
             for r in col:
                 if not 0 <= r < nrows:
                     raise ValueError(f"row index {r} out of range")
@@ -52,7 +57,7 @@ class PolyMatrix:
             raise ValueError("column count mismatch")
 
     def entry(self, r: int, c: int) -> LaurentPoly:
-        return self.columns[c].get(r, LaurentPoly.zero())
+        return LaurentPoly(self.columns[c].get(r))
 
     @property
     def is_zero(self) -> bool:
@@ -67,25 +72,22 @@ class PolyMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
-        cols: list[dict[int, LaurentPoly]] = []
         mycols = self.columns
-        for bcol in other.columns:
-            acc: dict[int, LaurentPoly] = {}
-            for j, c in bcol.items():
-                for r, w in mycols[j].items():
-                    prod = c * w
-                    cur = acc.get(r)
-                    cur = prod if cur is None else cur + prod
-                    if cur:
-                        acc[r] = cur
-                    elif r in acc:
-                        del acc[r]
-            cols.append(acc)
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.nrows = self.nrows
-        out.ncols = other.ncols
-        out.columns = cols
-        return out
+        # One column at a time, so cancelled entries are dropped as they come.
+        def columns():
+            for bcol in other.columns:
+                acc: dict[int, dict[int, int]] = {}
+                for j, b in bcol.items():
+                    for r, a in mycols[j].items():
+                        poly = acc.get(r)
+                        if poly is None:
+                            poly = acc[r] = {}
+                        for ea, ca in a.items():
+                            for eb, cb in b.items():
+                                poly[ea + eb] = poly.get(ea + eb, 0) + ca * cb
+                yield acc
+
+        return PolyMatrix(self.nrows, other.ncols, columns())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -102,45 +104,49 @@ class PolyMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("dimension mismatch")
         best = None
-        for c in range(self.ncols):
-            rows = set(self.columns[c]) | set(other.columns[c])
-            for r in sorted(rows):
-                a = self.entry(r, c)
-                b = other.entry(r, c)
-                if a != b:
+        for c, (mine, theirs) in enumerate(zip(self.columns, other.columns)):
+            for r in sorted(set(mine) | set(theirs)):
+                if mine.get(r) != theirs.get(r):
                     if best is None or (r, c) < best[:2]:
-                        best = (r, c, a, b)
+                        best = (r, c, self.entry(r, c), other.entry(r, c))
                     break
         return best
 
     def specialize_int_columns(self, x: Fraction) -> list[dict[int, int]]:
-        """Evaluate at v = x and clear denominators per column.
+        """Evaluate at v = x = p/q, each column scaled to a primitive
+        integer vector.
 
-        Column scaling by a nonzero rational preserves rank, so the
-        integer matrix returned has the same rank as the specialized
-        rational one.
+        With lo and hi the column's extreme exponents, an entry
+        sum c_e v^e becomes sum c_e p^(e-lo) q^(hi-e), its value times
+        p^-lo q^hi; the column is then divided by its content.  Column
+        scaling by a nonzero rational preserves rank.
         """
         x = Fraction(x)
         if x == 0:
             raise ValueError("v must be a unit")
+        p, q = x.numerator, x.denominator
         out: list[dict[int, int]] = []
         for col in self.columns:
-            vals = {r: c.specialize(x) for r, c in col.items()}
-            vals = {r: q for r, q in vals.items() if q}
-            if not vals:
-                out.append({})
-                continue
-            denom_lcm = 1
-            for q in vals.values():
-                d = q.denominator
-                denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-            out.append({r: int(q * denom_lcm) for r, q in vals.items()})
+            lo = min((min(poly) for poly in col.values()), default=0)
+            hi = max((max(poly) for poly in col.values()), default=0)
+            p_pow = [p**k for k in range(hi - lo + 1)]
+            q_pow = [q**k for k in range(hi - lo + 1)]
+            vals: dict[int, int] = {}
+            content = 0
+            for r, poly in col.items():
+                val = sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items())
+                if val:
+                    vals[r] = val
+                    content = gcd(content, val)
+            if content > 1:
+                vals = {r: val // content for r, val in vals.items()}
+            out.append(vals)
         return out
 
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
         items = [
-            (r, c, poly.to_text(compact=True))
+            (r, c, LaurentPoly(poly).to_text(compact=True))
             for c, col in enumerate(self.columns)
             for r, poly in col.items()
         ]
@@ -148,7 +154,7 @@ class PolyMatrix:
         return items
 
 
-def rank_of_int_columns(columns: list[dict[int, int]], nrows: int) -> int:
+def rank_of_int_columns(columns: list[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse columns, by fraction-free
     sparse elimination.
 
@@ -215,8 +221,7 @@ def rank_of_int_columns(columns: list[dict[int, int]], nrows: int) -> int:
 
 def rank_at(matrix: PolyMatrix, x: Fraction) -> int:
     """Exact rank of the matrix specialized at v = x (x nonzero)."""
-    cols = matrix.specialize_int_columns(x)
-    return rank_of_int_columns(cols, matrix.nrows)
+    return rank_of_int_columns(matrix.specialize_int_columns(x))
 
 
 def rank_dense_bareiss(rows: list[list[int]]) -> int:

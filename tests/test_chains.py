@@ -82,7 +82,10 @@ def reference_right_mult_matrix(elt, source, target):
     """The definition, on the independent product path: one elt_mul and
     one projection per source diagram."""
     columns = [
-        target.project(elt_mul(AlgebraElement.from_diagram(x), elt))
+        {
+            r: poly.coefficients()
+            for r, poly in target.project(elt_mul(AlgebraElement.from_diagram(x), elt)).items()
+        }
         for x in source.diagrams
     ]
     return PolyMatrix(len(target), len(source), columns)
@@ -186,6 +189,14 @@ def test_homology_alternative_points():
     )
     assert report.low_degrees_vanish
     assert report.fineberg_rank == fine(4) == 6
+    # the rational points of the rank benchmark, where denominators and
+    # signs enter the integer specialization
+    points = tuple(Fraction(p) for p in ("1/2", "-1/2", "3/2", "-3/2", "-2"))
+    for conv in CONVENTIONS:
+        for n in range(1, 7):
+            report = homology_ranks(build_complex(n, conv), points)
+            assert report.low_degrees_vanish
+            assert report.fineberg_rank == fine(n)
 
 
 def test_homology_requires_two_nonzero_points():

@@ -344,31 +344,43 @@ def test_verify_emit_matrices(tmp_path):
 
 
 # sha256 of the JSON report and of the matrix dump of every check at
-# n <= 6; any change to a number, a basis order or a polynomial's text
-# shows here.
+# n <= 6 and at n <= 7; any change to a number, a basis order or a
+# polynomial's text shows here.
 PINNED_DIGESTS = {
-    "A": (
+    ("A", 6): (
         "31257ef7451fdc3c9aa5ae7978dd4bfedfbcda83c2ae602797f13775548a1fe1",
         "e850b434d65262dafa244a78664eb6f861dc54ce9e52f737e42081ef93cab091",
     ),
-    "B": (
+    ("B", 6): (
         "1dbf18a28fde1413ebfb105d8a40dca0c4a0c2f3c2083a28e69ba2bd46641cf6",
         "8926aa4e5560ca2f8a60132266e36b85a7b8dd014d8a20a76c83a7e4ecb5596a",
+    ),
+    ("A", 7): (
+        "c176936d4f790fb18d2b2be4c5abc9e550beac6803503eb721a5801af7053545",
+        "e7cbbe33f8deeb434d6776e361c697150332d67ea22e6d83e2e25dcac2f66340",
+    ),
+    ("B", 7): (
+        "ffae599c6b66865f64e9987610a8ccc851fae8d794e823e9ab2ba1672dc37c5a",
+        "424d8d0d1555f49850a6418466f56e4a520766015ba170dfbead27caa2065c90",
     ),
 }
 
 
-@pytest.mark.parametrize("conv", sorted(PINNED_DIGESTS))
-def test_verify_all_checks_byte_identical(tmp_path, conv):
+@pytest.mark.parametrize(
+    "conv, n_max",
+    [pytest.param(conv, n_max, id=conv if n_max == 6 else f"{conv}-n{n_max}")
+     for conv, n_max in sorted(PINNED_DIGESTS)],
+)
+def test_verify_all_checks_byte_identical(tmp_path, conv, n_max):
     import planartl.cli as cli
 
     path = tmp_path / "matrices.json"
     code, out = run_cli_capture(
-        ["verify", *cli.CHECK_NAMES, "--n-max", "6", "--convention", conv,
+        ["verify", *cli.CHECK_NAMES, "--n-max", str(n_max), "--convention", conv,
          "--format", "json", "--emit-matrices", str(path)]
     )
     assert code == 0
-    report_sha, dump_sha = PINNED_DIGESTS[conv]
+    report_sha, dump_sha = PINNED_DIGESTS[conv, n_max]
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha
 

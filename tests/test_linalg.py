@@ -4,8 +4,11 @@ plain rational Gaussian elimination."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planartl.coeff import LaurentPoly
 from planartl.linalg import (
@@ -58,17 +61,17 @@ def random_int_columns(rng, nrows, ncols, density=0.4, bound=6):
 
 
 def test_rank_trivial_cases():
-    assert rank_of_int_columns([], 0) == 0
-    assert rank_of_int_columns([{}, {}], 3) == 0
+    assert rank_of_int_columns([]) == 0
+    assert rank_of_int_columns([{}, {}]) == 0
     identity_cols = [{i: 1} for i in range(4)]
-    assert rank_of_int_columns(identity_cols, 4) == 4
+    assert rank_of_int_columns(identity_cols) == 4
 
 
 def test_rank_pinned_small():
     cols = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 1, 1: 1}]
-    assert rank_of_int_columns(cols, 2) == 2
+    assert rank_of_int_columns(cols) == 2
     cols = [{0: 1, 1: 2}, {0: 2, 1: 4}]
-    assert rank_of_int_columns(cols, 2) == 1
+    assert rank_of_int_columns(cols) == 1
 
 
 def test_rank_routes_agree_on_random_matrices():
@@ -78,7 +81,7 @@ def test_rank_routes_agree_on_random_matrices():
         ncols = rng.randint(1, 8)
         cols = random_int_columns(rng, nrows, ncols)
         dense = columns_to_dense(cols, nrows)
-        sparse_rank = rank_of_int_columns([dict(c) for c in cols], nrows)
+        sparse_rank = rank_of_int_columns([dict(c) for c in cols])
         assert sparse_rank == rank_dense_bareiss(dense)
         assert sparse_rank == rank_fraction_gauss(dense)
 
@@ -97,7 +100,7 @@ def test_rank_routes_agree_on_low_rank_products():
         cols = [
             {i: prod[i][j] for i in range(n) if prod[i][j]} for j in range(n)
         ]
-        r = rank_of_int_columns(cols, n)
+        r = rank_of_int_columns(cols)
         assert r <= k
         assert r == rank_fraction_gauss(prod)
 
@@ -110,7 +113,7 @@ def poly_matrix_from_lists(entries):
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     cols = [
-        {i: entries[i][j] for i in range(nrows) if entries[i][j]}
+        {i: entries[i][j].coefficients() for i in range(nrows) if entries[i][j]}
         for j in range(ncols)
     ]
     return PolyMatrix(nrows, ncols, cols)
@@ -138,6 +141,32 @@ def test_rank_at_rejects_zero():
 def test_rank_at_clears_denominators():
     mat = poly_matrix_from_lists([[LaurentPoly.v_power(-3)], [LaurentPoly.v_power(-1, 2)]])
     assert rank_at(mat, Fraction(1, 2)) == 1
+
+
+NROWS = 4
+# entries with negative exponents, zero coefficients and empty maps
+entry_maps = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4)
+int_columns = st.lists(st.dictionaries(st.integers(0, NROWS - 1), entry_maps), max_size=4)
+# v = p/q with p < 0 and q > 1 in lowest terms
+fraction_points = st.tuples(st.integers(-12, -1), st.integers(2, 12)).filter(
+    lambda t: gcd(*t) == 1
+).map(lambda t: Fraction(*t))
+
+
+@settings(deadline=None)
+@given(int_columns, fraction_points)
+def test_specialize_int_columns_is_a_primitive_multiple(columns, point):
+    mat = PolyMatrix(NROWS, len(columns), columns)
+    got = mat.specialize_int_columns(point)
+    assert len(got) == len(columns)
+    for col, ints in zip(mat.columns, got):
+        values = {r: LaurentPoly(poly).specialize(point) for r, poly in col.items()}
+        values = {r: x for r, x in values.items() if x}
+        assert all(ints.values())  # no zero entry is kept
+        assert set(ints) == set(values)
+        if values:
+            assert len({Fraction(ints[r]) / x for r, x in values.items()}) == 1
+            assert gcd(*ints.values()) == 1
 
 
 def test_compose_matches_naive_product():
@@ -170,21 +199,24 @@ def test_compose_dimension_mismatch():
 
 def test_constructor_drops_zero_entries_from_a_generator():
     zero = LaurentPoly.zero()
-    kept = {0: V}
-    mat = PolyMatrix(2, 3, (col for col in [kept, {0: zero, 1: ONE}, {}]))
-    assert mat.columns == [{0: V}, {1: ONE}, {}]
+    kept = {0: V.coefficients()}
+    # an empty entry, and an entry holding a zero coefficient
+    holding_zeros = {0: zero.coefficients(), 1: {0: 1, 3: 0}}
+    mat = PolyMatrix(2, 3, (col for col in [kept, holding_zeros, {}]))
+    assert mat.columns == [{0: V.coefficients()}, {1: ONE.coefficients()}, {}]
     assert mat.columns[0] is kept  # a column without zeros is kept, not copied
     assert mat == poly_matrix_from_lists([[V, zero, zero], [zero, ONE, zero]])
     with pytest.raises(ValueError, match="column count mismatch"):
         PolyMatrix(2, 3, ({} for _ in range(2)))
     with pytest.raises(ValueError, match="out of range"):
-        PolyMatrix(2, 1, [{2: ONE}])
+        PolyMatrix(2, 1, [{2: ONE.coefficients()}])
 
 
 def test_first_difference():
     a = poly_matrix_from_lists([[ONE, V], [ONE, ONE]])
     b = poly_matrix_from_lists([[ONE, V], [ONE, V]])
-    assert a.first_difference(a.compose(PolyMatrix(2, 2, [{0: ONE}, {1: ONE}]))) is None
+    identity = PolyMatrix(2, 2, [{0: ONE.coefficients()}, {1: ONE.coefficients()}])
+    assert a.first_difference(a.compose(identity)) is None
     diff = a.first_difference(b)
     assert diff is not None
     row, col, left, right = diff
