@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
-from .coeff import Convention, LaurentPoly, convention, loop_factor_power
+from .coeff import Convention, LaurentPoly, loop_factor_power
 from .combin import (
     ENUM_LIMIT,
     fine_by_alternating_binomials,
@@ -52,6 +52,7 @@ __all__ = [
     "SpecializationMismatch",
     "DEFAULT_POINTS",
     "specialization_points",
+    "agreed_ranks",
     "boundary_element",
     "right_mult_matrix",
     "build_complex",
@@ -84,6 +85,21 @@ def specialization_points(points) -> tuple[Fraction, ...]:
     if len(set(pts)) < 2:
         raise ValueError("need at least two distinct specialization points")
     return pts
+
+
+def agreed_ranks(ranks: dict):
+    """The ranks shared by every point of ``ranks`` (point -> ranks).
+
+    Raises :class:`SpecializationMismatch`, naming the first point and
+    the first one that disagrees with it.
+    """
+    (p0, first), *rest = ranks.items()
+    for p, other in rest:
+        if other != first:
+            raise SpecializationMismatch(
+                f"specialization ranks disagree between v={p0} and v={p}: {first} vs {other}"
+            )
+    return first
 
 
 def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
@@ -226,13 +242,9 @@ class ChainComplexData:
 
 
 @cache
-def _build_complex_cached(n: int, tag: str) -> ChainComplexData:
-    return ChainComplexData(n, convention(tag))
-
-
 def build_complex(n: int, c: Convention) -> ChainComplexData:
     """The complex of planar injective words; cached per (n, convention)."""
-    return _build_complex_cached(n, c.tag)
+    return ChainComplexData(n, c)
 
 
 def _sign(i: int) -> int:
@@ -293,14 +305,7 @@ def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyRepor
     """
     pts = specialization_points(points)
     n = cx.n
-    tables = {p: cx.boundary_ranks(p) for p in pts}
-    first = tables[pts[0]]
-    for p in pts[1:]:
-        if tables[p] != first:
-            raise SpecializationMismatch(
-                f"specialization ranks disagree between v={pts[0]} and v={p}: "
-                f"{first} vs {tables[p]}"
-            )
+    first = agreed_ranks({p: cx.boundary_ranks(p) for p in pts})
     chain_ranks = {i: cx.chain_rank(i) for i in range(-1, n)}
     out_rank = {i: first[i] for i in range(n)}
     out_rank[-1] = 0  # no boundary map leaves degree -1

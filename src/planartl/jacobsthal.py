@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement
 from .chains import (
     DEFAULT_POINTS,
-    SpecializationMismatch,
+    agreed_ranks,
     boundary_element,
     build_complex,
     right_mult_matrix,
@@ -172,14 +172,10 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module; the points
-    must agree on the rank.
+    must agree on the rank (see :func:`agreed_ranks`).
     """
     pts = specialization_points(points)
     jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
     basis = black_box_basis(n, 0)
     matrix = right_mult_matrix(jelt.element, basis, basis)
-    ranks = {p: rank_at(matrix, p) for p in pts}
-    values = set(ranks.values())
-    if len(values) > 1:
-        raise SpecializationMismatch(f"specialization ranks disagree: {ranks}")
-    return len(basis) - values.pop()
+    return len(basis) - agreed_ranks({p: rank_at(matrix, p) for p in pts})

@@ -4,10 +4,11 @@ Matrices are stored column-major as dicts, which matches how boundary
 matrices are built (one column per basis diagram); an entry is the
 exponent -> coefficient map of its Laurent polynomial, so composition
 and specialization stay in the integers.  Rank is computed by
-evaluating each column at v = p/q in integers and running a
-fraction-free sparse elimination: rows are combined by
-cross-multiplication only, with a gcd content reduction after each
-update, so no division ever leaves the integers.
+evaluating each column at v = p/q in integers and inserting the
+columns one at a time into an echelon form keyed by leading row: a
+column is combined with a stored one by cross-multiplication only, with
+a gcd content reduction after each step, so no division ever leaves the
+integers.
 
 A dense Bareiss elimination is provided as an independent cross-check;
 the test suite keeps the two routes in agreement.
@@ -155,68 +156,41 @@ class PolyMatrix:
 
 
 def rank_of_int_columns(columns: list[dict[int, int]]) -> int:
-    """Rank of an integer matrix given as sparse columns, by fraction-free
-    sparse elimination.
+    """Rank of an integer matrix given as sparse columns, by inserting
+    the columns one at a time into a column echelon form.
 
-    Pivots are chosen to keep fill-in low (shortest row, then the column
-    with fewest occupants).  Row updates use cross-multiplication
-    pv*row - f*pivot_row followed by a content gcd reduction, which stays
-    in the integers and leaves the row space unchanged.
+    ``pivots`` maps a leading (smallest) row to the one stored column
+    that leads there.  While a new column leads at a taken row it becomes
+    a*col - b*pivot, with a/b the ratio of the two leading entries in
+    lowest terms, which clears that entry and stays in the integers; the
+    result is divided by its content.  A column left nonzero is stored
+    under its new leading row.  The caller's columns are copied, never
+    changed.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        for i, val in col.items():
-            if val:
-                rows.setdefault(i, {})[j] = val
-    col_rows: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        pr = min(rows, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(pr)
-        pc = min(prow, key=lambda j: (len(col_rows[j]), j))
-        pv = prow[pc]
-        rank += 1
-        for j in prow:
-            occ = col_rows[j]
-            occ.discard(pr)
-            if not occ:
-                del col_rows[j]
-        for i in list(col_rows.get(pc, ())):
-            row = rows[i]
-            f = row[pc]
-            new: dict[int, int] = {j: pv * v for j, v in row.items()}
-            for j, v in prow.items():
-                w = new.get(j, 0) - f * v
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = {i: x for i, x in col.items() if x}
+        while col and (lead := min(col)) in pivots:
+            pivot = pivots[lead]
+            g = gcd(pivot[lead], col[lead])
+            a, b = pivot[lead] // g, col[lead] // g
+            col = {i: a * x for i, x in col.items()}
+            for i, y in pivot.items():
+                w = col.get(i, 0) - b * y
                 if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-            for j in row:
-                if j not in new:
-                    occ = col_rows.get(j)
-                    if occ is not None:
-                        occ.discard(i)
-                        if not occ:
-                            del col_rows[j]
-            for j in new:
-                if j not in row:
-                    col_rows.setdefault(j, set()).add(i)
-            if new:
-                rows[i] = new
-            else:
-                del rows[i]
-    return rank
+                    col[i] = w
+                else:
+                    del col[i]
+            content = 0
+            for x in col.values():
+                content = gcd(content, x)
+                if content == 1:
+                    break
+            if content > 1:
+                col = {i: x // content for i, x in col.items()}
+        if col:
+            pivots[lead] = col
+    return len(pivots)
 
 
 def rank_at(matrix: PolyMatrix, x: Fraction) -> int:

@@ -14,7 +14,7 @@ from planartl.chains import (
     right_mult_matrix,
     theorem_B_rank_identity,
 )
-from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly, mu_over_lambda
+from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
 from planartl.diagram import identity
 from planartl.indmod import black_box_basis
@@ -214,6 +214,17 @@ def test_build_complex_validation_and_cache():
         build_complex(0, CONVENTION_A)
     assert build_complex(3, CONVENTION_A) is build_complex(3, CONVENTION_A)
     assert build_complex(3, CONVENTION_A) is not build_complex(3, CONVENTION_B)
+
+
+def test_build_complex_keys_on_the_weights_not_the_tag():
+    # B's weights under A's tag build B's complex, and any tag is accepted
+    mixed = Convention("A", CONVENTION_B.lam, CONVENTION_B.mu)
+    cx = build_complex(3, mixed)
+    assert cx.convention is mixed
+    assert cx.differential(1) == build_complex(3, CONVENTION_B).differential(1)
+    assert cx.differential(1) != build_complex(3, CONVENTION_A).differential(1)
+    custom = Convention("custom", CONVENTION_B.lam, CONVENTION_B.mu)
+    assert build_complex(3, custom).convention is custom
 
 
 def test_theorem_B_rank_identity():

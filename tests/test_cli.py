@@ -412,6 +412,57 @@ def test_verify_thmD_byte_identical_past_n7(conv):
     assert hashlib.sha256(out.encode()).hexdigest() == THMD_DIGESTS[conv]
 
 
+# sha256 of the rank checks at the benchmark's six points, n <= 7
+SIX_POINT_DIGESTS = {
+    "A": "bc4a09b45a0d5d8e0627514da0421f935be8c8b4b86540892d40c53cf1006b95",
+    "B": "3b0ab29a25ab375a89056cfc25c0de4f08ed63bbe040e063ed897084e473b491",
+}
+
+
+@pytest.mark.parametrize("conv", sorted(SIX_POINT_DIGESTS))
+def test_verify_rank_checks_at_six_points_byte_identical(conv):
+    code, out = run_cli_capture(
+        ["verify", "homology", "fineberg", "--n-max", "7", "--convention", conv,
+         "--points=2,3,5,-2,1/2,3/2", "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIX_POINT_DIGESTS[conv]
+
+
+@pytest.fixture
+def fresh_complexes():
+    # boundary ranks are cached on the cached complexes
+    from planartl.chains import build_complex
+
+    build_complex.cache_clear()
+    yield
+    build_complex.cache_clear()
+
+
+def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complexes):
+    from fractions import Fraction
+
+    import planartl.chains as chains
+    import planartl.jacobsthal as jacobsthal
+
+    real = chains.rank_at
+
+    def skewed(matrix, x):
+        return real(matrix, x) + (x == Fraction(3))
+
+    monkeypatch.setattr(chains, "rank_at", skewed)
+    monkeypatch.setattr(jacobsthal, "rank_at", skewed)
+    for check in ("homology", "hopf", "fineberg"):
+        code, out = run_cli_capture(["verify", check, "--n-max", "3", "--format", "json"])
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks] == ["fail"] * 3
+        for c in checks:
+            assert c["details"]["failed"].startswith(
+                "specialization ranks disagree between v=2 and v=3: "
+            )
+
+
 def test_traced_run_reports_the_cli_output():
     # perfbench/traced.py wraps library functions by name wherever the
     # planartl modules bind them, and must print the CLI's own report

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import planartl.chains as chains
 import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
 from planartl.chains import boundary_element, build_complex, homology_ranks, right_mult_matrix
@@ -163,7 +162,7 @@ def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
         return real(elt, source, target)
 
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
-    chains._build_complex_cached.cache_clear()
+    build_complex.cache_clear()
     for conv in CONVENTIONS:
         for n in range(2, 7):
             sources.clear()

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planartl.coeff import LaurentPoly
+from planartl.chains import build_complex, right_mult_matrix
+from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly
+from planartl.indmod import black_box_basis
+from planartl.jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_element
 from planartl.linalg import (
     PolyMatrix,
     rank_at,
@@ -81,9 +84,28 @@ def test_rank_routes_agree_on_random_matrices():
         ncols = rng.randint(1, 8)
         cols = random_int_columns(rng, nrows, ncols)
         dense = columns_to_dense(cols, nrows)
-        sparse_rank = rank_of_int_columns([dict(c) for c in cols])
+        before = [dict(c) for c in cols]
+        sparse_rank = rank_of_int_columns(cols)
+        assert cols == before  # zeros included: the caller's columns are not changed
         assert sparse_rank == rank_dense_bareiss(dense)
         assert sparse_rank == rank_fraction_gauss(dense)
+
+
+def test_rank_routes_agree_on_boundary_and_jacobsthal_matrices():
+    # the matrices the checks rank: every boundary map and the top
+    # Jacobsthal matrix, at a positive and a negative non-integer point
+    for conv in (CONVENTION_A, CONVENTION_B):
+        for n in range(1, 7):
+            cx = build_complex(n, conv)
+            basis = black_box_basis(n, 0)
+            top = jacobsthal_element(n, n, conv, MATCHING_RATIO_SIGN).element
+            matrices = [cx.differential(i) for i in range(n)]
+            matrices.append(right_mult_matrix(top, basis, basis))
+            for point in (Fraction(2), Fraction(-3, 2)):
+                for mat in matrices:
+                    cols = mat.specialize_int_columns(point)
+                    dense = columns_to_dense(cols, mat.nrows)
+                    assert rank_of_int_columns(cols) == rank_dense_bareiss(dense)
 
 
 def test_rank_routes_agree_on_low_rank_products():
