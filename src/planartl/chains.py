@@ -193,15 +193,16 @@ def right_mult_matrix(
 
 
 class ChainComplexData:
-    """Bases and boundary matrices of W(n) for one convention.
+    """Bases, boundary matrices and their ranks of W(n) for one convention.
 
     ``bases[i]`` is the degree-i basis for -1 <= i <= n-1;
     ``differential(i)`` is the matrix of d^i mapping degree i to degree
-    i-1, for 0 <= i <= n-1, built on first use.  Exact rank tables per
-    specialization point are cached on the instance.
+    i-1, for 0 <= i <= n-1, built on first use.  ``boundary_rank(i, p)``,
+    its exact rank at v = p cached per (degree, point), is the one place a
+    boundary matrix is ranked, for homology and the top Jacobsthal kernel.
     """
 
-    __slots__ = ("n", "convention", "bases", "_differentials", "_rank_cache")
+    __slots__ = ("n", "convention", "bases", "_differentials", "_ranks")
 
     def __init__(self, n: int, c: Convention):
         if n < 1:
@@ -212,7 +213,7 @@ class ChainComplexData:
             i: black_box_basis(n, n - i - 1) for i in range(-1, n)
         }
         self._differentials: dict[int, PolyMatrix] = {}
-        self._rank_cache: dict[Fraction, dict[int, int]] = {}
+        self._ranks: dict[tuple[int, Fraction], int] = {}
 
     def chain_rank(self, i: int) -> int:
         return len(self.bases[i])
@@ -228,14 +229,13 @@ class ChainComplexData:
             self._differentials[i] = mat
         return mat
 
-    def boundary_ranks(self, point: Fraction) -> dict[int, int]:
-        """Exact rank of every boundary matrix at v = point."""
-        point = Fraction(point)
-        cached = self._rank_cache.get(point)
-        if cached is None:
-            cached = {i: rank_at(self.differential(i), point) for i in range(self.n)}
-            self._rank_cache[point] = cached
-        return dict(cached)
+    def boundary_rank(self, i: int, point: Fraction) -> int:
+        """Exact rank of d^i at v = point."""
+        key = (i, Fraction(point))
+        rank = self._ranks.get(key)
+        if rank is None:
+            rank = self._ranks[key] = rank_at(self.differential(i), key[1])
+        return rank
 
     def __repr__(self) -> str:
         return f"ChainComplexData(n={self.n}, convention={self.convention.tag})"
@@ -290,7 +290,9 @@ class HomologyReport:
 
     @property
     def hopf_trace_holds(self) -> bool:
-        """Alternating sums of chain and homology ranks agree."""
+        """Alternating sums of chain and homology ranks agree.  Each h_d is
+        c_d - r_d - r_{d+1}, so this holds by telescoping: the check can
+        fail only through the points disagreeing on the ranks."""
         return self.chain_alternating_sum == self.homology_alternating_sum
 
 
@@ -305,14 +307,12 @@ def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyRepor
     """
     pts = specialization_points(points)
     n = cx.n
-    first = agreed_ranks({p: cx.boundary_ranks(p) for p in pts})
+    first = agreed_ranks({p: {i: cx.boundary_rank(i, p) for i in range(n)} for p in pts})
     chain_ranks = {i: cx.chain_rank(i) for i in range(-1, n)}
-    out_rank = {i: first[i] for i in range(n)}
-    out_rank[-1] = 0  # no boundary map leaves degree -1
-    in_rank = {i: first.get(i + 1, 0) for i in range(-1, n)}
     homology = {}
     for d in range(-1, n):
-        h = chain_ranks[d] - out_rank[d] - in_rank[d]
+        # no boundary map leaves degree -1, and none enters degree n-1
+        h = chain_ranks[d] - first.get(d, 0) - first.get(d + 1, 0)
         if h < 0:
             raise RuntimeError(f"negative homology rank at degree {d}")
         homology[d] = h
@@ -321,7 +321,7 @@ def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyRepor
         convention_tag=cx.convention.tag,
         points=pts,
         chain_ranks=chain_ranks,
-        boundary_ranks=dict(first),
+        boundary_ranks=first,
         homology_ranks=homology,
         euler_characteristic=euler_characteristic(cx),
     )

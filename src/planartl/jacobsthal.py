@@ -16,7 +16,9 @@ sign reproduces them; the descending-product definition is the ground
 truth and the element formula is the hypothesis under test.  With the
 matching sign, -1 for every n and both conventions, the two are equal
 as algebra elements, so they are compared as elements; matrices are
-assembled only at a degree where the elements differ.
+assembled only at a degree where the elements differ.  The top
+element's kernel rank follows the same rule: where the top elements are
+equal, it reads the complex's rank of d^{n-1} instead of ranking a copy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .chains import (
 from .coeff import Convention, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, jacobsthal_number
 from .diagram import generator_u, identity, multiply
-from .indmod import black_box_basis
 from .linalg import rank_at
 
 __all__ = [
@@ -139,6 +140,15 @@ class TheoremDReport:
         return signs == (MATCHING_RATIO_SIGN,)
 
 
+def _matrix_where_different(jelt: JacobsthalElement, cx):
+    """None where the l-th element equals boundary_element(n, l-1, c), so
+    its matrix is d^{l-1} of cx; else that matrix from degree l-1 to l-2."""
+    i = jelt.l - 1
+    if jelt.element == boundary_element(cx.n, i, cx.convention):
+        return None
+    return right_mult_matrix(jelt.element, cx.bases[i], cx.bases[i - 1])
+
+
 def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
     """Compare each boundary map d^i of W(n) with right multiplication by
     the (i+1)-st Jacobsthal element, for both ratio signs.  Equal elements
@@ -149,10 +159,9 @@ def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
     comparisons: list[DegreeComparison] = []
     for sign in (1, -1):
         for i in range(n):
-            jelt = jacobsthal_element(n, i + 1, c, sign)
+            got = _matrix_where_different(jacobsthal_element(n, i + 1, c, sign), cx)
             mismatch = None
-            if jelt.element != boundary_element(n, i, c):
-                got = right_mult_matrix(jelt.element, cx.bases[i], cx.bases[i - 1])
+            if got is not None:
                 diff = cx.differential(i).first_difference(got)
                 if diff is not None:
                     mismatch = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
@@ -172,10 +181,12 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module; the points
-    must agree on the rank (see :func:`agreed_ranks`).
+    must agree on the rank (see :func:`agreed_ranks`).  Where the element
+    equals the top boundary element this is ``cx.boundary_rank(n - 1, p)``;
+    elsewhere its own matrix into degree n-2 (box size 1, all of C_n) is ranked.
     """
     pts = specialization_points(points)
-    jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
-    basis = black_box_basis(n, 0)
-    matrix = right_mult_matrix(jelt.element, basis, basis)
-    return len(basis) - agreed_ranks({p: rank_at(matrix, p) for p in pts})
+    cx = build_complex(n, c)
+    got = _matrix_where_different(jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN), cx)
+    ranks = {p: cx.boundary_rank(n - 1, p) if got is None else rank_at(got, p) for p in pts}
+    return cx.chain_rank(n - 1) - agreed_ranks(ranks)

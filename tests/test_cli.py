@@ -463,6 +463,39 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
             )
 
 
+def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
+    # the top Jacobsthal element is the top boundary element, so fineberg
+    # reads the rank of d^{n-1} that homology needs anyway: each boundary
+    # matrix is ranked once per point, and no Jacobsthal matrix is built
+    import planartl.chains as chains
+    import planartl.jacobsthal as jacobsthal
+    from planartl.chains import build_complex
+    from planartl.coeff import CONVENTION_A
+
+    real_rank = chains.rank_at
+    real_assemble = jacobsthal.right_mult_matrix
+    ranked, assembled = [], []
+
+    def counting_rank(matrix, x):
+        ranked.append((id(matrix), x))
+        return real_rank(matrix, x)
+
+    def counting_assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(chains, "rank_at", counting_rank)
+    monkeypatch.setattr(jacobsthal, "rank_at", counting_rank)
+    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
+    code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
+    assert code == 0
+    assert assembled == []
+    assert len(set(ranked)) == len(ranked) == sum(2 * n for n in range(1, 7))
+    for n in range(1, 7):
+        matrices = {id(m) for m in build_complex(n, CONVENTION_A)._differentials.values()}
+        assert len([r for r in ranked if r[0] in matrices]) == 2 * n
+
+
 def test_traced_run_reports_the_cli_output():
     # perfbench/traced.py wraps library functions by name wherever the
     # planartl modules bind them, and must print the CLI's own report

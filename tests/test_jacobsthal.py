@@ -10,13 +10,14 @@ import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
 from planartl.chains import boundary_element, build_complex, homology_ranks, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
-from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
+from planartl.combin import catalan, descending_opposite_parity_sequences, fine, jacobsthal_number
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
     jacobsthal_element,
     jacobsthal_kernel_rank,
     verify_theorem_D,
 )
+from planartl.linalg import rank_at
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -118,14 +119,15 @@ def test_element_route_agrees_with_matrix_route():
                     assert (jelt == expected) == (got == cx.differential(i)), (conv.tag, n, i, sign)
 
 
-def _with_extra_term(monkeypatch, generator):
-    """Make the n = 3, l = 2, sign -1 element gain a U_generator term."""
+def _with_extra_term(monkeypatch, generator, strands=3, index=2):
+    """Make the sign -1 element with n = strands, l = index gain a
+    U_generator term."""
     real = jacobsthal.jacobsthal_element
 
     def patched(n, l, c, ratio_sign=MATCHING_RATIO_SIGN):
         jelt = real(n, l, c, ratio_sign)
-        if (n, l, ratio_sign) == (3, 2, -1):
-            extra = AlgebraElement.generator(3, generator)
+        if (n, l, ratio_sign) == (strands, index, -1):
+            extra = AlgebraElement.generator(strands, generator)
             return dataclasses.replace(jelt, element=jelt.element + extra)
         return jelt
 
@@ -176,9 +178,33 @@ def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
 
 
 def test_kernel_rank_equals_fine_number():
+    # the top element equals the top boundary element, so its kernel rank
+    # is read from d^{n-1} of the complex and nothing else is assembled
+    build_complex.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
+            assert set(build_complex(n, conv)._differentials) == {n - 1}
+    build_complex.cache_clear()
+
+
+def test_kernel_rank_falls_back_to_the_jacobsthal_matrix(monkeypatch):
+    # a top element that differs from the top boundary element is
+    # assembled once, from degree n-1 to degree n-2, and ranked itself
+    _with_extra_term(monkeypatch, 2, strands=3, index=3)
+    real = jacobsthal.right_mult_matrix
+    built = []
+
+    def counting(elt, source, target):
+        cx = build_complex(3, CONVENTION_A)
+        assert (source, target) == (cx.bases[2], cx.bases[1])
+        built.append(real(elt, source, target))
+        return built[-1]
+
+    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
+    kernel = jacobsthal_kernel_rank(3, CONVENTION_A)
+    assert len(built) == 1
+    assert kernel == catalan(3) - rank_at(built[0], Fraction(2))
 
 
 def test_kernel_rank_matches_top_homology():
