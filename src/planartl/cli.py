@@ -44,7 +44,7 @@ from .combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from .diagram import Diagram, enumerate_diagrams, from_dyck
+from .diagram import Diagram, enumerate_diagrams, from_dyck, is_planar_pairing
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
 
@@ -112,13 +112,11 @@ def _check_bijection(n: int, ctx: CheckContext):
     if len(words) != len(diagrams):
         return False, {"failed": "word and diagram counts differ"}
     for word, diagram in zip(words, diagrams):
-        # The checking constructor rejects a pairing that crosses or is
-        # not an involution; the word is then read back off the pairing.
-        try:
-            checked = Diagram(diagram.pairing)
-        except ValueError:
-            checked = None
-        if checked is None or checked.word != word:
+        # The pairing walk and the word enumeration are independent
+        # routes: each pairing must pass the stack check (a crossing or
+        # a broken involution can still read as a Dyck word), and the
+        # word read off it must be the oracle's word at that position.
+        if not is_planar_pairing(diagram.pairing) or diagram.word != word:
             return False, {"failed": f"round trip broke at {word}"}
     details = {"diagrams": len(diagrams)}
     if n == 4:

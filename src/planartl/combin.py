@@ -68,7 +68,10 @@ def dyck_lex_key(word: str):
 
 @cache
 def dyck_words(n: int) -> tuple[str, ...]:
-    """All Dyck words of length 2n over {u, d}, in lex order with u < d."""
+    """All Dyck words of length 2n over {u, d}, in lex order with u < d:
+    the oracle enumeration that the ``bijection`` check compares against
+    :func:`planartl.diagram.enumerate_diagrams`, and the first-peak
+    oracles scan."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out: list[str] = []

@@ -9,18 +9,23 @@ and the right dot i sits opposite the left dot i, which is point
 2n+1-i.  Under that sweep every diagram spells a Dyck word: a u the
 first time an arc is met, a d the second time.  Internally points are
 stored 0-indexed.
+
+The enumeration walks pairings directly, building and parsing no word;
+a diagram stores only its pairing, and its word and hash are read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import gt
 
-from .combin import dyck_words, is_dyck_word
+from .combin import is_dyck_word
 
 __all__ = [
     "Diagram",
     "MulResult",
+    "is_planar_pairing",
     "identity",
     "generator_u",
     "multiply",
@@ -29,37 +34,40 @@ __all__ = [
     "dyck_lex_index",
 ]
 
+# Byte 1 where a point's partner comes later in the sweep, 0 where earlier.
+_WORD_LETTERS = bytes.maketrans(b"\x00\x01", b"du")
+
+
+def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
+    """Whether ``pairing`` is a fixed-point-free noncrossing involution,
+    by one stack sweep: a closing point must close the last point opened,
+    whose partner it must be, and no point may be left open at the end."""
+    stack: list[int] = []
+    for p, q in enumerate(pairing):
+        if q > p:
+            stack.append(p)
+        elif not stack or stack.pop() != q or pairing[q] != p:
+            return False
+    return not stack
+
 
 class Diagram:
     """A planar diagram: a fixed-point-free noncrossing involution on
     the 2n boundary points.
 
     Immutable and hashable; ``pairing[p]`` is the 0-indexed partner of
-    the 0-indexed point p.  The pairing is the only stored form; the
-    Dyck word is read off it.
+    the 0-indexed point p.  Only ``n`` and the pairing are stored; the
+    Dyck word and the hash are read off the pairing.
     """
 
-    __slots__ = ("n", "pairing", "_hash")
+    __slots__ = ("n", "pairing")
 
     def __init__(self, pairing: tuple[int, ...]):
-        size = len(pairing)
-        if size % 2:
-            raise ValueError("pairing must have even length")
-        # One stack sweep checks everything at once: the involution
-        # property, freeness from fixed points, and noncrossingness.
-        stack: list[int] = []
-        for p, q in enumerate(pairing):
-            if q == p or not 0 <= q < size:
-                raise ValueError("pairing must be a fixed-point-free involution")
-            if q > p:
-                stack.append(p)
-            else:
-                if not stack or stack[-1] != q or pairing[q] != p:
-                    raise ValueError("pairing is crossing or not an involution")
-                stack.pop()
-        self.n = size // 2
-        self.pairing = tuple(pairing)
-        self._hash = hash(self.pairing)
+        pairing = tuple(pairing)
+        if not is_planar_pairing(pairing):
+            raise ValueError("pairing must be a noncrossing fixed-point-free involution")
+        self.n = len(pairing) // 2
+        self.pairing = pairing
 
     @classmethod
     def _trusted(cls, n: int, pairing: tuple[int, ...]) -> "Diagram":
@@ -67,7 +75,6 @@ class Diagram:
         self = cls.__new__(cls)
         self.n = n
         self.pairing = pairing
-        self._hash = hash(pairing)
         return self
 
     @classmethod
@@ -85,7 +92,8 @@ class Diagram:
     def word(self) -> str:
         """The Dyck word: u where the partner comes later in the sweep,
         d where it came earlier."""
-        return "".join("u" if q > p else "d" for p, q in enumerate(self.pairing))
+        pairing = self.pairing
+        return bytes(map(gt, pairing, range(len(pairing)))).translate(_WORD_LETTERS).decode()
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The matched point pairs, 1-based, each (low, high), sorted."""
@@ -99,7 +107,8 @@ class Diagram:
         return self.pairing == other.pairing
 
     def __hash__(self) -> int:
-        return self._hash
+        # A tuple of ints hashes the same under every PYTHONHASHSEED.
+        return hash(self.pairing)
 
     def __str__(self) -> str:
         return self.word
@@ -222,8 +231,35 @@ def from_dyck(word: str) -> Diagram:
 
 @cache
 def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
-    """All diagrams on n strands in Dyck-lex order (u < d)."""
-    return tuple(from_dyck(w) for w in dyck_words(n))
+    """All diagrams on n strands in Dyck-lex order (u < d), from one
+    depth-first walk over pairings: each point opens an arc (tried first)
+    or closes the last one opened; once all n are open, the rest close."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out: list[Diagram] = []
+    pairing = [0] * (2 * n)
+    stack: list[int] = []  # open points, the last one opened on top
+    trusted = Diagram._trusted
+
+    def walk(p: int, opened: int) -> None:
+        if opened == n:
+            for r, q in enumerate(reversed(stack), p):
+                pairing[r] = q
+                pairing[q] = r
+            out.append(trusted(n, tuple(pairing)))
+            return
+        stack.append(p)
+        walk(p + 1, opened + 1)
+        stack.pop()
+        if stack:
+            q = stack.pop()
+            pairing[p] = q
+            pairing[q] = p
+            walk(p + 1, opened)
+            stack.append(q)
+
+    walk(0, 0)
+    return tuple(out)
 
 
 @cache

@@ -1,6 +1,7 @@
 """Diagram calculus tests: the fixed boundary numbering, the gluing
 product with loop counting, and the Dyck bijection."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from planartl.diagram import (
     from_dyck,
     generator_u,
     identity,
+    is_planar_pairing,
     multiply,
 )
 
@@ -21,6 +23,13 @@ def test_identity_pairs():
     assert identity(3).pairs() == ((1, 6), (2, 5), (3, 4))
     for n in range(9):
         assert identity(n).word == "u" * n + "d" * n
+
+
+def test_word_of_a_long_pairing():
+    # the word is read off points 0..2n-1, however many there are
+    assert identity(200).word == "u" * 200 + "d" * 200
+    u7 = generator_u(200, 7)
+    assert from_dyck(u7.word) == u7
 
 
 def test_generator_pinned():
@@ -52,6 +61,30 @@ def test_diagram_validation_rejects_bad_pairings():
         Diagram((2, 3, 0, 1))  # crossing arcs
     with pytest.raises(ValueError):
         Diagram((1, 2, 0, 3))  # not an involution
+    with pytest.raises(ValueError):
+        Diagram((1, 3, 3, 2))  # not an involution, yet reads as uuud
+    with pytest.raises(ValueError):
+        Diagram((2, 3, 3, 2))  # likewise: the sweep ends with points open
+
+
+def _is_planar_by_brute_force(pairing):
+    size = len(pairing)
+    if any(not 0 <= q < size or q == p or pairing[q] != p for p, q in enumerate(pairing)):
+        return False
+    arcs = [(p, q) for p, q in enumerate(pairing) if p < q]
+    return not any(a < b < c < d for a, c in arcs for b, d in arcs)
+
+
+def test_planar_pairing_check_is_exhaustively_right():
+    # every tuple of length <= 6 with entries in -1..len, against the
+    # definition: a fixed-point-free involution with no crossing arcs
+    planar = 0
+    for size in range(7):
+        for pairing in itertools.product(range(-1, size + 1), repeat=size):
+            expected = _is_planar_by_brute_force(pairing)
+            assert is_planar_pairing(pairing) == expected, pairing
+            planar += expected
+    assert planar == sum(catalan(n) for n in range(4))
 
 
 def test_u_squared_has_one_loop():
@@ -137,9 +170,19 @@ def test_enumeration_counts_and_uniqueness():
 
 
 def test_enumeration_is_dyck_lex_ordered():
-    for n in range(7):
+    for n in range(11):
         words = [d.word for d in enumerate_diagrams(n)]
         assert words == list(dyck_words(n))
+
+
+def test_enumeration_walks_pairings_not_words():
+    # the diagrams are built without the oracle word list
+    dyck_words.cache_clear()
+    enumerate_diagrams.cache_clear()
+    enumerate_diagrams(8)
+    assert dyck_words.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        enumerate_diagrams(-1)
 
 
 def test_multiplication_associative_with_loops():
