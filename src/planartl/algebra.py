@@ -10,14 +10,15 @@ Two routes multiply.  :func:`elt_mul` glues diagrams with
 :func:`planartl.diagram.multiply`, one call per pair of terms; it serves
 the one-off products (the ``mul`` command, the relation and braid
 checks) at any n, and it is the oracle the tables below are tested
-against.  :func:`generator_tables` records, once per n, right
+against.  :func:`generator_tables` records, once per n, left
 multiplication by each cup generator U_j as a map on Dyck-lex positions,
-together with a loop-free U-word for every diagram.  Right
-multiplication by a whole element then becomes integer lookups, which
-is how :func:`planartl.chains.right_mult_matrix` assembles every
-boundary and Jacobsthal matrix.  Building the tables costs (n-1) * C_n
-products, so ``elt_mul`` does not use them: at n = 12 that would be
-about 2.3 million products for what is often a single one.
+together with a loop-free parent (y, j) for every diagram but the
+identity: the diagram is U_j times diagram y.  A box projection kills a
+left ideal, so the matrix column for U_j y is U_j acting on the column
+for y; that is how :func:`planartl.chains.right_mult_matrix` assembles
+every boundary and Jacobsthal matrix.  Building the tables costs
+(n-1) * C_n products, so ``elt_mul`` does not use them: at n = 12 that
+would be about 2.3 million products for what is often a single one.
 """
 
 from __future__ import annotations
@@ -206,52 +207,48 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 class GeneratorTables:
-    """Right multiplication by the cup generators on n strands, over the
+    """Left multiplication by the cup generators on n strands, over the
     Dyck-lex positions of :func:`planartl.diagram.enumerate_diagrams`.
 
-    ``next[j - 1][k]`` and ``loops[j - 1][k]`` give the product of
-    diagram k and U_j: diagram k times U_j is a^loops times diagram
-    next.  ``words[k]`` is a U-word (generator indices) whose product is
-    diagram k with no loop closed; the words are prefix-closed, so the
-    terms of any element form a trie.  Along a word, right products from
-    any diagram x add up to x times diagram k: the word itself closes no
-    loop, so by associativity the loops met on the way are exactly
-    those of the one product.
+    ``left[j - 1][k]`` and ``loops[j - 1][k]`` give the product of U_j
+    and diagram k: U_j times diagram k is a^loops times diagram left.
+    ``parent[k]`` is a pair (y, j) with U_j times diagram y equal to
+    diagram k and no loop closed (None for the identity), and ``order``
+    is the breadth-first walk out of the identity that found them, each
+    position after its parent.  Left multiplication glues onto the left
+    dots only, so an arc between two right dots of y stays one in U_j y:
+    a parent lies in every box basis its child does, and the span a box
+    projection kills is a left ideal.
     """
 
-    __slots__ = ("next", "loops", "words")
+    __slots__ = ("left", "loops", "parent", "order")
 
     def __init__(self, n: int):
         diagrams = enumerate_diagrams(n)
         index = dyck_lex_index(n)
-        nexts = []
+        lefts = []
         loops = []
         for j in range(1, n):
             u = generator_u(n, j)
-            row_next = []
-            row_loops = []
-            for d in diagrams:
-                product = multiply(d, u)
-                row_next.append(index[product.diagram])
-                row_loops.append(product.loops)
-            nexts.append(tuple(row_next))
-            loops.append(tuple(row_loops))
-        # Breadth first out of the identity along loop-free edges.
-        words: list[tuple[int, ...] | None] = [None] * len(diagrams)
-        start = index[identity(n)]
-        words[start] = ()
-        queue = [start]
-        for k in queue:
+            products = [multiply(u, d) for d in diagrams]
+            lefts.append(tuple(index[p.diagram] for p in products))
+            loops.append(tuple(p.loops for p in products))
+        # Breadth first out of the identity along loop-free edges.  No
+        # product U_j y is the identity, so a parent of None means unseen.
+        parent: list[tuple[int, int] | None] = [None] * len(diagrams)
+        order = [index[identity(n)]]
+        for y in order:
             for j in range(1, n):
-                target = nexts[j - 1][k]
-                if words[target] is None and not loops[j - 1][k]:
-                    words[target] = words[k] + (j,)
-                    queue.append(target)
-        if len(queue) != len(diagrams):
-            raise RuntimeError("some diagram has no loop-free generator word")
-        self.next = tuple(nexts)
+                k = lefts[j - 1][y]
+                if parent[k] is None and not loops[j - 1][y]:
+                    parent[k] = (y, j)
+                    order.append(k)
+        if len(order) != len(diagrams):
+            raise RuntimeError("some diagram has no loop-free parent")
+        self.left = tuple(lefts)
         self.loops = tuple(loops)
-        self.words = tuple(words)
+        self.parent = tuple(parent)
+        self.order = tuple(order)
 
 
 @cache

@@ -17,9 +17,13 @@ scale where matrices are practical.
 
 Every right-multiplication matrix (the boundary maps, and a Jacobsthal
 matrix where its element differs from the boundary element) is assembled
-by one kernel, :func:`right_mult_matrix`.  It walks the per-n generator
-tables of :mod:`planartl.algebra` over Dyck-lex positions, so assembly
-is integer lookups and counting; no diagram is glued in the loop.  The
+by one kernel, :func:`right_mult_matrix`.  The projection kills the
+diagrams with an arc between two right dots inside the box, and left
+multiplication keeps every such arc, so the killed span is a left ideal
+and the projection commutes with the left action.  A column is
+therefore its parent's column acted on by one cup generator, read from
+the per-n generator tables of :mod:`planartl.algebra`: assembly is
+integer lookups and counting, and no diagram is glued in the loop.  The
 diagram product builds those tables and stays the test suite's oracle
 for them.
 
@@ -42,7 +46,6 @@ from .combin import (
     fine_by_enumeration,
     first_peak_count_B,
 )
-from .diagram import dyck_lex_index
 from .indmod import BlackBoxBasis, black_box_basis
 from .linalg import PolyMatrix, rank_at
 
@@ -131,65 +134,57 @@ def right_mult_matrix(
     """Matrix of x -> project(x * elt) from the source basis to the
     target basis (the projection kills arcs inside the target box).
 
-    Every term of elt is reached by its loop-free U-word in the
-    generator tables, and the words form a trie.  Each column walks that
-    trie from its source diagram's position, one table lookup per node.
-    Where a term's word ends, its coefficient is counted in integers per
-    (row, loops, v-exponent); each count is then multiplied by a^loops
-    once.
+    The identity's column is the projection of elt itself.  Every other
+    source diagram x is U_j y for its loop-free parent (y, j) in the
+    generator tables, so x * elt = U_j (y * elt).  The span the
+    projection kills is a left ideal, so x's column is U_j acting on
+    y's column: each entry at row r moves to row ``left[j][r]`` times
+    a^loops, and a row that lands at or past ``len(target)`` drops out.
+    Columns are built in the tables' visiting order, parents first.  A
+    parent always lies in its child's box basis; one outside the source
+    basis raises RuntimeError.
     """
     if elt.n != source.n or source.n != target.n:
         raise ValueError("strand counts do not match")
     tables = generator_tables(elt.n)
-    index = dyck_lex_index(elt.n)
-    root = ()  # coefficient of the identity term, whose word is empty
-    # The trie in preorder: (letter depth, next row, loops row, the
-    # coefficient of the term ending here or ()).  Sorted words list a
-    # prefix before its extensions, so each word adds the nodes past its
-    # common prefix with the word before it.
-    nodes: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple]] = []
-    previous: tuple[int, ...] = ()
-    for word, c in sorted(
-        ((tables.words[index[d]], c) for d, c in elt.terms.items()),
-        key=lambda term: term[0],
-    ):
-        coeff = tuple(c.coefficients().items())
-        if not word:
-            root = coeff
-        depth = 0
-        while depth < min(len(word), len(previous)) and word[depth] == previous[depth]:
-            depth += 1
-        for t in range(depth, len(word)):
-            j = word[t]
-            end = coeff if t == len(word) - 1 else ()
-            nodes.append((t, tables.next[j - 1], tables.loops[j - 1], end))
-        previous = word
+    size, count = len(target), len(source)
     # A product closes at most n/2 loops.
     powers = [tuple(loop_factor_power(l).coefficients().items()) for l in range(elt.n + 1)]
-    states = [0] * (max((node[0] for node in nodes), default=-1) + 2)
-    loops = [0] * len(states)
-    # One column at a time, so PolyMatrix drops cancelled entries as they come.
-    def columns():
-        for k in range(len(source)):
-            states[0] = k
-            counts = {(k, 0, e): x for e, x in root}
-            for depth, nxt, closed, coeff in nodes:
-                s = states[depth]
-                states[depth + 1] = row = nxt[s]
-                loops[depth + 1] = l = loops[depth] + closed[s]
-                for e, x in coeff:
-                    key = (row, l, e)
-                    counts[key] = counts.get(key, 0) + x
-            column: dict[int, dict[int, int]] = {}
-            for (row, l, e), x in counts.items():
-                poly = column.get(row)
-                if poly is None:
-                    poly = column[row] = {}
-                for f, y in powers[l]:
-                    poly[e + f] = poly.get(e + f, 0) + x * y
-            yield target.restrict(column)
-
-    return PolyMatrix(len(target), len(source), columns())
+    columns: list = [None] * count
+    columns[tables.order[0]] = {r: c.coefficients() for r, c in target.project(elt).items()}
+    for k in tables.order[1:]:
+        if k >= count:
+            continue
+        y, j = tables.parent[k]
+        if y >= count:
+            raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
+        left, closed = tables.left[j - 1], tables.loops[j - 1]
+        column: dict[int, dict[int, int]] = {}
+        summed = set()  # rows where a coefficient may have cancelled
+        for r, poly in columns[y].items():
+            row = left[r]
+            if row >= size:
+                continue
+            l = closed[r]
+            acc = column.get(row)
+            if acc is None:
+                if not l:
+                    column[row] = dict(poly)
+                    continue
+                acc = column[row] = {}
+            summed.add(row)
+            for f, z in powers[l]:
+                for e, x in poly.items():
+                    acc[e + f] = acc.get(e + f, 0) + x * z
+        # Cancelled entries are dropped here, before any child copies them.
+        for row in summed:
+            poly = {e: x for e, x in column[row].items() if x}
+            if poly:
+                column[row] = poly
+            else:
+                del column[row]
+        columns[k] = column
+    return PolyMatrix(size, count, columns)
 
 
 class ChainComplexData:

@@ -79,13 +79,16 @@ class Diagram:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Diagram":
-        """Build a diagram from 1-based matched point pairs."""
-        pairing = [-1] * (2 * n)
+        """Build a diagram from 1-based matched point pairs.  Raises
+        ValueError, before building anything, unless the pairs name each
+        point of 1..2n exactly once."""
+        pairs = list(pairs)
+        if sorted(p for pair in pairs for p in pair) != list(range(1, 2 * n + 1)):
+            raise ValueError(f"pairs must name each point of 1..{2 * n} exactly once")
+        pairing = [0] * (2 * n)
         for a, b in pairs:
             pairing[a - 1] = b - 1
             pairing[b - 1] = a - 1
-        if any(q < 0 for q in pairing):
-            raise ValueError("pairs do not cover all boundary points")
         return cls(tuple(pairing))
 
     @property

@@ -11,11 +11,11 @@ the one per-n :func:`planartl.diagram.dyck_lex_index`.
 
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
-action is the algebra product followed by that projection, and
-:meth:`BlackBoxBasis.restrict` is the one place the projection is made:
-it keeps an entry exactly when its Dyck-lex position is below B_m(n).
+action is the algebra product followed by that projection, which keeps
+an entry exactly when its Dyck-lex position is below B_m(n).
 :meth:`BlackBoxBasis.project` applies it to an algebra element, and the
-boundary-matrix kernel in :mod:`planartl.chains` to each matrix column.
+boundary-matrix kernel in :mod:`planartl.chains` drops each row at or
+past that position as the left action moves it there.
 """
 
 from __future__ import annotations
@@ -74,18 +74,14 @@ class BlackBoxBasis:
     def __len__(self) -> int:
         return len(self.diagrams)
 
-    def restrict(self, coords: dict) -> dict:
-        """The entries of coords (keyed by Dyck-lex position on n
-        strands) that lie in this basis: every diagram with an arc
-        inside the box dropped."""
-        size = len(self.diagrams)
-        return {k: c for k, c in coords.items() if k < size}
-
     def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
-        """Coordinates of x's image in this module: the coefficient of
-        each basis diagram."""
+        """Coordinates of x's image in this module, keyed by Dyck-lex
+        position: the coefficient of each basis diagram, with every
+        diagram that has an arc inside the box dropped."""
         index = dyck_lex_index(self.n)
-        return self.restrict({index[d]: c for d, c in x.terms.items()})
+        size = len(self.diagrams)
+        coords = ((index[d], c) for d, c in x.terms.items())
+        return {k: c for k, c in coords if k < size}
 
     def __repr__(self) -> str:
         return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.diagrams)})"

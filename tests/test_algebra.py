@@ -1,12 +1,11 @@
 """Algebra tests: relations as element identities, braiding elements,
-the augmentation, generator word products, and the generator tables
-that right multiplication is assembled from."""
+the augmentation, generator word products, and the left-multiplication
+generator tables that every right-multiplication matrix is assembled
+from."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from planartl.algebra import (
     AlgebraElement,
@@ -22,8 +21,8 @@ from planartl.coeff import (
     CONVENTION_B,
     LOOP_FACTOR,
     LaurentPoly,
-    loop_factor_power,
 )
+from planartl.combin import catalan, first_peak_count_B
 from planartl.diagram import (
     dyck_lex_index,
     enumerate_diagrams,
@@ -195,24 +194,26 @@ def test_element_text_zero_and_order():
 
 
 def step(tables, k, loops, j):
-    """Right-multiply the diagram at position k by U_j in the tables."""
-    return tables.next[j - 1][k], loops + tables.loops[j - 1][k]
+    """Left-multiply the diagram at position k by U_j in the tables."""
+    return tables.left[j - 1][k], loops + tables.loops[j - 1][k]
 
 
 def test_tables_equal_multiply():
     for n in range(8):
         tables = generator_tables(n)
         diagrams = enumerate_diagrams(n)
-        assert len(tables.next) == len(tables.loops) == max(n - 1, 0)
+        assert len(tables.left) == len(tables.loops) == max(n - 1, 0)
         for j in range(1, n):
             u = generator_u(n, j)
             for k, d in enumerate(diagrams):
-                product = multiply(d, u)
-                assert diagrams[tables.next[j - 1][k]] == product.diagram
+                product = multiply(u, d)
+                assert diagrams[tables.left[j - 1][k]] == product.diagram
                 assert tables.loops[j - 1][k] == product.loops
 
 
 def test_tables_satisfy_the_relations():
+    # each step multiplies on the left, so `once` is U_i d and the
+    # relations are read right to left
     for n in range(2, 9):
         tables = generator_tables(n)
         for k in range(len(enumerate_diagrams(n))):
@@ -229,55 +230,18 @@ def test_tables_satisfy_the_relations():
                         assert step(tables, *once, j) == step(tables, *step(tables, k, 0, j), i)
 
 
-def test_words_are_loop_free_and_prefix_closed():
-    for n in range(9):
+def test_parents_are_loop_free_visited_first_and_in_every_box():
+    for n in range(10):
         tables = generator_tables(n)
-        diagrams = enumerate_diagrams(n)
-        words = set(tables.words)
-        assert len(words) == len(diagrams)
-        for d, word in zip(diagrams, tables.words):
-            product = identity(n)
-            for j in word:
-                result = multiply(product, generator_u(n, j))
-                assert result.loops == 0
-                product = result.diagram
-            assert product == d
-            assert not word or word[:-1] in words
-
-
-@st.composite
-def elements(draw, n):
-    diagrams = enumerate_diagrams(n)
-    keys = st.integers(0, len(diagrams) - 1)
-    coeffs = st.builds(
-        LaurentPoly, st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3)
-    )
-    terms = draw(st.dictionaries(keys, coeffs, max_size=5))
-    return AlgebraElement(n, {diagrams[k]: c for k, c in terms.items()})
-
-
-@st.composite
-def element_pairs(draw):
-    n = draw(st.integers(0, 6))
-    return draw(elements(n)), draw(elements(n))
-
-
-@settings(deadline=None, max_examples=60)
-@given(element_pairs())
-def test_walking_words_gives_elt_mul(pair):
-    # x * dy is reached from each term of x by the loop-free word of dy
-    x, y = pair
-    n = x.n
-    tables = generator_tables(n)
-    index = dyck_lex_index(n)
-    diagrams = enumerate_diagrams(n)
-    walked = AlgebraElement.zero(n)
-    for dx, cx in x.terms.items():
-        for dy, cy in y.terms.items():
-            k, loops = index[dx], 0
-            for j in tables.words[index[dy]]:
-                k, loops = step(tables, k, loops, j)
-            walked = walked + AlgebraElement.from_diagram(
-                diagrams[k], cx * cy * loop_factor_power(loops)
-            )
-    assert walked == elt_mul(x, y)
+        size = catalan(n)
+        assert sorted(tables.order) == list(range(size))
+        assert tables.order[0] == dyck_lex_index(n)[identity(n)] == 0
+        assert tables.parent[0] is None
+        visit = {k: t for t, k in enumerate(tables.order)}
+        boxes = [first_peak_count_B(n, m) for m in range(n + 1)]
+        for k in tables.order[1:]:
+            y, j = tables.parent[k]
+            assert step(tables, y, 0, j) == (k, 0)
+            assert visit[y] < visit[k]
+            # a parent of a box basis diagram lies in that basis too
+            assert all(y < b for b in boxes if k < b)

@@ -2,10 +2,13 @@
 Euler characteristic, and homology ranks at specializations."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planartl.algebra import AlgebraElement, braiding_s, elt_mul
+from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
     build_complex,
@@ -16,7 +19,7 @@ from planartl.chains import (
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
-from planartl.diagram import identity
+from planartl.diagram import enumerate_diagrams, identity
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import jacobsthal_element
 from planartl.linalg import PolyMatrix
@@ -133,6 +136,46 @@ def test_right_mult_matrix_on_every_box_pair():
             )
     with pytest.raises(ValueError):
         right_mult_matrix(elt, black_box_basis(3, 0), black_box_basis(3, 0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random nonzero element on n <= 6 strands and a random (source,
+    target) pair of box bases."""
+    n = draw(st.integers(1, 6))
+    diagrams = enumerate_diagrams(n)
+    coeffs = st.builds(
+        LaurentPoly,
+        st.dictionaries(st.integers(-3, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+    )
+    terms = draw(st.dictionaries(st.integers(0, len(diagrams) - 1), coeffs, min_size=1, max_size=5))
+    elt = AlgebraElement(n, {diagrams[k]: c for k, c in terms.items()})
+    boxes = st.integers(0, n).map(lambda m: black_box_basis(n, m))
+    return elt, draw(boxes), draw(boxes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(kernel_cases())
+def test_right_mult_matrix_on_random_elements(case):
+    elt, source, target = case
+    assert right_mult_matrix(elt, source, target) == reference_right_mult_matrix(
+        elt, source, target
+    )
+
+
+def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
+    import planartl.chains as chains_module
+
+    n = 4
+    real = generator_tables(n)
+    source = black_box_basis(n, 2)
+    k = next(k for k in real.order[1:] if k < len(source))
+    parent = list(real.parent)
+    parent[k] = (len(source), parent[k][1])
+    tampered = SimpleNamespace(left=real.left, loops=real.loops, order=real.order, parent=parent)
+    monkeypatch.setattr(chains_module, "generator_tables", lambda n: tampered)
+    with pytest.raises(RuntimeError):
+        right_mult_matrix(AlgebraElement.one(n), source, source)
 
 
 def test_degree_zero_boundary_is_identity_coefficient():

@@ -67,6 +67,20 @@ def test_diagram_validation_rejects_bad_pairings():
         Diagram((2, 3, 3, 2))  # likewise: the sweep ends with points open
 
 
+def test_from_pairs_rejects_malformed_pairs():
+    with pytest.raises(ValueError):
+        Diagram.from_pairs(2, [(0, 3), (1, 2), (3, 4)])  # point 0, and 3 twice
+    with pytest.raises(ValueError):
+        Diagram.from_pairs(2, [(1, 2), (1, 2), (3, 4)])  # a pair named twice
+    with pytest.raises(ValueError):
+        Diagram.from_pairs(2, [(1, 2), (3, 5)])  # point 5 past 2n
+    with pytest.raises(ValueError):
+        Diagram.from_pairs(2, [(1, 1), (3, 4)])  # a point paired with itself
+    with pytest.raises(ValueError):
+        Diagram.from_pairs(2, [(1, 2)])  # points 3 and 4 left out
+    assert Diagram.from_pairs(2, [(4, 3), (2, 1)]).pairs() == ((1, 2), (3, 4))
+
+
 def _is_planar_by_brute_force(pairing):
     size = len(pairing)
     if any(not 0 <= q < size or q == p or pairing[q] != p for p, q in enumerate(pairing)):
