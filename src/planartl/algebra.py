@@ -189,11 +189,10 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     terms: dict[Diagram, LaurentPoly] = {}
     for dx, cx in x.terms.items():
         for dy, cy in y.terms.items():
-            prod = multiply(dx, dy)
+            d, loops = multiply(dx, dy)
             c = cx * cy
-            if prod.loops:
-                c = c * loop_factor_power(prod.loops)
-            d = prod.diagram
+            if loops:
+                c = c * loop_factor_power(loops)
             w = terms.get(d)
             w = c if w is None else w + c
             if w:
@@ -230,9 +229,9 @@ class GeneratorTables:
         loops = []
         for j in range(1, n):
             u = generator_u(n, j)
-            products = [multiply(u, d) for d in diagrams]
-            lefts.append(tuple(index[p.diagram] for p in products))
-            loops.append(tuple(p.loops for p in products))
+            products, closed = zip(*(multiply(u, d) for d in diagrams))
+            lefts.append(tuple(index[p] for p in products))
+            loops.append(closed)
         # Breadth first out of the identity along loop-free edges.  No
         # product U_j y is the identity, so a parent of None means unseen.
         parent: list[tuple[int, int] | None] = [None] * len(diagrams)

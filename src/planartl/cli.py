@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -275,14 +276,8 @@ CHECK_NAMES = tuple(_CHECKS)
 # ---------------------------------------------------------------------------
 
 
-def _sequence_rows(kind: str, max_n: int) -> list[tuple[int, int]]:
-    if kind == "catalan":
-        return [(n, catalan(n)) for n in range(max_n + 1)]
-    if kind == "fine":
-        return [(n, fine(n)) for n in range(max_n + 1)]
-    if kind == "jacobsthal":
-        return [(n, jacobsthal_number(n)) for n in range(1, max_n + 1)]
-    raise ValueError(kind)
+# Each sequence's first index and its terms.
+_SEQUENCES = {"catalan": (0, catalan), "fine": (0, fine), "jacobsthal": (1, jacobsthal_number)}
 
 
 def cmd_tables(args, out) -> int:
@@ -314,7 +309,8 @@ def cmd_tables(args, out) -> int:
             }
             out.write(json.dumps(payload, indent=2) + "\n")
         return 0
-    rows = _sequence_rows(kind, max_n)
+    start, term = _SEQUENCES[kind]
+    rows = [(n, term(n)) for n in range(start, max_n + 1)]
     if args.format == "text":
         for n, value in rows:
             out.write(f"{n}\t{value}\n")
@@ -326,7 +322,7 @@ def cmd_tables(args, out) -> int:
         payload = {
             "schema": 1,
             "kind": kind,
-            "start": rows[0][0] if rows else 0,
+            "start": start,
             "values": [value for _, value in rows],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
@@ -360,7 +356,7 @@ def cmd_mul(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_matrices(path: str, n_max: int, c: Convention) -> None:
+def _emit_matrices(handle, n_max: int, c: Convention) -> None:
     complexes = []
     for n in range(1, n_max + 1):
         cx = build_complex(n, c)
@@ -385,9 +381,8 @@ def _emit_matrices(path: str, n_max: int, c: Convention) -> None:
             )
         complexes.append({"n": n, "degrees": degrees, "differentials": differentials})
     payload = {"schema": 1, "convention": c.tag, "complexes": complexes}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json.dump(payload, handle, indent=2)
+    handle.write("\n")
 
 
 def cmd_verify(args, out) -> int:
@@ -396,21 +391,24 @@ def cmd_verify(args, out) -> int:
         return 2
     try:
         points = specialization_points(tok for tok in args.points.split(",") if tok.strip())
-    except ValueError as exc:
+        # Opened before any check runs, so an unwritable path costs none.
+        dump = open(args.emit_matrices, "w") if args.emit_matrices else nullcontext()
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     c = convention(args.convention)
     ctx = CheckContext(convention=c, points=points)
     names = sorted(set(args.checks))
     results = []
-    for n in range(1, args.n_max + 1):
-        for name in names:
-            passed, details = _CHECKS[name](n, ctx)
-            results.append({"name": name, "n": n, "status": "pass" if passed else "fail", "details": details})
+    with dump:
+        for n in range(1, args.n_max + 1):
+            for name in names:
+                passed, details = _CHECKS[name](n, ctx)
+                results.append({"name": name, "n": n, "status": "pass" if passed else "fail", "details": details})
+        if args.emit_matrices:
+            _emit_matrices(dump, args.n_max, c)
     results.sort(key=lambda r: (r["n"], r["name"]))
     all_pass = all(r["status"] == "pass" for r in results)
-    if args.emit_matrices:
-        _emit_matrices(args.emit_matrices, args.n_max, c)
     if args.format == "json":
         payload = {
             "schema": 1,

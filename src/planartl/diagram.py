@@ -10,13 +10,17 @@ and the right dot i sits opposite the left dot i, which is point
 first time an arc is met, a d the second time.  Internally points are
 stored 0-indexed.
 
+The product xy glues two diagrams into one involution on 4n points: x
+keeps its points 0..2n-1 and y's points follow as 2n..4n-1.  The wall
+between them joins point g to point 4n-1-g, x's right dot i to y's left
+dot i, and the points n..3n-1 that stay outside it become the product's.
+
 The enumeration walks pairings directly, building and parsing no word;
 a diagram stores only its pairing, and its word and hash are read off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import gt
 
@@ -24,7 +28,6 @@ from .combin import is_dyck_word
 
 __all__ = [
     "Diagram",
-    "MulResult",
     "is_planar_pairing",
     "identity",
     "generator_u",
@@ -120,15 +123,6 @@ class Diagram:
         return f"from_dyck({self.word!r})"
 
 
-@dataclass(frozen=True)
-class MulResult:
-    """A diagram product: the resulting diagram and the number of closed
-    loops that were erased."""
-
-    diagram: Diagram
-    loops: int
-
-
 @cache
 def identity(n: int) -> Diagram:
     """The diagram joining right dot i to left dot i for every i."""
@@ -153,66 +147,47 @@ def generator_u(n: int, i: int) -> Diagram:
     return Diagram._trusted(n, tuple(pairing))
 
 
-def multiply(x: Diagram, y: Diagram) -> MulResult:
-    """Glue x's right dots to y's left dots (x drawn on the left) and
-    trace the strands through the wall.
+def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
+    """The product of x (drawn on the left) and y, as the pair
+    (diagram, loops): the glued diagram and the number of closed loops
+    erased from the wall.
 
-    Closed components that live entirely in the wall are erased and
-    counted.  The result keeps x's left dots as its left boundary and
-    y's right dots as its right boundary, in the same numbering.
+    The two factors share one numbering of 4n points: x keeps its points
+    0..2n-1 and y's point q becomes q + 2n.  The wall joins x's right dot
+    p to y's left dot 2n-1-p, so point g meets point 4n-1-g.  The outer
+    points n..3n-1, x's left dots and then y's right dots, become the
+    product's point g mod 2n.
+
+    One step crosses the wall and follows an arc.  Each outer point is
+    stepped until it reaches another, marking every x right dot crossed;
+    each x right dot left unmarked lies on a closed loop, traced with the
+    same step.
     """
     if x.n != y.n:
         raise ValueError(f"strand-count mismatch: {x.n} != {y.n}")
     n = x.n
     size = 2 * n
-    xp, yp = x.pairing, y.pairing
-    res = [0] * size
-    seen_x = [False] * size
-    seen_y = [False] * size
-    # Outer points of the product: y points 0..n-1 become the product's
-    # right dots, x points n..2n-1 its left dots.  Wall rule: x right
-    # dot p (0-indexed) meets y left dot at point 2n-1-p and vice versa.
-    for side0, start in [(1, p) for p in range(n)] + [(0, p) for p in range(n, size)]:
-        if seen_y[start] if side0 else seen_x[start]:
-            continue
-        side, p = side0, start
-        while True:
-            if side:
-                seen_y[p] = True
-                q = yp[p]
-                seen_y[q] = True
-                if q < n:
-                    end = q
-                    break
-                side, p = 0, size - 1 - q
-            else:
-                seen_x[p] = True
-                q = xp[p]
-                seen_x[q] = True
-                if q >= n:
-                    end = q
-                    break
-                side, p = 1, size - 1 - q
-        res[start] = end
-        res[end] = start
+    last = 2 * size - 1
+    arc = x.pairing + tuple(q + size for q in y.pairing)
+    res = [-1] * size
+    crossed = [False] * n
+    for start in range(n, n + size):
+        if res[start % size] < 0:
+            q = arc[start]
+            while not n <= q < n + size:
+                crossed[q if q < n else last - q] = True
+                q = arc[last - q]
+            res[start % size] = q % size
+            res[q % size] = start % size
     loops = 0
-    for p0 in range(n):
-        if seen_x[p0]:
-            continue
-        loops += 1
-        side, p = 0, p0
-        while not (seen_y[p] if side else seen_x[p]):
-            if side:
-                seen_y[p] = True
-                q = yp[p]
-                seen_y[q] = True
-                side, p = 0, size - 1 - q
-            else:
-                seen_x[p] = True
-                q = xp[p]
-                seen_x[q] = True
-                side, p = 1, size - 1 - q
-    return MulResult(Diagram._trusted(n, tuple(res)), loops)
+    for p in range(n):
+        if not crossed[p]:
+            loops += 1
+            q = arc[last - p]
+            while q != p:
+                crossed[q if q < n else last - q] = True
+                q = arc[last - q]
+    return Diagram._trusted(n, tuple(res)), loops
 
 
 def from_dyck(word: str) -> Diagram:

@@ -87,10 +87,9 @@ def jacobsthal_element(
             coeff = -coeff
         d = identity(n)
         for a in seq:
-            result = multiply(d, generator_u(n, a + n - l))
-            if result.loops:
+            d, loops = multiply(d, generator_u(n, a + n - l))
+            if loops:
                 raise RuntimeError("descending cup products never close loops")
-            d = result.diagram
         if d in terms:
             raise RuntimeError("distinct descending sequences collided")
         terms[d] = coeff

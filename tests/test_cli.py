@@ -55,6 +55,12 @@ def test_tables_jacobsthal_starts_at_one():
     code, out = run_cli_capture(["tables", "jacobsthal", "4"])
     assert code == 0
     assert out == "1\t1\n2\t1\n3\t3\n4\t5\n"
+    for max_n, values in ((4, [1, 1, 3, 5]), (0, [])):
+        code, out = run_cli_capture(["tables", "jacobsthal", str(max_n), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["start"] == 1
+        assert payload["values"] == values
 
 
 def test_tables_bgrid_text():
@@ -341,6 +347,20 @@ def test_verify_emit_matrices(tmp_path):
     first = path.read_text()
     run_cli_capture(["verify", "ddzero", "--n-max", "3", "--emit-matrices", str(path)])
     assert path.read_text() == first
+
+
+def test_verify_emit_matrices_to_an_unwritable_path_exits_2(tmp_path, monkeypatch, capsys):
+    import planartl.cli as cli
+
+    def never(n, ctx):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(cli._CHECKS, "euler", never)
+    for path in (tmp_path, tmp_path / "missing" / "matrices.json"):
+        code, out = run_cli_capture(["verify", "euler", "--n-max", "1", "--emit-matrices", str(path)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # sha256 of the JSON report and of the matrix dump of every check at
