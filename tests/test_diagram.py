@@ -186,7 +186,7 @@ def _glue_by_union_find(x, y):
     pairing = [None] * (2 * n)
     for p, q in ends.values():
         pairing[p], pairing[q] = q, p
-    components = {find(point) for point in list(parent)}
+    components = {find(point) for point in parent}
     return Diagram(tuple(pairing)), len(components) - len(ends)
 
 
