@@ -210,7 +210,8 @@ class GeneratorTables:
     Dyck-lex positions of :func:`planartl.diagram.enumerate_diagrams`.
 
     ``left[j - 1][k]`` and ``loops[j - 1][k]`` give the product of U_j
-    and diagram k: U_j times diagram k is a^loops times diagram left.
+    and diagram k: U_j times diagram k is a^loops times diagram left,
+    with loops 0 or 1 (a product closing more raises RuntimeError).
     ``parent[k]`` is a pair (y, j) with U_j times diagram y equal to
     diagram k and no loop closed (None for the identity), and ``order``
     is the breadth-first walk out of the identity that found them, each
@@ -230,6 +231,9 @@ class GeneratorTables:
         for j in range(1, n):
             u = generator_u(n, j)
             products, closed = zip(*(multiply(u, d) for d in diagrams))
+            # The boundary kernels weight a loop-closing entry by a once.
+            if max(closed) > 1:
+                raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops, not at most one")
             lefts.append(tuple(index[p] for p in products))
             loops.append(closed)
         # Breadth first out of the identity along loop-free edges.  No

@@ -9,27 +9,36 @@ right multiplications by descending products of braiding elements:
     d^i(x) = sum_{j=0}^{i} (-1)^j lam^{-j} x * s_{n-i+j-1} ... s_{n-i}
 
 followed by the projection that kills any arc landing in the enlarged
-box.  Boundary matrices are materialized explicitly in the Dyck-lex
-bases, which turns d o d = 0 into a literal matrix identity and makes
-every report reproducible.  They are built lazily per degree: Euler
+box.  Boundary matrices over Z[v, v^-1] are materialized in the
+Dyck-lex bases where a check needs the Laurent entries themselves:
+d o d = 0 as a literal matrix identity, the Jacobsthal comparison, and
+the matrix dump.  They are built lazily per degree: Euler
 characteristics only need basis sizes and stay cheap well past the
-scale where matrices are practical.
+scale where matrices are practical, and rank checks never build them.
 
-Every right-multiplication matrix (the boundary maps, and a Jacobsthal
-matrix where its element differs from the boundary element) is assembled
-by one kernel, :func:`right_mult_matrix`.  The projection kills the
+Every right-multiplication map (the boundary maps, and a Jacobsthal map
+where its element differs from the boundary element) is assembled by
+one walk, :func:`_left_action_columns`.  The projection kills the
 diagrams with an arc between two right dots inside the box, and left
 multiplication keeps every such arc, so the killed span is a left ideal
 and the projection commutes with the left action.  A column is
 therefore its parent's column acted on by one cup generator, read from
 the per-n generator tables of :mod:`planartl.algebra`: assembly is
-integer lookups and counting, and no diagram is glued in the loop.  The
-diagram product builds those tables and stays the test suite's oracle
-for them.
+integer lookups and counting, and no diagram is glued in the loop.  One
+cup generator closes at most one loop, so an entry is weighted by a or
+by 1.  Two kernels share the walk and differ only in that arithmetic:
+:func:`right_mult_matrix` keeps Laurent entries, and
+:func:`right_mult_columns_at` works in the integers at one rational
+point v = p/q, where pq * a = p^2 + q^2.  The diagram product builds the
+tables and stays the test suite's oracle for them.
 
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises
-(it signals a non-generic point, never a silent wrong answer).
+(it signals a non-generic point, never a silent wrong answer).  Each
+boundary map is ranked at a point from its integer columns there, each
+a primitive vector, up to sign the Laurent column evaluated at the
+point; the Laurent matrix followed by evaluation stays the tests'
+oracle route.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
-from .coeff import Convention, LaurentPoly, loop_factor_power
+from .coeff import LOOP_FACTOR, Convention, LaurentPoly
 from .combin import (
     ENUM_LIMIT,
     fine_by_alternating_binomials,
@@ -47,7 +56,7 @@ from .combin import (
     first_peak_count_B,
 )
 from .indmod import BlackBoxBasis, black_box_basis
-from .linalg import PolyMatrix, rank_at
+from .linalg import PolyMatrix, primitive, rank_of_int_columns, specialize_column, unit_point
 
 __all__ = [
     "ChainComplexData",
@@ -58,6 +67,7 @@ __all__ = [
     "agreed_ranks",
     "boundary_element",
     "right_mult_matrix",
+    "right_mult_columns_at",
     "build_complex",
     "euler_characteristic",
     "homology_ranks",
@@ -105,6 +115,7 @@ def agreed_ranks(ranks: dict):
     return first
 
 
+@cache
 def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
     """The algebra element implementing d^i by right multiplication,
     before projection:
@@ -112,6 +123,7 @@ def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
         sum_{j=0}^{i} (-1)^j lam^{-j} s_{n-i+j-1} ... s_{n-i}
 
     (indices decrease left to right; the j = 0 product is empty).
+    Cached, since each rank at a point builds its columns from it.
     """
     if not 0 <= i <= n - 1:
         raise ValueError(f"degree must lie in 0..{n - 1}, got {i}")
@@ -128,52 +140,66 @@ def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
     return total
 
 
-def right_mult_matrix(
-    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis
-) -> PolyMatrix:
-    """Matrix of x -> project(x * elt) from the source basis to the
-    target basis (the projection kills arcs inside the target box).
+def _left_action_columns(
+    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis, first, act
+) -> list:
+    """The columns of x -> project(x * elt), one per source diagram, in
+    any coefficient ring.
 
-    The identity's column is the projection of elt itself.  Every other
+    The identity's column is ``first(target.project(elt))``.  Every other
     source diagram x is U_j y for its loop-free parent (y, j) in the
     generator tables, so x * elt = U_j (y * elt).  The span the
     projection kills is a left ideal, so x's column is U_j acting on
-    y's column: each entry at row r moves to row ``left[j][r]`` times
-    a^loops, and a row that lands at or past ``len(target)`` drops out.
-    Columns are built in the tables' visiting order, parents first.  A
-    parent always lies in its child's box basis; one outside the source
-    basis raises RuntimeError.
+    y's column: ``act(column, left, loops)`` moves each entry at row r to
+    row ``left[r]``, weighted by a where ``loops[r]`` is 1 (U_j closes at
+    most one loop), and drops a row at or past ``len(target)``.  Columns
+    are built in the tables' visiting order, parents first.  A parent
+    always lies in its child's box basis; one outside the source basis
+    raises RuntimeError.
     """
     if elt.n != source.n or source.n != target.n:
         raise ValueError("strand counts do not match")
     tables = generator_tables(elt.n)
-    size, count = len(target), len(source)
-    # A product closes at most n/2 loops.
-    powers = [tuple(loop_factor_power(l).coefficients().items()) for l in range(elt.n + 1)]
+    count = len(source)
     columns: list = [None] * count
-    columns[tables.order[0]] = {r: c.coefficients() for r, c in target.project(elt).items()}
+    columns[tables.order[0]] = first(target.project(elt))
     for k in tables.order[1:]:
         if k >= count:
             continue
         y, j = tables.parent[k]
         if y >= count:
             raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
-        left, closed = tables.left[j - 1], tables.loops[j - 1]
+        columns[k] = act(columns[y], tables.left[j - 1], tables.loops[j - 1])
+    return columns
+
+
+def right_mult_matrix(
+    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis
+) -> PolyMatrix:
+    """Matrix of x -> project(x * elt) from the source basis to the
+    target basis (the projection kills arcs inside the target box),
+    over Z[v, v^-1]; assembled by the left action of
+    :func:`_left_action_columns`.
+    """
+    size = len(target)
+    loop = tuple(LOOP_FACTOR.coefficients().items())
+
+    def act(parent: dict, left, closed) -> dict:
         column: dict[int, dict[int, int]] = {}
         summed = set()  # rows where a coefficient may have cancelled
-        for r, poly in columns[y].items():
+        for r, poly in parent.items():
             row = left[r]
             if row >= size:
                 continue
-            l = closed[r]
             acc = column.get(row)
             if acc is None:
-                if not l:
+                if not closed[r]:
                     column[row] = dict(poly)
                     continue
                 acc = column[row] = {}
             summed.add(row)
-            for f, z in powers[l]:
+            terms = loop if closed[r] else ((0, 1),)
+            for f, z in terms:
                 for e, x in poly.items():
                     acc[e + f] = acc.get(e + f, 0) + x * z
         # Cancelled entries are dropped here, before any child copies them.
@@ -183,8 +209,52 @@ def right_mult_matrix(
                 column[row] = poly
             else:
                 del column[row]
-        columns[k] = column
-    return PolyMatrix(size, count, columns)
+        return column
+
+    def first(projected: dict) -> dict:
+        return {r: c.coefficients() for r, c in projected.items()}
+
+    return PolyMatrix(size, len(source), _left_action_columns(elt, source, target, first, act))
+
+
+def right_mult_columns_at(
+    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis, x
+) -> list[dict[int, int]]:
+    """The columns of :func:`right_mult_matrix` evaluated at v = x = p/q,
+    each a primitive integer vector, built by the same left action in
+    the integers; no Laurent entry is formed past the identity's column.
+
+    At x, a = (p^2 + q^2)/(pq).  Scaled by pq, a child entry is its
+    parent's entry times pq, or times p^2 + q^2 where U_j closes a loop.
+    The identity's column goes through :func:`specialize_column`, and
+    every other column drops its cancelled entries and is divided by its
+    content before a child copies it.  Each column is then, up to sign,
+    the one ``right_mult_matrix(...).specialize_int_columns(x)`` gives.
+    Raises ValueError at x = 0.
+    """
+    p, q = unit_point(x)
+    size = len(target)
+    plain, loop = p * q, p * p + q * q
+
+    def act(parent: dict, left, closed) -> dict:
+        column: dict[int, int] = {}
+        looped: dict[int, int] = {}
+        for r, val in parent.items():
+            row = left[r]
+            if row < size:
+                acc = looped if closed[r] else column
+                acc[row] = acc.get(row, 0) + val
+        # Without a loop every weight is pq, which the content absorbs.
+        if looped:
+            column = {row: val * plain for row, val in column.items()}
+            for row, val in looped.items():
+                column[row] = column.get(row, 0) + val * loop
+        return primitive(column)
+
+    def first(projected: dict) -> dict:
+        return specialize_column({r: c.coefficients() for r, c in projected.items()}, p, q)
+
+    return _left_action_columns(elt, source, target, first, act)
 
 
 class ChainComplexData:
@@ -193,8 +263,10 @@ class ChainComplexData:
     ``bases[i]`` is the degree-i basis for -1 <= i <= n-1;
     ``differential(i)`` is the matrix of d^i mapping degree i to degree
     i-1, for 0 <= i <= n-1, built on first use.  ``boundary_rank(i, p)``,
-    its exact rank at v = p cached per (degree, point), is the one place a
-    boundary matrix is ranked, for homology and the top Jacobsthal kernel.
+    the exact rank of d^i at v = p cached per (degree, point), is the one
+    place a boundary map is ranked, for homology and the top Jacobsthal
+    kernel; it ranks integer columns built at the point and never builds
+    ``differential(i)``.
     """
 
     __slots__ = ("n", "convention", "bases", "_differentials", "_ranks")
@@ -225,11 +297,14 @@ class ChainComplexData:
         return mat
 
     def boundary_rank(self, i: int, point: Fraction) -> int:
-        """Exact rank of d^i at v = point."""
+        """Exact rank of d^i at v = point, from
+        :func:`right_mult_columns_at`."""
         key = (i, Fraction(point))
         rank = self._ranks.get(key)
         if rank is None:
-            rank = self._ranks[key] = rank_at(self.differential(i), key[1])
+            elt = boundary_element(self.n, i, self.convention)
+            columns = right_mult_columns_at(elt, self.bases[i], self.bases[i - 1], key[1])
+            rank = self._ranks[key] = rank_of_int_columns(columns)
         return rank
 
     def __repr__(self) -> str:

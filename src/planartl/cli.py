@@ -284,7 +284,7 @@ def cmd_tables(args, out) -> int:
     kind = args.kind
     max_n = args.max_n
     if max_n < 0:
-        print("max_n must be nonnegative", file=sys.stderr)
+        print("error: max_n must be nonnegative", file=sys.stderr)
         return 2
     if kind == "bgrid":
         rows = [
@@ -387,7 +387,7 @@ def _emit_matrices(handle, n_max: int, c: Convention) -> None:
 
 def cmd_verify(args, out) -> int:
     if args.n_max < 1:
-        print("--n-max must be at least 1", file=sys.stderr)
+        print("error: --n-max must be at least 1", file=sys.stderr)
         return 2
     try:
         points = specialization_points(tok for tok in args.points.split(",") if tok.strip())

@@ -31,13 +31,14 @@ from .chains import (
     agreed_ranks,
     boundary_element,
     build_complex,
+    right_mult_columns_at,
     right_mult_matrix,
     specialization_points,
 )
 from .coeff import Convention, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, jacobsthal_number
 from .diagram import generator_u, identity, multiply
-from .linalg import rank_at
+from .linalg import rank_of_int_columns
 
 __all__ = [
     "MATCHING_RATIO_SIGN",
@@ -139,13 +140,10 @@ class TheoremDReport:
         return signs == (MATCHING_RATIO_SIGN,)
 
 
-def _matrix_where_different(jelt: JacobsthalElement, cx):
-    """None where the l-th element equals boundary_element(n, l-1, c), so
-    its matrix is d^{l-1} of cx; else that matrix from degree l-1 to l-2."""
-    i = jelt.l - 1
-    if jelt.element == boundary_element(cx.n, i, cx.convention):
-        return None
-    return right_mult_matrix(jelt.element, cx.bases[i], cx.bases[i - 1])
+def _is_boundary(jelt: JacobsthalElement, cx) -> bool:
+    """Whether the l-th element equals boundary_element(n, l-1, c), so
+    that its matrix is d^{l-1} of cx."""
+    return jelt.element == boundary_element(cx.n, jelt.l - 1, cx.convention)
 
 
 def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
@@ -158,9 +156,10 @@ def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
     comparisons: list[DegreeComparison] = []
     for sign in (1, -1):
         for i in range(n):
-            got = _matrix_where_different(jacobsthal_element(n, i + 1, c, sign), cx)
+            jelt = jacobsthal_element(n, i + 1, c, sign)
             mismatch = None
-            if got is not None:
+            if not _is_boundary(jelt, cx):
+                got = right_mult_matrix(jelt.element, cx.bases[i], cx.bases[i - 1])
                 diff = cx.differential(i).first_difference(got)
                 if diff is not None:
                     mismatch = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
@@ -182,10 +181,19 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     the kernel rank is the rank of the top homology module; the points
     must agree on the rank (see :func:`agreed_ranks`).  Where the element
     equals the top boundary element this is ``cx.boundary_rank(n - 1, p)``;
-    elsewhere its own matrix into degree n-2 (box size 1, all of C_n) is ranked.
+    elsewhere its own map into degree n-2 (box size 1, all of C_n) is
+    ranked at each point from :func:`right_mult_columns_at`, as the
+    complex ranks its boundary maps.
     """
     pts = specialization_points(points)
     cx = build_complex(n, c)
-    got = _matrix_where_different(jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN), cx)
-    ranks = {p: cx.boundary_rank(n - 1, p) if got is None else rank_at(got, p) for p in pts}
+    jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
+    if _is_boundary(jelt, cx):
+        ranks = {p: cx.boundary_rank(n - 1, p) for p in pts}
+    else:
+        source, target = cx.bases[n - 1], cx.bases[n - 2]
+        ranks = {
+            p: rank_of_int_columns(right_mult_columns_at(jelt.element, source, target, p))
+            for p in pts
+        }
     return cx.chain_rank(n - 1) - agreed_ranks(ranks)

@@ -3,12 +3,14 @@
 Matrices are stored column-major as dicts, which matches how boundary
 matrices are built (one column per basis diagram); an entry is the
 exponent -> coefficient map of its Laurent polynomial, so composition
-and specialization stay in the integers.  Rank is computed by
-evaluating each column at v = p/q in integers and inserting the
-columns one at a time into an echelon form keyed by leading row: a
-column is combined with a stored one by cross-multiplication only, with
-a gcd content reduction after each step, so no division ever leaves the
-integers.
+and specialization stay in the integers.  Rank is computed on integer
+columns, each a primitive vector at v = p/q (:func:`specialize_column`
+evaluates a Laurent column; the boundary maps build theirs at the point
+directly), inserted one at a time into an echelon form keyed by leading
+row: a column is combined with a stored one by cross-multiplication
+only, with a gcd content reduction after each step, so no division ever
+leaves the integers.  :func:`rank_at`, a Laurent matrix evaluated and
+then eliminated, is the test suite's oracle route for those ranks.
 
 A dense Bareiss elimination is provided as an independent cross-check;
 the test suite keeps the two routes in agreement.
@@ -25,6 +27,9 @@ from .coeff import LaurentPoly
 __all__ = [
     "PolyMatrix",
     "rank_at",
+    "unit_point",
+    "specialize_column",
+    "primitive",
     "rank_of_int_columns",
     "rank_dense_bareiss",
 ]
@@ -114,35 +119,11 @@ class PolyMatrix:
         return best
 
     def specialize_int_columns(self, x: Fraction) -> list[dict[int, int]]:
-        """Evaluate at v = x = p/q, each column scaled to a primitive
-        integer vector.
-
-        With lo and hi the column's extreme exponents, an entry
-        sum c_e v^e becomes sum c_e p^(e-lo) q^(hi-e), its value times
-        p^-lo q^hi; the column is then divided by its content.  Column
-        scaling by a nonzero rational preserves rank.
-        """
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("v must be a unit")
-        p, q = x.numerator, x.denominator
-        out: list[dict[int, int]] = []
-        for col in self.columns:
-            lo = min((min(poly) for poly in col.values()), default=0)
-            hi = max((max(poly) for poly in col.values()), default=0)
-            p_pow = [p**k for k in range(hi - lo + 1)]
-            q_pow = [q**k for k in range(hi - lo + 1)]
-            vals: dict[int, int] = {}
-            content = 0
-            for r, poly in col.items():
-                val = sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items())
-                if val:
-                    vals[r] = val
-                    content = gcd(content, val)
-            if content > 1:
-                vals = {r: val // content for r, val in vals.items()}
-            out.append(vals)
-        return out
+        """Evaluate at v = x, each column scaled to a primitive integer
+        vector by :func:`specialize_column`.  Column scaling by a nonzero
+        rational preserves rank."""
+        p, q = unit_point(x)
+        return [specialize_column(col, p, q) for col in self.columns]
 
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
@@ -153,6 +134,45 @@ class PolyMatrix:
         ]
         items.sort(key=lambda t: (t[0], t[1]))
         return items
+
+
+def unit_point(x) -> tuple[int, int]:
+    """Numerator and denominator of v = x; raises ValueError at x = 0."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("v must be a unit")
+    return x.numerator, x.denominator
+
+
+def specialize_column(column: dict[int, dict[int, int]], p: int, q: int) -> dict[int, int]:
+    """One column of Laurent entries evaluated at v = p/q, scaled to a
+    primitive integer vector.
+
+    With lo and hi the column's extreme exponents, an entry
+    sum c_e v^e becomes sum c_e p^(e-lo) q^(hi-e), its value times
+    p^-lo q^hi; the column is then made :func:`primitive`.
+    """
+    lo = min((min(poly) for poly in column.values()), default=0)
+    hi = max((max(poly) for poly in column.values()), default=0)
+    p_pow = [p**k for k in range(hi - lo + 1)]
+    q_pow = [q**k for k in range(hi - lo + 1)]
+    values = {r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items()) for r, poly in column.items()}
+    return primitive(values)
+
+
+def primitive(column: dict[int, int]) -> dict[int, int]:
+    """The column without its zero entries, divided by their gcd.  The
+    caller's dict is reused when nothing changes."""
+    if not all(column.values()):
+        column = {r: val for r, val in column.items() if val}
+    content = 0
+    for val in column.values():
+        content = gcd(content, val)
+        if content == 1:
+            return column
+    if content > 1:
+        column = {r: val // content for r, val in column.items()}
+    return column
 
 
 def rank_of_int_columns(columns: list[dict[int, int]]) -> int:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
+from planartl.algebra import AlgebraElement, GeneratorTables, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
     build_complex,
     euler_characteristic,
     homology_ranks,
+    right_mult_columns_at,
     right_mult_matrix,
     theorem_B_rank_identity,
 )
@@ -164,6 +165,7 @@ def test_right_mult_matrix_on_random_elements(case):
 
 
 def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
+    # both kernels share the walk, and so its check
     import planartl.chains as chains_module
 
     n = 4
@@ -174,8 +176,74 @@ def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
     parent[k] = (len(source), parent[k][1])
     tampered = SimpleNamespace(left=real.left, loops=real.loops, order=real.order, parent=parent)
     monkeypatch.setattr(chains_module, "generator_tables", lambda n: tampered)
-    with pytest.raises(RuntimeError):
-        right_mult_matrix(AlgebraElement.one(n), source, source)
+    for kernel in (right_mult_matrix, lambda *bases: right_mult_columns_at(*bases, Fraction(2))):
+        with pytest.raises(RuntimeError, match="outside the source basis"):
+            kernel(AlgebraElement.one(n), source, source)
+
+
+def test_generator_tables_raise_on_a_product_closing_two_loops(monkeypatch):
+    # the kernels weight a loop-closing entry by a once, so the tables
+    # refuse a product that closes more
+    import planartl.algebra as algebra_module
+
+    real = algebra_module.multiply
+
+    def doubled(x, y):
+        d, loops = real(x, y)
+        return d, 2 * loops
+
+    monkeypatch.setattr(algebra_module, "multiply", doubled)
+    with pytest.raises(RuntimeError, match="closed 2 loops"):
+        GeneratorTables(3)
+    monkeypatch.setattr(algebra_module, "multiply", real)
+    assert max(max(closed) for closed in GeneratorTables(3).loops) == 1
+
+
+# generic points, points with a denominator, and the non-semisimple v = +-1
+KERNEL_POINTS = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
+
+
+def assert_equal_up_to_sign(columns, expected):
+    assert len(columns) == len(expected)
+    for col, ref in zip(columns, expected):
+        assert col == ref or col == {r: -x for r, x in ref.items()}
+
+
+def test_columns_at_a_point_match_the_specialized_matrix():
+    for conv in CONVENTIONS:
+        for n in range(1, 6):
+            elements = [boundary_element(n, i, conv) for i in range(n)] + [
+                jacobsthal_element(n, n, conv, sign).element for sign in (1, -1)
+            ]
+            for m in range(n + 1):
+                for m2 in range(n + 1):
+                    source, target = black_box_basis(n, m), black_box_basis(n, m2)
+                    for elt in elements:
+                        matrix = right_mult_matrix(elt, source, target)
+                        for x in KERNEL_POINTS:
+                            assert_equal_up_to_sign(
+                                right_mult_columns_at(elt, source, target, x),
+                                matrix.specialize_int_columns(x),
+                            )
+
+
+@settings(deadline=None, max_examples=100)
+@given(kernel_cases(), st.sampled_from(KERNEL_POINTS))
+def test_columns_at_a_point_on_random_elements(case, x):
+    elt, source, target = case
+    assert_equal_up_to_sign(
+        right_mult_columns_at(elt, source, target, x),
+        right_mult_matrix(elt, source, target).specialize_int_columns(x),
+    )
+
+
+def test_columns_at_zero_raise():
+    n = 3
+    basis = black_box_basis(n, 0)
+    with pytest.raises(ValueError, match="v must be a unit"):
+        right_mult_columns_at(AlgebraElement.one(n), basis, basis, 0)
+    with pytest.raises(ValueError, match="v must be a unit"):
+        build_complex(n, CONVENTION_A).boundary_rank(1, Fraction(0))
 
 
 def test_degree_zero_boundary_is_identity_coefficient():

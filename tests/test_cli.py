@@ -205,6 +205,14 @@ def test_verify_bad_points_exit_2():
     assert code == 2
 
 
+def test_usage_errors_carry_the_error_prefix(capsys):
+    for argv in (["tables", "fine", "-1"], ["verify", "euler", "--n-max", "0"]):
+        code, out = run_cli_capture(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_failure_exits_one(monkeypatch):
     import planartl.cli as cli
 
@@ -465,13 +473,15 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
     import planartl.chains as chains
     import planartl.jacobsthal as jacobsthal
 
-    real = chains.rank_at
+    real = chains.right_mult_columns_at
 
-    def skewed(matrix, x):
-        return real(matrix, x) + (x == Fraction(3))
+    def skewed(elt, source, target, x):
+        # a unit column at a row no basis has raises the rank at v = 3 by one
+        columns = real(elt, source, target, x)
+        return columns + [{len(target): 1}] if x == Fraction(3) else columns
 
-    monkeypatch.setattr(chains, "rank_at", skewed)
-    monkeypatch.setattr(jacobsthal, "rank_at", skewed)
+    monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
+    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", skewed)
     for check in ("homology", "hopf", "fineberg"):
         code, out = run_cli_capture(["verify", check, "--n-max", "3", "--format", "json"])
         assert code == 1
@@ -486,34 +496,36 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
     # the top Jacobsthal element is the top boundary element, so fineberg
     # reads the rank of d^{n-1} that homology needs anyway: each boundary
-    # matrix is ranked once per point, and no Jacobsthal matrix is built
+    # map is ranked once per point, and no Jacobsthal matrix is built
     import planartl.chains as chains
     import planartl.jacobsthal as jacobsthal
     from planartl.chains import build_complex
     from planartl.coeff import CONVENTION_A
 
-    real_rank = chains.rank_at
+    real_rank = chains.right_mult_columns_at
     real_assemble = jacobsthal.right_mult_matrix
     ranked, assembled = [], []
 
-    def counting_rank(matrix, x):
-        ranked.append((id(matrix), x))
-        return real_rank(matrix, x)
+    def counting_rank(elt, source, target, x):
+        ranked.append((id(source), id(target), x))
+        return real_rank(elt, source, target, x)
 
     def counting_assemble(*args):
         assembled.append(args)
         return real_assemble(*args)
 
-    monkeypatch.setattr(chains, "rank_at", counting_rank)
-    monkeypatch.setattr(jacobsthal, "rank_at", counting_rank)
+    monkeypatch.setattr(chains, "right_mult_columns_at", counting_rank)
+    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting_assemble)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
     assert code == 0
     assert assembled == []
     assert len(set(ranked)) == len(ranked) == sum(2 * n for n in range(1, 7))
     for n in range(1, 7):
-        matrices = {id(m) for m in build_complex(n, CONVENTION_A)._differentials.values()}
-        assert len([r for r in ranked if r[0] in matrices]) == 2 * n
+        cx = build_complex(n, CONVENTION_A)
+        maps = {(id(cx.bases[i]), id(cx.bases[i - 1])) for i in range(n)}
+        assert len([r for r in ranked if r[:2] in maps]) == 2 * n
+        assert cx._differentials == {}  # ranked from integer columns alone
 
 
 def test_traced_run_reports_the_cli_output():

@@ -179,32 +179,34 @@ def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
 
 def test_kernel_rank_equals_fine_number():
     # the top element equals the top boundary element, so its kernel rank
-    # is read from d^{n-1} of the complex and nothing else is assembled
+    # is read from d^{n-1} of the complex, and no Laurent matrix is assembled
     build_complex.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
-            assert set(build_complex(n, conv)._differentials) == {n - 1}
+            assert build_complex(n, conv)._differentials == {}
     build_complex.cache_clear()
 
 
 def test_kernel_rank_falls_back_to_the_jacobsthal_matrix(monkeypatch):
-    # a top element that differs from the top boundary element is
-    # assembled once, from degree n-1 to degree n-2, and ranked itself
+    # a top element that differs from the top boundary element is built
+    # once per point, from degree n-1 to degree n-2, and ranked itself
     _with_extra_term(monkeypatch, 2, strands=3, index=3)
-    real = jacobsthal.right_mult_matrix
+    real = jacobsthal.right_mult_columns_at
     built = []
 
-    def counting(elt, source, target):
+    def counting(elt, source, target, x):
         cx = build_complex(3, CONVENTION_A)
         assert (source, target) == (cx.bases[2], cx.bases[1])
-        built.append(real(elt, source, target))
-        return built[-1]
+        built.append((elt, x))
+        return real(elt, source, target, x)
 
-    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
+    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting)
     kernel = jacobsthal_kernel_rank(3, CONVENTION_A)
-    assert len(built) == 1
-    assert kernel == catalan(3) - rank_at(built[0], Fraction(2))
+    assert [x for _, x in built] == [Fraction(2), Fraction(3)]
+    cx = build_complex(3, CONVENTION_A)
+    matrix = right_mult_matrix(built[0][0], cx.bases[2], cx.bases[1])
+    assert kernel == catalan(3) - rank_at(matrix, Fraction(2))
 
 
 def test_kernel_rank_matches_top_homology():

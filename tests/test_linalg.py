@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planartl.chains import build_complex, right_mult_matrix
+from planartl.chains import ChainComplexData, build_complex, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_element
@@ -106,6 +106,18 @@ def test_rank_routes_agree_on_boundary_and_jacobsthal_matrices():
                     cols = mat.specialize_int_columns(point)
                     dense = columns_to_dense(cols, mat.nrows)
                     assert rank_of_int_columns(cols) == rank_dense_bareiss(dense)
+
+
+def test_boundary_rank_equals_the_rank_of_the_specialized_matrix():
+    # the integer columns built at the point against the oracle route:
+    # the Laurent matrix, specialized, then eliminated
+    points = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
+    for conv in (CONVENTION_A, CONVENTION_B):
+        for n in range(1, 8):
+            cx = ChainComplexData(n, conv)
+            for i in range(n):
+                for point in points:
+                    assert cx.boundary_rank(i, point) == rank_at(cx.differential(i), point)
 
 
 def test_rank_routes_agree_on_low_rank_products():
