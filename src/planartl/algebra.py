@@ -233,7 +233,7 @@ class GeneratorTables:
             products, closed = zip(*(multiply(u, d) for d in diagrams))
             # The boundary kernels weight a loop-closing entry by a once.
             if max(closed) > 1:
-                raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops, not at most one")
+                raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops")
             lefts.append(tuple(index[p] for p in products))
             loops.append(closed)
         # Breadth first out of the identity along loop-free edges.  No

@@ -146,7 +146,8 @@ def _left_action_columns(
     """The columns of x -> project(x * elt), one per source diagram, in
     any coefficient ring.
 
-    The identity's column is ``first(target.project(elt))``.  Every other
+    The identity's column is ``first`` applied to the projection of elt
+    itself, as exponent -> coefficient maps.  Every other
     source diagram x is U_j y for its loop-free parent (y, j) in the
     generator tables, so x * elt = U_j (y * elt).  The span the
     projection kills is a left ideal, so x's column is U_j acting on
@@ -162,7 +163,7 @@ def _left_action_columns(
     tables = generator_tables(elt.n)
     count = len(source)
     columns: list = [None] * count
-    columns[tables.order[0]] = first(target.project(elt))
+    columns[tables.order[0]] = first({r: c.coefficients() for r, c in target.project(elt).items()})
     for k in tables.order[1:]:
         if k >= count:
             continue
@@ -211,10 +212,8 @@ def right_mult_matrix(
                 del column[row]
         return column
 
-    def first(projected: dict) -> dict:
-        return {r: c.coefficients() for r, c in projected.items()}
-
-    return PolyMatrix(size, len(source), _left_action_columns(elt, source, target, first, act))
+    columns = _left_action_columns(elt, source, target, lambda column: column, act)
+    return PolyMatrix(size, len(source), columns)
 
 
 def right_mult_columns_at(
@@ -251,10 +250,8 @@ def right_mult_columns_at(
                 column[row] = column.get(row, 0) + val * loop
         return primitive(column)
 
-    def first(projected: dict) -> dict:
-        return specialize_column({r: c.coefficients() for r, c in projected.items()}, p, q)
-
-    return _left_action_columns(elt, source, target, first, act)
+    evaluate = lambda column: specialize_column(column, p, q)
+    return _left_action_columns(elt, source, target, evaluate, act)
 
 
 class ChainComplexData:

@@ -156,8 +156,12 @@ def specialize_column(column: dict[int, dict[int, int]], p: int, q: int) -> dict
     hi = max((max(poly) for poly in column.values()), default=0)
     p_pow = [p**k for k in range(hi - lo + 1)]
     q_pow = [q**k for k in range(hi - lo + 1)]
-    values = {r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items()) for r, poly in column.items()}
-    return primitive(values)
+    return primitive(
+        {
+            r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items())
+            for r, poly in column.items()
+        }
+    )
 
 
 def primitive(column: dict[int, int]) -> dict[int, int]:
