@@ -9,12 +9,10 @@ right multiplications by descending products of braiding elements:
     d^i(x) = sum_{j=0}^{i} (-1)^j lam^{-j} x * s_{n-i+j-1} ... s_{n-i}
 
 followed by the projection that kills any arc landing in the enlarged
-box.  Boundary matrices over Z[v, v^-1] are materialized in the
-Dyck-lex bases where a check needs the Laurent entries themselves:
-d o d = 0 as a literal matrix identity, the Jacobsthal comparison, and
-the matrix dump.  They are built lazily per degree: Euler
-characteristics only need basis sizes and stay cheap well past the
-scale where matrices are practical, and rank checks never build them.
+box.  A boundary matrix over Z[v, v^-1] in the Dyck-lex bases is built
+for each use that needs its Laurent entries (d o d = 0, the Jacobsthal
+comparison, the matrix dump) and not kept: Euler characteristics only
+need basis sizes, and rank checks never build one.
 
 Every right-multiplication map (the boundary maps, and a Jacobsthal map
 where its element differs from the boundary element) is assembled by
@@ -255,18 +253,18 @@ def right_mult_columns_at(
 
 
 class ChainComplexData:
-    """Bases, boundary matrices and their ranks of W(n) for one convention.
+    """Bases and boundary ranks of W(n) for one convention.
 
     ``bases[i]`` is the degree-i basis for -1 <= i <= n-1;
-    ``differential(i)`` is the matrix of d^i mapping degree i to degree
-    i-1, for 0 <= i <= n-1, built on first use.  ``boundary_rank(i, p)``,
+    ``differential(i)`` builds the matrix of d^i mapping degree i to
+    degree i-1, for 0 <= i <= n-1, on every call.  ``boundary_rank(i, p)``,
     the exact rank of d^i at v = p cached per (degree, point), is the one
     place a boundary map is ranked, for homology and the top Jacobsthal
     kernel; it ranks integer columns built at the point and never builds
     ``differential(i)``.
     """
 
-    __slots__ = ("n", "convention", "bases", "_differentials", "_ranks")
+    __slots__ = ("n", "convention", "bases", "_ranks")
 
     def __init__(self, n: int, c: Convention):
         if n < 1:
@@ -276,7 +274,6 @@ class ChainComplexData:
         self.bases: dict[int, BlackBoxBasis] = {
             i: black_box_basis(n, n - i - 1) for i in range(-1, n)
         }
-        self._differentials: dict[int, PolyMatrix] = {}
         self._ranks: dict[tuple[int, Fraction], int] = {}
 
     def chain_rank(self, i: int) -> int:
@@ -286,12 +283,8 @@ class ChainComplexData:
         """The matrix of d^i in the Dyck-lex bases."""
         if not 0 <= i <= self.n - 1:
             raise ValueError(f"degree must lie in 0..{self.n - 1}, got {i}")
-        mat = self._differentials.get(i)
-        if mat is None:
-            elt = boundary_element(self.n, i, self.convention)
-            mat = right_mult_matrix(elt, self.bases[i], self.bases[i - 1])
-            self._differentials[i] = mat
-        return mat
+        elt = boundary_element(self.n, i, self.convention)
+        return right_mult_matrix(elt, self.bases[i], self.bases[i - 1])
 
     def boundary_rank(self, i: int, point: Fraction) -> int:
         """Exact rank of d^i at v = point, from

@@ -504,7 +504,7 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
 
     real_rank = chains.right_mult_columns_at
     real_assemble = jacobsthal.right_mult_matrix
-    ranked, assembled = [], []
+    ranked, assembled, laurent = [], [], []
 
     def counting_rank(elt, source, target, x):
         ranked.append((id(source), id(target), x))
@@ -514,7 +514,12 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
         assembled.append(args)
         return real_assemble(*args)
 
+    def counting_laurent(*args):
+        laurent.append(args)
+        return real_assemble(*args)
+
     monkeypatch.setattr(chains, "right_mult_columns_at", counting_rank)
+    monkeypatch.setattr(chains, "right_mult_matrix", counting_laurent)
     monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting_assemble)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
@@ -525,7 +530,113 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
         cx = build_complex(n, CONVENTION_A)
         maps = {(id(cx.bases[i]), id(cx.bases[i - 1])) for i in range(n)}
         assert len([r for r in ranked if r[:2] in maps]) == 2 * n
-        assert cx._differentials == {}  # ranked from integer columns alone
+    assert laurent == []  # ranked from integer columns alone
+
+
+def _perturbed_boundary(monkeypatch, n, degree, generator):
+    """Make the CLI's boundary element b_degree on n strands gain a
+    U_generator term; the complex's own matrices keep the real one."""
+    import planartl.cli as cli
+    from planartl.algebra import AlgebraElement
+
+    real = cli.boundary_element
+
+    def patched(m, i, c):
+        elt = real(m, i, c)
+        if (m, i) == (n, degree):
+            return elt + AlgebraElement.generator(n, generator)
+        return elt
+
+    monkeypatch.setattr(cli, "boundary_element", patched)
+    return patched
+
+
+def test_ddzero_on_the_generator_agrees_with_the_full_composite(monkeypatch):
+    # the check composes d^i with d^{i+1}'s identity column; the full
+    # composite is the oracle, for b_{i+1} and for b_{i+1} + U_j
+    import planartl.cli as cli
+    from planartl.chains import DEFAULT_POINTS, build_complex, right_mult_matrix
+    from planartl.coeff import CONVENTION_A, CONVENTION_B
+
+    verdicts = set()
+    for conv in (CONVENTION_A, CONVENTION_B):
+        ctx = cli.CheckContext(convention=conv, points=DEFAULT_POINTS)
+        for n in range(1, 7):
+            cx = build_complex(n, conv)
+            assert cli._check_ddzero(n, ctx) == (True, {"degrees_checked": n - 1})
+            for i in range(n - 1):
+                for j in range(1, n):
+                    with monkeypatch.context() as m:
+                        patched = _perturbed_boundary(m, n, i + 1, j)
+                        passed, details = cli._check_ddzero(n, ctx)
+                    full = right_mult_matrix(patched(n, i + 1, conv), cx.bases[i + 1], cx.bases[i])
+                    expected = cx.differential(i).compose(full).is_zero
+                    assert passed == expected, (conv.tag, n, i, j)
+                    if not passed:
+                        assert details == {"failed": f"d^{i} o d^{i + 1} != 0"}
+                    verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
+def test_verify_ddzero_fails_on_a_surviving_extra_term(monkeypatch):
+    # U_2 survives the projection into degree 1 at n = 3, and d^1 does
+    # not kill what it adds to d^2
+    _perturbed_boundary(monkeypatch, 3, 2, 2)
+    code, out = run_cli_capture(["verify", "ddzero", "--n-max", "3", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+    assert checks[2]["details"] == {"failed": "d^1 o d^2 != 0"}
+    code, out = run_cli_capture(["verify", "ddzero", "--n-max", "3"])
+    assert code == 1
+    assert "FAIL ddzero n=3  d^1 o d^2 != 0" in out
+
+
+def test_verify_ddzero_never_assembles_the_top_map(monkeypatch, fresh_complexes):
+    # d^0 ... d^{n-2} are built once each, after d^{i+1}'s identity column
+    # from degree -1; the largest map, out of degree n-1, is never built
+    import planartl.chains as chains
+    import planartl.cli as cli
+    from planartl.chains import build_complex
+    from planartl.coeff import CONVENTION_A
+
+    real = chains.right_mult_matrix
+    sources = []
+
+    def counting(elt, source, target):
+        sources.append(id(source))
+        return real(elt, source, target)
+
+    monkeypatch.setattr(chains, "right_mult_matrix", counting)
+    monkeypatch.setattr(cli, "right_mult_matrix", counting)
+    code, _ = run_cli_capture(["verify", "ddzero", "--n-max", "6"])
+    assert code == 0
+    expected = []
+    for n in range(1, 7):
+        cx = build_complex(n, CONVENTION_A)
+        assert id(cx.bases[n - 1]) not in sources
+        for i in range(n - 1):
+            expected += [id(cx.bases[-1]), id(cx.bases[i])]
+    assert sources == expected
+
+
+def test_verify_reports_a_raising_check_as_failed(monkeypatch):
+    # fine() raises where its routes disagree; the check fails with the
+    # message, and the other checks and the report still come out
+    import planartl.combin as combin
+
+    real = combin.fine_by_alternating_binomials
+    monkeypatch.setattr(
+        combin, "fine_by_alternating_binomials", lambda n: real(n) + (n == 3)
+    )
+    # fine is cached; a raising call caches nothing, so only the values
+    # computed before the patch need clearing
+    combin.fine.cache_clear()
+    code, out = run_cli_capture(["verify", "thmB", "--n-max", "3", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+    assert checks[2]["details"] == {"failed": "Fine number routes disagree at n=3"}
 
 
 def test_traced_run_reports_the_cli_output():
