@@ -16,9 +16,11 @@ together with a loop-free parent (y, j) for every diagram but the
 identity: the diagram is U_j times diagram y.  A box projection kills a
 left ideal, so the matrix column for U_j y is U_j acting on the column
 for y; that is how :func:`planartl.chains.right_mult_matrix` assembles
-every boundary and Jacobsthal matrix.  Building the tables costs
-(n-1) * C_n products, so ``elt_mul`` does not use them: at n = 12 that
-would be about 2.3 million products for what is often a single one.
+every boundary and Jacobsthal matrix.  The tables come from the cup
+rule :func:`planartl.diagram.cup_times`, not from the general product:
+(n-1) * C_n constant-time steps, each followed by one Dyck-lex lookup.
+``elt_mul`` still does not use them: at n = 12 they would cost about
+2.3 million of those steps for what is often a single product.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .coeff import Convention, LaurentPoly, loop_factor_power
 from .combin import dyck_lex_key
 from .diagram import (
     Diagram,
+    cup_times,
     dyck_lex_index,
     enumerate_diagrams,
     generator_u,
@@ -218,7 +221,9 @@ class GeneratorTables:
     position after its parent.  Left multiplication glues onto the left
     dots only, so an arc between two right dots of y stays one in U_j y:
     a parent lies in every box basis its child does, and the span a box
-    projection kills is a left ideal.
+    projection kills is a left ideal.  Every product is read off the cup
+    rule :func:`planartl.diagram.cup_times`; the general product
+    :func:`planartl.diagram.multiply` is only the tests' oracle here.
     """
 
     __slots__ = ("left", "loops", "parent", "order")
@@ -229,8 +234,7 @@ class GeneratorTables:
         lefts = []
         loops = []
         for j in range(1, n):
-            u = generator_u(n, j)
-            products, closed = zip(*(multiply(u, d) for d in diagrams))
+            products, closed = zip(*(cup_times(j, d) for d in diagrams))
             # The boundary kernels weight a loop-closing entry by a once.
             if max(closed) > 1:
                 raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops")

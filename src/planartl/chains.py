@@ -27,8 +27,9 @@ cup generator closes at most one loop, so an entry is weighted by a or
 by 1.  Two kernels share the walk and differ only in that arithmetic:
 :func:`right_mult_matrix` keeps Laurent entries, and
 :func:`right_mult_columns_at` works in the integers at one rational
-point v = p/q, where pq * a = p^2 + q^2.  The diagram product builds the
-tables and stays the test suite's oracle for them.
+point v = p/q, where pq * a = p^2 + q^2.  The tables are built by the
+constant-time cup rule, and the general diagram product stays the test
+suite's oracle for them.
 
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises

@@ -14,6 +14,8 @@ The product xy glues two diagrams into one involution on 4n points: x
 keeps its points 0..2n-1 and y's points follow as 2n..4n-1.  The wall
 between them joins point g to point 4n-1-g, x's right dot i to y's left
 dot i, and the points n..3n-1 that stay outside it become the product's.
+A cup generator on the left needs no walk: U_j's right cap meets two
+left dots of the other factor, and the cup rule rejoins their partners.
 
 The enumeration walks pairings directly, building and parsing no word;
 a diagram stores only its pairing, and its word and hash are read off it.
@@ -32,6 +34,7 @@ __all__ = [
     "identity",
     "generator_u",
     "multiply",
+    "cup_times",
     "from_dyck",
     "enumerate_diagrams",
     "dyck_lex_index",
@@ -133,11 +136,15 @@ def identity(n: int) -> Diagram:
     return Diagram._trusted(n, pairing)
 
 
+def _check_generator_index(n: int, i: int) -> None:
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index must lie in 1..{n - 1}, got {i}")
+
+
 def generator_u(n: int, i: int) -> Diagram:
     """The cup generator U_i: cups joining dots i, i+1 on both sides,
     all other strands horizontal."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index must lie in 1..{n - 1}, got {i}")
+    _check_generator_index(n, i)
     size = 2 * n
     pairing = list(size - 1 - p for p in range(size))
     a, b = i - 1, i                    # right dots i, i+1
@@ -188,6 +195,31 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
                 crossed[q if q < n else last - q] = True
                 q = arc[last - q]
     return Diagram._trusted(n, tuple(res)), loops
+
+
+def cup_times(j: int, d: Diagram) -> tuple[Diagram, int]:
+    """The product of U_j (drawn on the left) and d, as the pair
+    (diagram, loops) that ``multiply(generator_u(d.n, j), d)`` gives,
+    by a fixed number of steps and no walk.
+
+    U_j's right cap meets d's left dots j and j+1, the points
+    a = 2n-j and b = 2n-j-1.  Where d joins a to b the cap closes one
+    loop and U_j's left cup puts the same arc back, so the product is d.
+    Otherwise the cap joins the partners of a and b to each other, and
+    the left cup joins a to b.
+    """
+    n = d.n
+    _check_generator_index(n, j)
+    pairing = d.pairing
+    a = 2 * n - j
+    b = a - 1
+    pa = pairing[a]
+    if pa == b:
+        return d, 1
+    pb = pairing[b]
+    res = list(pairing)
+    res[a], res[b], res[pa], res[pb] = b, a, pb, pa
+    return Diagram._trusted(n, tuple(res)), 0
 
 
 def from_dyck(word: str) -> Diagram:

@@ -9,6 +9,7 @@ import pytest
 
 from planartl.algebra import (
     AlgebraElement,
+    GeneratorTables,
     augment,
     braiding_s,
     braiding_s_inv,
@@ -209,6 +210,28 @@ def test_tables_equal_multiply():
                 product, loops = multiply(u, d)
                 assert diagrams[tables.left[j - 1][k]] == product
                 assert tables.loops[j - 1][k] == loops
+
+
+def test_tables_never_glue_a_product(monkeypatch):
+    # the tables come from the cup rule; the general product is only
+    # their oracle, so building them must not call it
+    import planartl.algebra as algebra_module
+    import planartl.diagram as diagram_module
+
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(algebra_module, "multiply", counted)
+    monkeypatch.setattr(diagram_module, "multiply", counted)
+    for n in range(8):
+        GeneratorTables(n)
+    assert calls == []
+    # the counter does count: the product route still goes through it
+    elt_mul(AlgebraElement.generator(3, 1), AlgebraElement.generator(3, 2))
+    assert len(calls) == 1
 
 
 def test_tables_satisfy_the_relations():

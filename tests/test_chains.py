@@ -186,16 +186,16 @@ def test_generator_tables_raise_on_a_product_closing_two_loops(monkeypatch):
     # refuse a product that closes more
     import planartl.algebra as algebra_module
 
-    real = algebra_module.multiply
+    real = algebra_module.cup_times
 
-    def doubled(x, y):
-        d, loops = real(x, y)
-        return d, 2 * loops
+    def doubled(j, d):
+        product, loops = real(j, d)
+        return product, 2 * loops
 
-    monkeypatch.setattr(algebra_module, "multiply", doubled)
+    monkeypatch.setattr(algebra_module, "cup_times", doubled)
     with pytest.raises(RuntimeError, match="closed 2 loops"):
         GeneratorTables(3)
-    monkeypatch.setattr(algebra_module, "multiply", real)
+    monkeypatch.setattr(algebra_module, "cup_times", real)
     assert max(max(closed) for closed in GeneratorTables(3).loops) == 1
 
 

@@ -9,6 +9,7 @@ import pytest
 from planartl.combin import catalan, dyck_words
 from planartl.diagram import (
     Diagram,
+    cup_times,
     enumerate_diagrams,
     from_dyck,
     generator_u,
@@ -199,6 +200,25 @@ def test_product_matches_a_union_find_oracle():
                 assert multiply(x, y) == _glue_by_union_find(x, y), (x, y)
         pairs += len(diagrams) ** 2
     assert pairs == 19415
+
+
+def test_cup_rule_matches_the_product():
+    products = 0
+    for n in range(9):
+        for j in range(1, n):
+            u = generator_u(n, j)
+            for d in enumerate_diagrams(n):
+                assert cup_times(j, d) == multiply(u, d), (j, d)
+                products += 1
+    assert products == sum((n - 1) * catalan(n) for n in range(2, 9))
+
+
+def test_cup_rule_rejects_a_generator_index_out_of_range():
+    for n in range(1, 5):
+        d = identity(n)
+        for j in (0, n):
+            with pytest.raises(ValueError, match="generator index"):
+                cup_times(j, d)
 
 
 def test_bijection_round_trip_exhaustive():
