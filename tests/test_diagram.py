@@ -1,5 +1,5 @@
 """Diagram calculus tests: the fixed boundary numbering, the gluing
-product with loop counting, and the Dyck bijection."""
+product with loop counting, the cup rule, and the Dyck bijection."""
 
 import itertools
 import random
@@ -203,14 +203,11 @@ def test_product_matches_a_union_find_oracle():
 
 
 def test_cup_rule_matches_the_product():
-    products = 0
     for n in range(9):
         for j in range(1, n):
             u = generator_u(n, j)
             for d in enumerate_diagrams(n):
                 assert cup_times(j, d) == multiply(u, d), (j, d)
-                products += 1
-    assert products == sum((n - 1) * catalan(n) for n in range(2, 9))
 
 
 def test_cup_rule_rejects_a_generator_index_out_of_range():
