@@ -18,9 +18,11 @@ left ideal, so the matrix column for U_j y is U_j acting on the column
 for y; that is how :func:`planartl.chains.right_mult_matrix` assembles
 every boundary and Jacobsthal matrix.  The tables come from the cup
 rule :func:`planartl.diagram.cup_times`, not from the general product:
-(n-1) * C_n constant-time steps, each followed by one Dyck-lex lookup.
-``elt_mul`` still does not use them: at n = 12 they would cost about
-2.3 million of those steps for what is often a single product.
+(n-1) * C_n constant-time steps on pairing tuples, each followed by one
+lookup in the tuple-keyed Dyck-lex index; no diagram object is built or
+hashed.  Diagrams appear here only as the terms of an element.
+``elt_mul`` still does not use the tables: at n = 12 they would cost
+about 2.3 million of those steps for what is often a single product.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .diagram import (
     Diagram,
     cup_times,
     dyck_lex_index,
-    enumerate_diagrams,
+    enumerate_pairings,
     generator_u,
     identity,
     multiply,
@@ -47,7 +49,6 @@ __all__ = [
     "augment",
     "braiding_s",
     "braiding_s_inv",
-    "word_product",
 ]
 
 _ONE = LaurentPoly.one()
@@ -210,7 +211,7 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 class GeneratorTables:
     """Left multiplication by the cup generators on n strands, over the
-    Dyck-lex positions of :func:`planartl.diagram.enumerate_diagrams`.
+    Dyck-lex positions of :func:`planartl.diagram.enumerate_pairings`.
 
     ``left[j - 1][k]`` and ``loops[j - 1][k]`` give the product of U_j
     and diagram k: U_j times diagram k is a^loops times diagram left,
@@ -222,35 +223,37 @@ class GeneratorTables:
     dots only, so an arc between two right dots of y stays one in U_j y:
     a parent lies in every box basis its child does, and the span a box
     projection kills is a left ideal.  Every product is read off the cup
-    rule :func:`planartl.diagram.cup_times`; the general product
+    rule :func:`planartl.diagram.cup_times` on pairing tuples and looked
+    up in the tuple-keyed :func:`planartl.diagram.dyck_lex_index`; no
+    :class:`~planartl.diagram.Diagram` is built, and the general product
     :func:`planartl.diagram.multiply` is only the tests' oracle here.
     """
 
     __slots__ = ("left", "loops", "parent", "order")
 
     def __init__(self, n: int):
-        diagrams = enumerate_diagrams(n)
+        pairings = enumerate_pairings(n)
         index = dyck_lex_index(n)
         lefts = []
         loops = []
         for j in range(1, n):
-            products, closed = zip(*(cup_times(j, d) for d in diagrams))
+            products, closed = zip(*(cup_times(j, p) for p in pairings))
             # The boundary kernels weight a loop-closing entry by a once.
             if max(closed) > 1:
                 raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops")
-            lefts.append(tuple(index[p] for p in products))
+            lefts.append(tuple(map(index.__getitem__, products)))
             loops.append(closed)
         # Breadth first out of the identity along loop-free edges.  No
         # product U_j y is the identity, so a parent of None means unseen.
-        parent: list[tuple[int, int] | None] = [None] * len(diagrams)
-        order = [index[identity(n)]]
+        parent: list[tuple[int, int] | None] = [None] * len(pairings)
+        order = [index[tuple(range(2 * n - 1, -1, -1))]]  # the identity
         for y in order:
             for j in range(1, n):
                 k = lefts[j - 1][y]
                 if parent[k] is None and not loops[j - 1][y]:
                     parent[k] = (y, j)
                     order.append(k)
-        if len(order) != len(diagrams):
+        if len(order) != len(pairings):
             raise RuntimeError("some diagram has no loop-free parent")
         self.left = tuple(lefts)
         self.loops = tuple(loops)
@@ -280,33 +283,3 @@ def braiding_s_inv(n: int, i: int, c: Convention) -> AlgebraElement:
     return AlgebraElement(
         n, {identity(n): c.lam.inverse(), generator_u(n, i): c.mu.inverse()}
     )
-
-
-def word_product(
-    n: int,
-    indices,
-    kind: str = "U",
-    c: Convention | None = None,
-) -> AlgebraElement:
-    """Left-to-right product of the named generators at the given
-    indices; the empty word gives the identity element.
-
-    kind is one of 'U', 's', 's_inv'; the convention is required for the
-    braiding kinds.
-    """
-    if kind == "U":
-        factory = lambda i: AlgebraElement.generator(n, i)
-    elif kind == "s":
-        if c is None:
-            raise ValueError("braiding products need a convention")
-        factory = lambda i: braiding_s(n, i, c)
-    elif kind == "s_inv":
-        if c is None:
-            raise ValueError("braiding products need a convention")
-        factory = lambda i: braiding_s_inv(n, i, c)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    out = AlgebraElement.one(n)
-    for i in indices:
-        out = elt_mul(out, factory(i))
-    return out

@@ -46,7 +46,7 @@ from .combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from .diagram import Diagram, enumerate_diagrams, from_dyck, is_planar_pairing
+from .diagram import Diagram, enumerate_pairings, from_dyck, pairing_of_word, word_of_pairing
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
 
@@ -110,17 +110,18 @@ def _check_braid(n: int, ctx: CheckContext):
 
 def _check_bijection(n: int, ctx: CheckContext):
     words = dyck_words(n)
-    diagrams = enumerate_diagrams(n)
-    if len(words) != len(diagrams):
+    pairings = enumerate_pairings(n)
+    if len(words) != len(pairings):
         return False, {"failed": "word and diagram counts differ"}
-    for word, diagram in zip(words, diagrams):
+    for word, pairing in zip(words, pairings):
         # The pairing walk and the word enumeration are independent
-        # routes: each pairing must pass the stack check (a crossing or
-        # a broken involution can still read as a Dyck word), and the
-        # word read off it must be the oracle's word at that position.
-        if not is_planar_pairing(diagram.pairing) or diagram.word != word:
+        # routes.  One LIFO sweep of the oracle's word gives its unique
+        # noncrossing pairing, which must be the walk's pairing at that
+        # position: so a crossing, a broken involution or a wrong order
+        # fails here, even where the pairing's own word reads right.
+        if pairing_of_word(word) != pairing:
             return False, {"failed": f"round trip broke at {word}"}
-    details = {"diagrams": len(diagrams)}
+    details = {"diagrams": len(pairings)}
     if n == 4:
         # the worked four-strand example: arcs {1,8},{2,5},{3,4},{6,7}
         sample = Diagram.from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
@@ -133,20 +134,20 @@ def _check_bijection(n: int, ctx: CheckContext):
 def _check_bcounts(n: int, ctx: CheckContext):
     from .indmod import black_box_basis, largest_free_box
 
-    diagrams = enumerate_diagrams(n)
-    if len(diagrams) != catalan(n):
+    pairings = enumerate_pairings(n)
+    if len(pairings) != catalan(n):
         return False, {"failed": "diagram count differs from Catalan number"}
     # Every basis is a Dyck-lex prefix, so one pass finds, for each
     # prefix, the largest box that none of its diagrams has an arc in
     # (kept as bytes: a box size is at most n).
-    prefix_box = bytes(accumulate(map(largest_free_box, diagrams), min))
+    prefix_box = bytes(accumulate(map(largest_free_box, pairings), min))
     sizes = {}
     for m in range(n + 1):
         basis = black_box_basis(n, m)
         expected = first_peak_count_B(n, m)
         if len(basis) != expected:
             return False, {"failed": f"basis size at box {m} is {len(basis)}, expected {expected}"}
-        if basis.diagrams != diagrams[: len(basis)]:
+        if basis.pairings != pairings[: len(basis)]:
             return False, {"failed": f"basis at box {m} is not a Dyck-lex prefix"}
         if expected and prefix_box[expected - 1] < m:
             return False, {"failed": f"banned diagram in basis at box {m}"}
@@ -358,7 +359,7 @@ def _emit_matrices(handle, n_max: int, c: Convention) -> None:
             {
                 "degree": i,
                 "box": n - i - 1,
-                "basis": [d.word for d in cx.bases[i].diagrams],
+                "basis": [word_of_pairing(p) for p in cx.bases[i].pairings],
             }
             for i in range(-1, n)
         ]

@@ -17,9 +17,7 @@ In both cases mu/lam is a unit monomial (-v and -v^-1 respectively).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "LaurentPoly",
@@ -31,8 +29,6 @@ __all__ = [
     "LOOP_FACTOR",
     "loop_factor_power",
 ]
-
-_TERM_RE = re.compile(r"([+-]?)((?:\d+\*)?v(?:\^(-?\d+))?|\d+)")
 
 
 class LaurentPoly:
@@ -197,15 +193,6 @@ class LaurentPoly:
             self._hash = hash(tuple(sorted(self._terms.items())))
         return self._hash
 
-    # -- evaluation --------------------------------------------------
-
-    def specialize(self, x: Fraction) -> Fraction:
-        """Evaluate at v = x exactly; x must be a nonzero rational."""
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("v must be a unit")
-        return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
-
     # -- text form ---------------------------------------------------
 
     def to_text(self, compact: bool = False) -> str:
@@ -231,36 +218,6 @@ class LaurentPoly:
             else:
                 pieces.append((minus if c < 0 else plus) + body)
         return "".join(pieces)
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Inverse of :meth:`to_text` (whitespace-insensitive)."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return _ZERO
-        terms: dict[int, int] = {}
-        pos = 0
-        while pos < len(s):
-            m = _TERM_RE.match(s, pos)
-            if not m or (pos > 0 and not m.group(1)):
-                raise ValueError(f"bad polynomial text: {text!r}")
-            sign = -1 if m.group(1) == "-" else 1
-            body = m.group(2)
-            if "v" in body:
-                coeff = int(body.split("*")[0]) if "*" in body else 1
-                e = int(m.group(3)) if m.group(3) is not None else 1
-            else:
-                coeff = int(body)
-                e = 0
-            w = terms.get(e, 0) + sign * coeff
-            if w:
-                terms[e] = w
-            elif e in terms:
-                del terms[e]
-            pos = m.end()
-        return cls(terms)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -18,7 +18,6 @@ __all__ = [
     "binom",
     "dyck_lex_key",
     "dyck_words",
-    "is_dyck_word",
     "first_peak_height",
     "catalan",
     "first_peak_count_B",
@@ -27,7 +26,6 @@ __all__ = [
     "fine_by_enumeration",
     "fine_by_alternating_binomials",
     "jacobsthal_number",
-    "compositions_ending_odd",
     "descending_opposite_parity_sequences",
     "ENUM_LIMIT",
     "TwoColumnPartition",
@@ -70,7 +68,7 @@ def dyck_lex_key(word: str):
 def dyck_words(n: int) -> tuple[str, ...]:
     """All Dyck words of length 2n over {u, d}, in lex order with u < d:
     the oracle enumeration that the ``bijection`` check compares against
-    :func:`planartl.diagram.enumerate_diagrams`, and the first-peak
+    :func:`planartl.diagram.enumerate_pairings`, and the first-peak
     oracles scan."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -92,20 +90,6 @@ def dyck_words(n: int) -> tuple[str, ...]:
 
     rec(0, 0)
     return tuple(out)
-
-
-def is_dyck_word(word: str) -> bool:
-    height = 0
-    for ch in word:
-        if ch == "u":
-            height += 1
-        elif ch == "d":
-            height -= 1
-            if height < 0:
-                return False
-        else:
-            return False
-    return height == 0
 
 
 def first_peak_height(word: str) -> int:
@@ -205,25 +189,6 @@ def fine(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Jacobsthal numbers
 # ---------------------------------------------------------------------------
-
-
-@cache
-def compositions_ending_odd(n: int) -> tuple[tuple[int, ...], ...]:
-    """All compositions of n whose last part is odd."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        for part in range(1, remaining + 1):
-            if part == remaining:
-                if part % 2 == 1:
-                    out.append(prefix + (part,))
-            else:
-                rec(prefix + (part,), remaining - part)
-
-    rec((), n)
-    return tuple(out)
 
 
 @cache

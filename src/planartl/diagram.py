@@ -17,8 +17,15 @@ dot i, and the points n..3n-1 that stay outside it become the product's.
 A cup generator on the left needs no walk: U_j's right cap meets two
 left dots of the other factor, and the cup rule rejoins their partners.
 
-The enumeration walks pairings directly, building and parsing no word;
-a diagram stores only its pairing, and its word and hash are read off it.
+The combinatorial paths handle pairing tuples only: the enumeration
+walks pairings directly, building and parsing no word, the Dyck-lex
+index is keyed by the pairing tuple (hashed in C), and the cup rule
+takes and returns pairings.  :class:`Diagram` wraps one pairing only
+where an algebra element needs a hashable term: the identity, the cup
+generators, :func:`from_dyck`, ``Diagram.from_pairs`` and the products
+of :func:`multiply`.  The Dyck word is read off a pairing by one
+function, :func:`word_of_pairing`, and parsed back by one stack walk,
+:func:`pairing_of_word`.
 """
 
 from __future__ import annotations
@@ -26,22 +33,47 @@ from __future__ import annotations
 from functools import cache
 from operator import gt
 
-from .combin import is_dyck_word
-
 __all__ = [
     "Diagram",
     "is_planar_pairing",
+    "word_of_pairing",
+    "pairing_of_word",
     "identity",
     "generator_u",
     "multiply",
     "cup_times",
     "from_dyck",
-    "enumerate_diagrams",
+    "enumerate_pairings",
     "dyck_lex_index",
 ]
 
 # Byte 1 where a point's partner comes later in the sweep, 0 where earlier.
 _WORD_LETTERS = bytes.maketrans(b"\x00\x01", b"du")
+
+
+def word_of_pairing(pairing: tuple[int, ...]) -> str:
+    """The Dyck word of a pairing: u where the partner comes later in
+    the sweep, d where it came earlier."""
+    return bytes(map(gt, pairing, range(len(pairing)))).translate(_WORD_LETTERS).decode()
+
+
+def pairing_of_word(word: str) -> tuple[int, ...] | None:
+    """The pairing that matches each d with the last unmatched u, by one
+    LIFO sweep; None unless ``word`` is a Dyck word over {u, d}.  This
+    is the unique noncrossing pairing whose word is ``word``."""
+    pairing = [0] * len(word)
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for p, ch in enumerate(word):
+        if ch == "u":
+            push(p)
+        elif ch == "d" and stack:
+            q = pop()
+            pairing[p] = q
+            pairing[q] = p
+        else:
+            return None
+    return None if stack else tuple(pairing)
 
 
 def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
@@ -86,8 +118,10 @@ class Diagram:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Diagram":
         """Build a diagram from 1-based matched point pairs.  Raises
-        ValueError, before building anything, unless the pairs name each
-        point of 1..2n exactly once."""
+        ValueError, before building anything, unless n is nonnegative and
+        the pairs name each point of 1..2n exactly once."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         pairs = list(pairs)
         if sorted(p for pair in pairs for p in pair) != list(range(1, 2 * n + 1)):
             raise ValueError(f"pairs must name each point of 1..{2 * n} exactly once")
@@ -99,10 +133,8 @@ class Diagram:
 
     @property
     def word(self) -> str:
-        """The Dyck word: u where the partner comes later in the sweep,
-        d where it came earlier."""
-        pairing = self.pairing
-        return bytes(map(gt, pairing, range(len(pairing)))).translate(_WORD_LETTERS).decode()
+        """The Dyck word, by :func:`word_of_pairing`."""
+        return word_of_pairing(self.pairing)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The matched point pairs, 1-based, each (low, high), sorted."""
@@ -197,66 +229,56 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     return Diagram._trusted(n, tuple(res)), loops
 
 
-def cup_times(j: int, d: Diagram) -> tuple[Diagram, int]:
-    """The product of U_j (drawn on the left) and d, as the pair
-    (diagram, loops) that ``multiply(generator_u(d.n, j), d)`` gives,
-    by a fixed number of steps and no walk.
+def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The product of U_j (drawn on the left) and the diagram with this
+    pairing, as the pair (pairing, loops) that
+    ``multiply(generator_u(n, j), d)`` gives for the diagram d, by a
+    fixed number of steps and no walk.
 
-    U_j's right cap meets d's left dots j and j+1, the points
-    a = 2n-j and b = 2n-j-1.  Where d joins a to b the cap closes one
-    loop and U_j's left cup puts the same arc back, so the product is d.
-    Otherwise the cap joins the partners of a and b to each other, and
-    the left cup joins a to b.
+    U_j's right cap meets the left dots j and j+1, the points
+    a = 2n-j and b = 2n-j-1.  Where the pairing joins a to b the cap
+    closes one loop and U_j's left cup puts the same arc back, so the
+    product is the pairing itself.  Otherwise the cap joins the partners
+    of a and b to each other, and the left cup joins a to b.
     """
-    n = d.n
-    _check_generator_index(n, j)
-    pairing = d.pairing
-    a = 2 * n - j
+    _check_generator_index(len(pairing) // 2, j)
+    a = len(pairing) - j
     b = a - 1
     pa = pairing[a]
     if pa == b:
-        return d, 1
+        return pairing, 1
     pb = pairing[b]
     res = list(pairing)
     res[a], res[b], res[pa], res[pb] = b, a, pb, pa
-    return Diagram._trusted(n, tuple(res)), 0
+    return tuple(res), 0
 
 
 def from_dyck(word: str) -> Diagram:
     """The diagram whose arcs match each d with its unmatched u."""
-    if not is_dyck_word(word):
+    pairing = pairing_of_word(word)
+    if pairing is None:
         raise ValueError(f"not a Dyck word: {word!r}")
-    size = len(word)
-    pairing = [0] * size
-    stack: list[int] = []
-    for p, ch in enumerate(word):
-        if ch == "u":
-            stack.append(p)
-        else:
-            q = stack.pop()
-            pairing[p] = q
-            pairing[q] = p
-    return Diagram._trusted(size // 2, tuple(pairing))
+    return Diagram._trusted(len(word) // 2, pairing)
 
 
 @cache
-def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
-    """All diagrams on n strands in Dyck-lex order (u < d), from one
-    depth-first walk over pairings: each point opens an arc (tried first)
-    or closes the last one opened; once all n are open, the rest close."""
+def enumerate_pairings(n: int) -> tuple[tuple[int, ...], ...]:
+    """The pairings of all diagrams on n strands in Dyck-lex order
+    (u < d), from one depth-first walk: each point opens an arc (tried
+    first) or closes the last one opened; once all n are open, the rest
+    close."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Diagram] = []
+    out: list[tuple[int, ...]] = []
     pairing = [0] * (2 * n)
     stack: list[int] = []  # open points, the last one opened on top
-    trusted = Diagram._trusted
 
     def walk(p: int, opened: int) -> None:
         if opened == n:
             for r, q in enumerate(reversed(stack), p):
                 pairing[r] = q
                 pairing[q] = r
-            out.append(trusted(n, tuple(pairing)))
+            out.append(tuple(pairing))
             return
         stack.append(p)
         walk(p + 1, opened + 1)
@@ -272,7 +294,14 @@ def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
     return tuple(out)
 
 
+def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
+    """:func:`enumerate_pairings` wrapped as new, uncached diagrams; for
+    callers outside the library that want objects, never called in it."""
+    return tuple(Diagram._trusted(n, p) for p in enumerate_pairings(n))
+
+
 @cache
-def dyck_lex_index(n: int) -> dict[Diagram, int]:
-    """Position of every diagram on n strands in the Dyck-lex list."""
-    return {d: k for k, d in enumerate(enumerate_diagrams(n))}
+def dyck_lex_index(n: int) -> dict[tuple[int, ...], int]:
+    """Position of every pairing on n strands in the Dyck-lex list."""
+    pairings = enumerate_pairings(n)
+    return dict(zip(pairings, range(len(pairings))))

@@ -5,9 +5,11 @@ the m-strand subalgebra has a diagram basis: the diagrams on n strands
 with no arc joining two of the right dots 1..m (the box).  Under the
 Dyck bijection these are exactly the words that start with m u's, and
 since u < d they are the first B_m(n) (first-peak count) entries of the
-full Dyck-lex diagram list.  So every basis is a prefix of one basis per
-n; a basis carries no index of its own, and positions are looked up in
-the one per-n :func:`planartl.diagram.dyck_lex_index`.
+full Dyck-lex list.  So every basis is a prefix of one basis per n, held
+as pairing tuples (a prefix of
+:func:`planartl.diagram.enumerate_pairings`); a basis carries no index
+of its own, and positions are looked up by pairing in the one per-n
+:func:`planartl.diagram.dyck_lex_index`.
 
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
@@ -25,30 +27,22 @@ from functools import cache
 from .algebra import AlgebraElement
 from .coeff import LaurentPoly
 from .combin import first_peak_count_B
-from .diagram import Diagram, dyck_lex_index, enumerate_diagrams
+from .diagram import dyck_lex_index, enumerate_pairings
 
 __all__ = [
     "BlackBoxBasis",
-    "has_cup_in_box",
     "largest_free_box",
     "black_box_basis",
 ]
 
 
-def has_cup_in_box(d: Diagram, m: int) -> bool:
-    """True when some arc joins two of the right dots 1..m."""
-    pairing = d.pairing
-    return any(pairing[p] < m for p in range(min(m, 2 * d.n)))
-
-
-def largest_free_box(d: Diagram) -> int:
-    """The largest box size m with no arc inside the box, by the rule of
-    :func:`has_cup_in_box`: the right dots 0..m-1 (0-indexed) all pair
-    outside the box.  A box with an arc inside makes every larger box
-    fail too, and the box of size n + 1 always does, so the answer is at
-    most n."""
-    low = len(d.pairing)
-    for m, q in enumerate(d.pairing):
+def largest_free_box(pairing: tuple[int, ...]) -> int:
+    """The largest box size m with no arc inside the box: the right dots
+    0..m-1 (0-indexed) all pair outside it.  A box with an arc inside
+    makes every larger box fail too, and the box of size n + 1 always
+    does, so the answer is at most n."""
+    low = len(pairing)
+    for m, q in enumerate(pairing):
         if q < low:
             low = q
         if low <= m:
@@ -58,39 +52,42 @@ def largest_free_box(d: Diagram) -> int:
 
 class BlackBoxBasis:
     """The ordered diagram basis of the size-m black box module on n
-    strands: the first B_m(n) diagrams in Dyck-lex order.
+    strands: ``pairings`` holds the first B_m(n) pairings in Dyck-lex
+    order.
 
-    A diagram lies in this basis exactly when its position in
-    ``dyck_lex_index(n)`` is below ``len(self)``.
+    A diagram lies in this basis exactly when the position of its
+    pairing in ``dyck_lex_index(n)`` is below ``len(self)``.
     """
 
-    __slots__ = ("n", "m", "diagrams")
+    __slots__ = ("n", "m", "pairings")
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.diagrams = enumerate_diagrams(n)[: first_peak_count_B(n, m)]
+        self.pairings = enumerate_pairings(n)[: first_peak_count_B(n, m)]
 
     def __len__(self) -> int:
-        return len(self.diagrams)
+        return len(self.pairings)
 
     def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
         """Coordinates of x's image in this module, keyed by Dyck-lex
         position: the coefficient of each basis diagram, with every
         diagram that has an arc inside the box dropped."""
         index = dyck_lex_index(self.n)
-        size = len(self.diagrams)
-        coords = ((index[d], c) for d, c in x.terms.items())
+        size = len(self.pairings)
+        coords = ((index[d.pairing], c) for d, c in x.terms.items())
         return {k: c for k, c in coords if k < size}
 
     def __repr__(self) -> str:
-        return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.diagrams)})"
+        return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.pairings)})"
 
 
 @cache
 def black_box_basis(n: int, m: int) -> BlackBoxBasis:
     """All diagrams on n strands with no arc inside the size-m box,
     equivalently those whose Dyck word starts with m u's."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if not 0 <= m <= n:
         raise ValueError(f"box size must lie in 0..{n}, got {m}")
     return BlackBoxBasis(n, m)

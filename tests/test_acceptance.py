@@ -18,7 +18,6 @@ from planartl.chains import (
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LOOP_FACTOR
 from planartl.combin import (
     catalan,
-    compositions_ending_odd,
     count_N,
     descending_opposite_parity_sequences,
     dyck_words,
@@ -40,6 +39,7 @@ from planartl.jacobsthal import (
     jacobsthal_kernel_rank,
     verify_theorem_D,
 )
+from oracles import compositions_ending_odd
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 POINTS = (Fraction(2), Fraction(3))

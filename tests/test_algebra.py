@@ -15,18 +15,20 @@ from planartl.algebra import (
     braiding_s_inv,
     elt_mul,
     generator_tables,
-    word_product,
 )
 from planartl.coeff import (
     CONVENTION_A,
     CONVENTION_B,
     LOOP_FACTOR,
+    Convention,
     LaurentPoly,
 )
 from planartl.combin import catalan, first_peak_count_B
 from planartl.diagram import (
+    Diagram,
     dyck_lex_index,
     enumerate_diagrams,
+    from_dyck,
     generator_u,
     identity,
     multiply,
@@ -34,6 +36,36 @@ from planartl.diagram import (
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 V = LaurentPoly.v_power(1)
+
+
+def word_product(
+    n: int,
+    indices,
+    kind: str = "U",
+    c: Convention | None = None,
+) -> AlgebraElement:
+    """Left-to-right product of the named generators at the given
+    indices; the empty word gives the identity element.
+
+    kind is one of 'U', 's', 's_inv'; the convention is required for the
+    braiding kinds.
+    """
+    if kind == "U":
+        factory = lambda i: AlgebraElement.generator(n, i)
+    elif kind == "s":
+        if c is None:
+            raise ValueError("braiding products need a convention")
+        factory = lambda i: braiding_s(n, i, c)
+    elif kind == "s_inv":
+        if c is None:
+            raise ValueError("braiding products need a convention")
+        factory = lambda i: braiding_s_inv(n, i, c)
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    out = AlgebraElement.one(n)
+    for i in indices:
+        out = elt_mul(out, factory(i))
+    return out
 
 
 def random_element(rng: random.Random, n: int) -> AlgebraElement:
@@ -234,6 +266,34 @@ def test_tables_never_glue_a_product(monkeypatch):
     assert len(calls) == 1
 
 
+def test_tables_build_no_diagram(monkeypatch):
+    # the tables run the cup rule on pairing tuples and look each
+    # product up in the tuple-keyed index: no diagram is built, hashed
+    # or compared
+    calls = []
+    real_init, real_trusted = Diagram.__init__, Diagram._trusted.__func__
+    real_hash, real_eq = Diagram.__hash__, Diagram.__eq__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Diagram, "__init__", counted("init", real_init))
+    monkeypatch.setattr(Diagram, "_trusted", classmethod(counted("trusted", real_trusted)))
+    monkeypatch.setattr(Diagram, "__hash__", counted("hash", real_hash))
+    monkeypatch.setattr(Diagram, "__eq__", counted("eq", real_eq))
+    for n in range(9):
+        GeneratorTables(n)
+    assert calls == []
+    # the counters do count
+    d = from_dyck("uudd")
+    assert d == Diagram(d.pairing) and {d: 1}
+    assert set(calls) == {"init", "trusted", "hash", "eq"}
+
+
 def test_tables_satisfy_the_relations():
     # each step multiplies on the left, so `once` is U_i d and the
     # relations are read right to left
@@ -258,7 +318,7 @@ def test_parents_are_loop_free_visited_first_and_in_every_box():
         tables = generator_tables(n)
         size = catalan(n)
         assert sorted(tables.order) == list(range(size))
-        assert tables.order[0] == dyck_lex_index(n)[identity(n)] == 0
+        assert tables.order[0] == dyck_lex_index(n)[identity(n).pairing] == 0
         assert tables.parent[0] is None
         visit = {k: t for t, k in enumerate(tables.order)}
         boxes = [first_peak_count_B(n, m) for m in range(n + 1)]

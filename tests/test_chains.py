@@ -20,7 +20,7 @@ from planartl.chains import (
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
-from planartl.diagram import enumerate_diagrams, identity
+from planartl.diagram import Diagram, enumerate_diagrams, identity
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import jacobsthal_element
 from planartl.linalg import PolyMatrix
@@ -88,9 +88,9 @@ def reference_right_mult_matrix(elt, source, target):
     columns = [
         {
             r: poly.coefficients()
-            for r, poly in target.project(elt_mul(AlgebraElement.from_diagram(x), elt)).items()
+            for r, poly in target.project(elt_mul(AlgebraElement.from_diagram(Diagram(x)), elt)).items()
         }
-        for x in source.diagrams
+        for x in source.pairings
     ]
     return PolyMatrix(len(target), len(source), columns)
 
@@ -188,8 +188,8 @@ def test_generator_tables_raise_on_a_product_closing_two_loops(monkeypatch):
 
     real = algebra_module.cup_times
 
-    def doubled(j, d):
-        product, loops = real(j, d)
+    def doubled(j, pairing):
+        product, loops = real(j, pairing)
         return product, 2 * loops
 
     monkeypatch.setattr(algebra_module, "cup_times", doubled)
@@ -253,9 +253,9 @@ def test_degree_zero_boundary_is_identity_coefficient():
             mat = cx.differential(0)
             assert mat.nrows == 1
             basis = cx.bases[0]
-            for col, diagram in enumerate(basis.diagrams):
+            for col, pairing in enumerate(basis.pairings):
                 entry = mat.entry(0, col)
-                if diagram == identity(n):
+                if pairing == identity(n).pairing:
                     assert entry == LaurentPoly.one()
                 else:
                     assert entry.is_zero

@@ -231,11 +231,11 @@ def test_verify_failure_exits_one(monkeypatch):
 
 
 class _Basis:
-    def __init__(self, diagrams):
-        self.diagrams = tuple(diagrams)
+    def __init__(self, pairings):
+        self.pairings = tuple(pairings)
 
     def __len__(self):
-        return len(self.diagrams)
+        return len(self.pairings)
 
 
 def test_verify_bcounts_fails_on_out_of_order_basis(monkeypatch):
@@ -247,7 +247,7 @@ def test_verify_bcounts_fails_on_out_of_order_basis(monkeypatch):
         basis = real(n, m)
         if (n, m) != (4, 2):
             return basis
-        d = list(basis.diagrams)
+        d = list(basis.pairings)
         d[0], d[1] = d[1], d[0]
         return _Basis(d)
 
@@ -265,7 +265,7 @@ def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
     import planartl.indmod as indmod
     from planartl.combin import first_peak_count_B
 
-    real_enumerate = cli.enumerate_diagrams
+    real_enumerate = cli.enumerate_pairings
     cut = first_peak_count_B(4, 2)
 
     def enumerate_swapped(n):
@@ -277,7 +277,7 @@ def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
     def prefix_basis(n, m):
         return _Basis(enumerate_swapped(n)[: first_peak_count_B(n, m)])
 
-    monkeypatch.setattr(cli, "enumerate_diagrams", enumerate_swapped)
+    monkeypatch.setattr(cli, "enumerate_pairings", enumerate_swapped)
     monkeypatch.setattr(indmod, "black_box_basis", prefix_basis)
     code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
     assert code == 1
@@ -288,7 +288,7 @@ def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
 def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
     # match each d with the earliest open u instead of the latest: for
     # uudd that gives the crossing arcs {1,3},{2,4}, whose word still
-    # reads uudd, so only the checking constructor can catch it
+    # reads uudd, so reading the word off the pairing cannot catch it
     import planartl.cli as cli
     from planartl.combin import dyck_words
     from planartl.diagram import Diagram
@@ -306,12 +306,79 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
 
     monkeypatch.setattr(cli, "from_dyck", from_dyck_fifo)
     monkeypatch.setattr(
-        cli, "enumerate_diagrams", lambda n: tuple(map(from_dyck_fifo, dyck_words(n)))
+        cli, "enumerate_pairings", lambda n: tuple(from_dyck_fifo(w).pairing for w in dyck_words(n))
     )
     code, out = run_cli_capture(["verify", "bijection", "--n-max", "2"])
     assert code == 1
     assert "PASS bijection n=1" in out
     assert "FAIL bijection n=2  round trip broke at uudd" in out
+
+
+# Each case replaces one pairing of the walk at n = 3, or swaps two; the
+# first broken position names the word.
+_BROKEN_WALKS = {
+    # not an involution (points 2 and 5 both claim 3), yet it reads
+    # uuuddd, the oracle's word at position 0
+    "broken involution": ({0: (5, 4, 3, 2, 3, 0)}, "uuuddd"),
+    # positions 0 and 1 (uuuddd and uududd) swapped
+    "neighbours swapped": ({0: (5, 2, 1, 4, 3, 0), 1: (5, 4, 3, 2, 1, 0)}, "uuuddd"),
+    # arcs {2,4} and {3,5} cross, yet the pairing reads uuuddd
+    "crossing pairing": ({0: (5, 3, 4, 1, 2, 0)}, "uuuddd"),
+}
+
+
+@pytest.mark.parametrize("case", _BROKEN_WALKS)
+def test_verify_bijection_fails_on_a_broken_walk(monkeypatch, case):
+    import planartl.cli as cli
+    from planartl.diagram import enumerate_pairings, word_of_pairing
+
+    replaced, word = _BROKEN_WALKS[case]
+
+    def broken(n):
+        pairings = list(enumerate_pairings(n))
+        if n == 3:
+            for k, pairing in replaced.items():
+                pairings[k] = pairing
+        return tuple(pairings)
+
+    if case != "neighbours swapped":
+        # the word read off the broken pairing is still the oracle's
+        assert word_of_pairing(replaced[0]) == word
+    monkeypatch.setattr(cli, "enumerate_pairings", broken)
+    code, out = run_cli_capture(["verify", "bijection", "--n-max", "3"])
+    assert code == 1
+    assert "PASS bijection n=2" in out
+    assert f"FAIL bijection n=3  round trip broke at {word}" in out
+    code, out = run_cli_capture(["verify", "bijection", "--n-max", "3", "--format", "json"])
+    (check,) = [c for c in json.loads(out)["checks"] if c["n"] == 3]
+    assert check["status"] == "fail"
+    assert check["details"] == {"failed": f"round trip broke at {word}"}
+
+
+def test_verify_enumeration_checks_build_no_diagram(monkeypatch):
+    # the enumeration, the bases and the bijection work on pairing
+    # tuples; the n = 4 worked example is the one diagram built
+    from planartl.diagram import Diagram, dyck_lex_index, enumerate_pairings
+    from planartl.indmod import black_box_basis
+
+    for cached in (enumerate_pairings, dyck_lex_index, black_box_basis):
+        cached.cache_clear()
+    calls = []
+    real_init, real_trusted = Diagram.__init__, Diagram._trusted.__func__
+
+    def counted_init(self, *args):
+        calls.append("init")
+        real_init(self, *args)
+
+    def counted_trusted(cls, *args):
+        calls.append("trusted")
+        return real_trusted(cls, *args)
+
+    monkeypatch.setattr(Diagram, "__init__", counted_init)
+    monkeypatch.setattr(Diagram, "_trusted", classmethod(counted_trusted))
+    code, _ = run_cli_capture(["verify", "euler", "bcounts", "bijection", "--n-max", "9"])
+    assert code == 0
+    assert calls == ["init"]
 
 
 def test_verify_enumeration_checks_build_no_index():

@@ -8,7 +8,6 @@ import pytest
 from planartl.combin import (
     TwoColumnPartition,
     catalan,
-    compositions_ending_odd,
     count_N,
     descending_opposite_parity_sequences,
     dyck_lex_key,
@@ -20,12 +19,28 @@ from planartl.combin import (
     first_peak_count_B,
     first_peak_count_by_enumeration,
     first_peak_height,
-    is_dyck_word,
     jacobsthal_number,
     syt_count,
     theorem_C_multiplicity,
     two_column_partitions,
 )
+from oracles import compositions_ending_odd
+
+
+def is_dyck_word(word: str) -> bool:
+    """Whether word is over {u, d}, never dips below height 0 and ends
+    at height 0."""
+    height = 0
+    for ch in word:
+        if ch == "u":
+            height += 1
+        elif ch == "d":
+            height -= 1
+            if height < 0:
+                return False
+        else:
+            return False
+    return height == 0
 
 
 def hook_length_count(shape: TwoColumnPartition) -> int:

@@ -10,12 +10,16 @@ from planartl.combin import catalan, dyck_words
 from planartl.diagram import (
     Diagram,
     cup_times,
+    dyck_lex_index,
     enumerate_diagrams,
+    enumerate_pairings,
     from_dyck,
     generator_u,
     identity,
     is_planar_pairing,
     multiply,
+    pairing_of_word,
+    word_of_pairing,
 )
 
 
@@ -80,6 +84,15 @@ def test_from_pairs_rejects_malformed_pairs():
     with pytest.raises(ValueError):
         Diagram.from_pairs(2, [(1, 2)])  # points 3 and 4 left out
     assert Diagram.from_pairs(2, [(4, 3), (2, 1)]).pairs() == ((1, 2), (3, 4))
+
+
+def test_from_pairs_rejects_a_negative_strand_count():
+    # as identity does; an empty list must not make a 0-strand diagram
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Diagram.from_pairs(-1, [])
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        identity(-1)
+    assert Diagram.from_pairs(0, []) == identity(0)
 
 
 def _is_planar_by_brute_force(pairing):
@@ -207,7 +220,8 @@ def test_cup_rule_matches_the_product():
         for j in range(1, n):
             u = generator_u(n, j)
             for d in enumerate_diagrams(n):
-                assert cup_times(j, d) == multiply(u, d), (j, d)
+                product, loops = multiply(u, d)
+                assert cup_times(j, d.pairing) == (product.pairing, loops), (j, d)
 
 
 def test_cup_rule_rejects_a_generator_index_out_of_range():
@@ -215,7 +229,7 @@ def test_cup_rule_rejects_a_generator_index_out_of_range():
         d = identity(n)
         for j in (0, n):
             with pytest.raises(ValueError, match="generator index"):
-                cup_times(j, d)
+                cup_times(j, d.pairing)
 
 
 def test_bijection_round_trip_exhaustive():
@@ -224,6 +238,18 @@ def test_bijection_round_trip_exhaustive():
             assert from_dyck(diagram.word) == diagram
         for word in dyck_words(n):
             assert from_dyck(word).word == word
+
+
+def test_word_and_pairing_invert_each_other():
+    # the LIFO sweep gives back each enumerated pairing from its word,
+    # and the Dyck-lex index is keyed by those pairing tuples
+    for n in range(9):
+        index = dyck_lex_index(n)
+        for k, pairing in enumerate(enumerate_pairings(n)):
+            assert pairing_of_word(word_of_pairing(pairing)) == pairing
+            assert index[pairing] == k
+    for bad in ("d", "du", "uudu", "uu", "uxud", "udd"):
+        assert pairing_of_word(bad) is None
 
 
 def test_from_dyck_rejects_non_dyck():
@@ -249,9 +275,11 @@ def test_enumeration_is_dyck_lex_ordered():
 def test_enumeration_walks_pairings_not_words():
     # the diagrams are built without the oracle word list
     dyck_words.cache_clear()
-    enumerate_diagrams.cache_clear()
-    enumerate_diagrams(8)
+    enumerate_pairings.cache_clear()
+    enumerate_pairings(8)
     assert dyck_words.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        enumerate_pairings(-1)
     with pytest.raises(ValueError):
         enumerate_diagrams(-1)
 

@@ -8,8 +8,20 @@ import pytest
 from planartl.algebra import AlgebraElement, elt_mul
 from planartl.coeff import LaurentPoly
 from planartl.combin import catalan, first_peak_count_B
-from planartl.diagram import Diagram, dyck_lex_index, enumerate_diagrams, identity
-from planartl.indmod import black_box_basis, has_cup_in_box, largest_free_box
+from planartl.diagram import (
+    Diagram,
+    dyck_lex_index,
+    enumerate_diagrams,
+    enumerate_pairings,
+    identity,
+    word_of_pairing,
+)
+from planartl.indmod import black_box_basis, largest_free_box
+
+
+def has_cup_in_box(pairing, m):
+    """True when some arc joins two of the right dots 1..m."""
+    return any(pairing[p] < m for p in range(min(m, len(pairing))))
 
 
 def random_element(rng, n):
@@ -23,7 +35,7 @@ def random_element(rng, n):
 def in_module(basis, x):
     """x's image in the module, as a combination of basis diagrams."""
     return AlgebraElement(
-        basis.n, {basis.diagrams[k]: c for k, c in basis.project(x).items()}
+        basis.n, {Diagram(basis.pairings[k]): c for k, c in basis.project(x).items()}
     )
 
 
@@ -39,7 +51,7 @@ def test_basis_pinned_sizes():
     for n in range(9):
         assert len(black_box_basis(n, 0)) == catalan(n)
         assert len(black_box_basis(n, n)) == 1
-        assert black_box_basis(n, n).diagrams == (identity(n),)
+        assert black_box_basis(n, n).pairings == (identity(n).pairing,)
 
 
 def test_basis_range_validation():
@@ -49,30 +61,38 @@ def test_basis_range_validation():
         black_box_basis(4, -1)
 
 
+def test_basis_rejects_a_negative_strand_count():
+    # n is checked before the box size, with its own message
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        black_box_basis(-1, 0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        black_box_basis(-2, -1)
+
+
 def test_box_predicate_equals_word_prefix():
     for n in range(9):
         for m in range(n + 1):
             prefix = "u" * m
-            for d in enumerate_diagrams(n):
-                assert has_cup_in_box(d, m) == (not d.word.startswith(prefix))
+            for p in enumerate_pairings(n):
+                assert has_cup_in_box(p, m) == (not word_of_pairing(p).startswith(prefix))
 
 
 def test_largest_free_box_follows_the_box_rule():
     for n in range(9):
-        for d in enumerate_diagrams(n):
-            free = largest_free_box(d)
+        for p in enumerate_pairings(n):
+            free = largest_free_box(p)
             assert 0 <= free <= n
             for m in range(n + 1):
-                assert (free >= m) == (not has_cup_in_box(d, m))
+                assert (free >= m) == (not has_cup_in_box(p, m))
 
 
 def test_basis_is_prefix_filter_in_order():
     for n in range(11):
-        full = [d for d in enumerate_diagrams(n)]
+        full = [p for p in enumerate_pairings(n)]
         for m in range(n + 1):
             basis = black_box_basis(n, m)
-            expected = [d for d in full if not has_cup_in_box(d, m)]
-            assert list(basis.diagrams) == expected
+            expected = [p for p in full if not has_cup_in_box(p, m)]
+            assert list(basis.pairings) == expected
 
 
 def test_black_box_action_worked_example():
@@ -80,7 +100,7 @@ def test_black_box_action_worked_example():
     # pastes a cup into the box, so the result is 0
     y = Diagram.from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
     basis = black_box_basis(4, 2)
-    assert dyck_lex_index(4)[y] < len(basis)
+    assert dyck_lex_index(4)[y.pairing] < len(basis)
     u1u3 = elt_mul(AlgebraElement.generator(4, 1), AlgebraElement.generator(4, 3))
     assert basis.project(elt_mul(u1u3, AlgebraElement.from_diagram(y))) == {}
 
@@ -117,7 +137,7 @@ def test_quotient_project_examples():
         for m in range(n + 1):
             basis = black_box_basis(n, m)
             projected = basis.project(AlgebraElement.one(n))
-            assert projected == {dyck_lex_index(n)[identity(n)]: LaurentPoly.one()}
+            assert projected == {dyck_lex_index(n)[identity(n).pairing]: LaurentPoly.one()}
     for n in range(3, 7):
         for m in range(n - 1):
             basis = black_box_basis(n, m)
@@ -139,7 +159,7 @@ def test_quotient_is_a_module_map():
                 product = elt_mul(ex, ey)
                 for m in range(n + 1):
                     basis = black_box_basis(n, m)
-                    if index[y] < len(basis):
+                    if index[y.pairing] < len(basis):
                         assert in_module(basis, ey) == ey
                     else:
                         assert in_module(basis, ey).is_zero
