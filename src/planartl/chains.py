@@ -25,11 +25,13 @@ the per-n generator tables of :mod:`planartl.algebra`: assembly is
 integer lookups and counting, and no diagram is glued in the loop.  One
 cup generator closes at most one loop, so an entry is weighted by a or
 by 1.  Two kernels share the walk and differ only in that arithmetic:
-:func:`right_mult_matrix` keeps Laurent entries, and
-:func:`right_mult_columns_at` works in the integers at one rational
-point v = p/q, where pq * a = p^2 + q^2.  The tables are built by the
-constant-time cup rule, and the general diagram product stays the test
-suite's oracle for them.
+:func:`right_mult_matrix` keeps :class:`~planartl.coeff.LaurentPoly`
+entries, which are immutable, so a child column shares every entry the
+move leaves unchanged with its parent; :func:`right_mult_columns_at`
+works in the integers at one rational point v = p/q, where
+pq * a = p^2 + q^2.  The tables are built by the constant-time cup
+rule, and the general diagram product stays the test suite's oracle
+for them.
 
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises
@@ -73,8 +75,9 @@ __all__ = [
     "theorem_B_rank_identity",
 ]
 
-#: Default specialization points; |v^2| != 1 at both, so the specialized
-#: algebra is semisimple and generic ranks are expected.
+#: Default specialization points.  Over Q every nonzero v gives a
+#: semisimple algebra; a second point guards against a rank drop of some
+#: d^i at a point that is not generic for it.
 DEFAULT_POINTS = (Fraction(2), Fraction(3))
 
 
@@ -146,7 +149,7 @@ def _left_action_columns(
     any coefficient ring.
 
     The identity's column is ``first`` applied to the projection of elt
-    itself, as exponent -> coefficient maps.  Every other
+    itself, a row -> LaurentPoly map.  Every other
     source diagram x is U_j y for its loop-free parent (y, j) in the
     generator tables, so x * elt = U_j (y * elt).  The span the
     projection kills is a left ideal, so x's column is U_j acting on
@@ -162,7 +165,7 @@ def _left_action_columns(
     tables = generator_tables(elt.n)
     count = len(source)
     columns: list = [None] * count
-    columns[tables.order[0]] = first({r: c.coefficients() for r, c in target.project(elt).items()})
+    columns[tables.order[0]] = first(target.project(elt))
     for k in tables.order[1:]:
         if k >= count:
             continue
@@ -179,37 +182,21 @@ def right_mult_matrix(
     """Matrix of x -> project(x * elt) from the source basis to the
     target basis (the projection kills arcs inside the target box),
     over Z[v, v^-1]; assembled by the left action of
-    :func:`_left_action_columns`.
+    :func:`_left_action_columns`.  An entry moved without a loop or a
+    sum is the parent's own :class:`LaurentPoly`, not a copy.
     """
     size = len(target)
-    loop = tuple(LOOP_FACTOR.coefficients().items())
 
     def act(parent: dict, left, closed) -> dict:
-        column: dict[int, dict[int, int]] = {}
-        summed = set()  # rows where a coefficient may have cancelled
+        column: dict[int, LaurentPoly] = {}
         for r, poly in parent.items():
             row = left[r]
-            if row >= size:
-                continue
-            acc = column.get(row)
-            if acc is None:
-                if not closed[r]:
-                    column[row] = dict(poly)
-                    continue
-                acc = column[row] = {}
-            summed.add(row)
-            terms = loop if closed[r] else ((0, 1),)
-            for f, z in terms:
-                for e, x in poly.items():
-                    acc[e + f] = acc.get(e + f, 0) + x * z
-        # Cancelled entries are dropped here, before any child copies them.
-        for row in summed:
-            poly = {e: x for e, x in column[row].items() if x}
-            if poly:
-                column[row] = poly
-            else:
-                del column[row]
-        return column
+            if row < size:
+                if closed[r]:
+                    poly = poly * LOOP_FACTOR
+                column[row] = column[row] + poly if row in column else poly
+        # Cancelled entries are dropped here, before any child inherits them.
+        return {row: poly for row, poly in column.items() if poly}
 
     columns = _left_action_columns(elt, source, target, lambda column: column, act)
     return PolyMatrix(size, len(source), columns)

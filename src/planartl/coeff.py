@@ -1,10 +1,11 @@
 """Exact coefficient arithmetic.
 
 Everything symbolic in this package is linear algebra over the ring of
-integer Laurent polynomials Z[v, v^-1].  Matrix entries are kept as
-plain exponent -> coefficient maps (see :mod:`planartl.linalg`), and
-rank computations evaluate them at a nonzero rational v = p/q in
-integers, so no floating point is ever involved.
+integer Laurent polynomials Z[v, v^-1], held as :class:`LaurentPoly`:
+algebra coefficients and matrix entries (see :mod:`planartl.linalg`)
+alike, so this class holds the package's only Laurent multiply, add and
+cancel loops.  Rank computations evaluate the entries at a nonzero
+rational v = p/q in integers, so no floating point is ever involved.
 
 The two weight conventions for the braiding elements s_i = lam + mu*U_i
 are packaged as :class:`Convention`:

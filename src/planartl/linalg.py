@@ -1,12 +1,12 @@
 """Sparse matrices over Z[v, v^-1] and exact rank at rational points.
 
 Matrices are stored column-major as dicts, which matches how boundary
-matrices are built (one column per basis diagram); an entry is the
-exponent -> coefficient map of its Laurent polynomial, so composition
-and specialization stay in the integers.  Rank is computed on integer
-columns, each a primitive vector at v = p/q (:func:`specialize_column`
-evaluates a Laurent column; the boundary maps build theirs at the point
-directly), inserted one at a time into an echelon form keyed by leading
+matrices are built (one column per basis diagram); an entry is an
+immutable :class:`~planartl.coeff.LaurentPoly`, so composition is that
+class's arithmetic.  Rank is computed on integer columns, each a
+primitive vector at v = p/q (:func:`specialize_column` evaluates a
+Laurent column; the boundary maps build theirs at the point directly),
+inserted one at a time into an echelon form keyed by leading
 row: a column is combined with a stored one by cross-multiplication
 only, with a gcd content reduction after each step, so no division ever
 leaves the integers.  :func:`rank_at`, a Laurent matrix evaluated and
@@ -36,24 +36,22 @@ __all__ = [
 
 
 class PolyMatrix:
-    """A rows x cols matrix over Z[v, v^-1], column-major sparse, with
-    exponent -> coefficient dicts as entries."""
+    """A rows x cols matrix over Z[v, v^-1], column-major sparse: each
+    column maps a row to its nonzero :class:`LaurentPoly` entry."""
 
     __slots__ = ("nrows", "ncols", "columns")
 
     def __init__(self, nrows: int, ncols: int, columns: Iterable[dict] | None = None):
-        """Takes ownership of the column dicts.  Zero coefficients and the
-        entries they leave empty are dropped; a column holding neither is
-        kept as it is.  ``columns`` is read once, so a generator can hand
-        the columns over one at a time."""
+        """Takes ownership of the column dicts.  Zero entries are dropped;
+        a column holding none is kept as it is.  ``columns`` is read
+        once, so a generator can hand the columns over one at a time."""
         if columns is None:
             columns = [{} for _ in range(ncols)]
         self.nrows = nrows
         self.ncols = ncols
         self.columns = []
         for col in columns:
-            if not all(poly and all(poly.values()) for poly in col.values()):
-                col = {r: {e: c for e, c in poly.items() if c} for r, poly in col.items()}
+            if not all(col.values()):
                 col = {r: poly for r, poly in col.items() if poly}
             for r in col:
                 if not 0 <= r < nrows:
@@ -63,7 +61,7 @@ class PolyMatrix:
             raise ValueError("column count mismatch")
 
     def entry(self, r: int, c: int) -> LaurentPoly:
-        return LaurentPoly(self.columns[c].get(r))
+        return self.columns[c].get(r, LaurentPoly.zero())
 
     @property
     def is_zero(self) -> bool:
@@ -79,18 +77,13 @@ class PolyMatrix:
                 f"dimension mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
         mycols = self.columns
-        # One column at a time, so cancelled entries are dropped as they come.
+        # One column at a time; the constructor drops cancelled entries.
         def columns():
             for bcol in other.columns:
-                acc: dict[int, dict[int, int]] = {}
+                acc: dict[int, LaurentPoly] = {}
                 for j, b in bcol.items():
                     for r, a in mycols[j].items():
-                        poly = acc.get(r)
-                        if poly is None:
-                            poly = acc[r] = {}
-                        for ea, ca in a.items():
-                            for eb, cb in b.items():
-                                poly[ea + eb] = poly.get(ea + eb, 0) + ca * cb
+                        acc[r] = acc[r] + a * b if r in acc else a * b
                 yield acc
 
         return PolyMatrix(self.nrows, other.ncols, columns())
@@ -128,7 +121,7 @@ class PolyMatrix:
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
         items = [
-            (r, c, LaurentPoly(poly).to_text(compact=True))
+            (r, c, poly.to_text(compact=True))
             for c, col in enumerate(self.columns)
             for r, poly in col.items()
         ]
@@ -144,22 +137,24 @@ def unit_point(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def specialize_column(column: dict[int, dict[int, int]], p: int, q: int) -> dict[int, int]:
+def specialize_column(column: dict[int, LaurentPoly], p: int, q: int) -> dict[int, int]:
     """One column of Laurent entries evaluated at v = p/q, scaled to a
     primitive integer vector.
 
-    With lo and hi the column's extreme exponents, an entry
-    sum c_e v^e becomes sum c_e p^(e-lo) q^(hi-e), its value times
-    p^-lo q^hi; the column is then made :func:`primitive`.
+    Each entry's coefficients are read once.  With lo and hi the
+    column's extreme exponents, an entry sum c_e v^e becomes
+    sum c_e p^(e-lo) q^(hi-e), its value times p^-lo q^hi; the column is
+    then made :func:`primitive`.
     """
-    lo = min((min(poly) for poly in column.values()), default=0)
-    hi = max((max(poly) for poly in column.values()), default=0)
+    terms = {r: poly.coefficients() for r, poly in column.items()}
+    lo = min((min(t) for t in terms.values()), default=0)
+    hi = max((max(t) for t in terms.values()), default=0)
     p_pow = [p**k for k in range(hi - lo + 1)]
     q_pow = [q**k for k in range(hi - lo + 1)]
     return primitive(
         {
-            r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in poly.items())
-            for r, poly in column.items()
+            r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in t.items())
+            for r, t in terms.items()
         }
     )
 

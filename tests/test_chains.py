@@ -86,10 +86,7 @@ def reference_right_mult_matrix(elt, source, target):
     """The definition, on the independent product path: one elt_mul and
     one projection per source diagram."""
     columns = [
-        {
-            r: poly.coefficients()
-            for r, poly in target.project(elt_mul(AlgebraElement.from_diagram(Diagram(x)), elt)).items()
-        }
+        target.project(elt_mul(AlgebraElement.from_diagram(Diagram(x)), elt))
         for x in source.pairings
     ]
     return PolyMatrix(len(target), len(source), columns)
@@ -179,6 +176,27 @@ def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
     for kernel in (right_mult_matrix, lambda *bases: right_mult_columns_at(*bases, Fraction(2))):
         with pytest.raises(RuntimeError, match="outside the source basis"):
             kernel(AlgebraElement.one(n), source, source)
+
+
+def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
+    # each column drops its cancelled entries before a child inherits
+    # them, and an entry moved without a loop or a sum is the parent's own
+    import planartl.chains as chains_module
+
+    monkeypatch.setattr(chains_module, "PolyMatrix", lambda nrows, ncols, columns: columns)
+    n = 6
+    tables = generator_tables(n)
+    for conv in CONVENTIONS:
+        cx = build_complex(n, conv)
+        shared = 0
+        for i in range(n):
+            columns = right_mult_matrix(boundary_element(n, i, conv), cx.bases[i], cx.bases[i - 1])
+            assert all(all(col.values()) for col in columns)
+            for k in tables.order[1:]:
+                if k < len(columns):
+                    parent = {id(poly) for poly in columns[tables.parent[k][0]].values()}
+                    shared += sum(id(poly) in parent for poly in columns[k].values())
+        assert shared > 0
 
 
 def test_generator_tables_raise_on_a_product_closing_two_loops(monkeypatch):

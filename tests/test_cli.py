@@ -659,6 +659,33 @@ def test_verify_ddzero_fails_on_a_surviving_extra_term(monkeypatch):
     assert "FAIL ddzero n=3  d^1 o d^2 != 0" in out
 
 
+def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
+    # the sign -1 element at n = 3, l = 2 gains U_2, which survives the
+    # projection into degree 0: the report names the first differing
+    # entry of d^1 and its Jacobsthal matrix, as text
+    import dataclasses
+
+    import planartl.jacobsthal as jacobsthal
+    from planartl.algebra import AlgebraElement
+
+    real = jacobsthal.jacobsthal_element
+
+    def patched(n, l, c, ratio_sign=jacobsthal.MATCHING_RATIO_SIGN):
+        jelt = real(n, l, c, ratio_sign)
+        if (n, l, ratio_sign) == (3, 2, -1):
+            return dataclasses.replace(jelt, element=jelt.element + AlgebraElement.generator(3, 2))
+        return jelt
+
+    monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
+    code, out = run_cli_capture(["verify", "thmD", "--n-max", "3", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+    assert checks[2]["details"]["mismatches"] == [
+        {"degree": 1, "ratio_sign": -1, "first_mismatch": [1, 0, "v^1", "v^1 + 1"]}
+    ]
+
+
 def test_verify_ddzero_never_assembles_the_top_map(monkeypatch, fresh_complexes):
     # d^0 ... d^{n-2} are built once each, after d^{i+1}'s identity column
     # from degree -1; the largest map, out of degree n-1, is never built

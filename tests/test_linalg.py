@@ -148,7 +148,7 @@ def poly_matrix_from_lists(entries):
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     cols = [
-        {i: entries[i][j].coefficients() for i in range(nrows) if entries[i][j]}
+        {i: entries[i][j] for i in range(nrows) if entries[i][j]}
         for j in range(ncols)
     ]
     return PolyMatrix(nrows, ncols, cols)
@@ -179,9 +179,10 @@ def test_rank_at_clears_denominators():
 
 
 NROWS = 4
-# entries with negative exponents, zero coefficients and empty maps
-entry_maps = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4)
-int_columns = st.lists(st.dictionaries(st.integers(0, NROWS - 1), entry_maps), max_size=4)
+# entries with negative exponents, built from maps holding zero
+# coefficients, and zero entries
+entry_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly)
+int_columns = st.lists(st.dictionaries(st.integers(0, NROWS - 1), entry_polys), max_size=4)
 # v = p/q with p < 0 and q > 1 in lowest terms
 fraction_points = st.tuples(st.integers(-12, -1), st.integers(2, 12)).filter(
     lambda t: gcd(*t) == 1
@@ -195,7 +196,9 @@ def test_specialize_int_columns_is_a_primitive_multiple(columns, point):
     got = mat.specialize_int_columns(point)
     assert len(got) == len(columns)
     for col, ints in zip(mat.columns, got):
-        values = {r: sum(c * point**e for e, c in poly.items()) for r, poly in col.items()}
+        values = {
+            r: sum(c * point**e for e, c in poly.coefficients().items()) for r, poly in col.items()
+        }
         values = {r: x for r, x in values.items() if x}
         assert all(ints.values())  # no zero entry is kept
         assert set(ints) == set(values)
@@ -234,23 +237,23 @@ def test_compose_dimension_mismatch():
 
 def test_constructor_drops_zero_entries_from_a_generator():
     zero = LaurentPoly.zero()
-    kept = {0: V.coefficients()}
-    # an empty entry, and an entry holding a zero coefficient
-    holding_zeros = {0: zero.coefficients(), 1: {0: 1, 3: 0}}
+    kept = {0: V}
+    # a zero entry beside a nonzero one
+    holding_zeros = {0: zero, 1: ONE}
     mat = PolyMatrix(2, 3, (col for col in [kept, holding_zeros, {}]))
-    assert mat.columns == [{0: V.coefficients()}, {1: ONE.coefficients()}, {}]
+    assert mat.columns == [{0: V}, {1: ONE}, {}]
     assert mat.columns[0] is kept  # a column without zeros is kept, not copied
     assert mat == poly_matrix_from_lists([[V, zero, zero], [zero, ONE, zero]])
     with pytest.raises(ValueError, match="column count mismatch"):
         PolyMatrix(2, 3, ({} for _ in range(2)))
     with pytest.raises(ValueError, match="out of range"):
-        PolyMatrix(2, 1, [{2: ONE.coefficients()}])
+        PolyMatrix(2, 1, [{2: ONE}])
 
 
 def test_first_difference():
     a = poly_matrix_from_lists([[ONE, V], [ONE, ONE]])
     b = poly_matrix_from_lists([[ONE, V], [ONE, V]])
-    identity = PolyMatrix(2, 2, [{0: ONE.coefficients()}, {1: ONE.coefficients()}])
+    identity = PolyMatrix(2, 2, [{0: ONE}, {1: ONE}])
     assert a.first_difference(a.compose(identity)) is None
     diff = a.first_difference(b)
     assert diff is not None
