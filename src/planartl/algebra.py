@@ -175,7 +175,7 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({self.terms[d].to_text(compact=True)}) * {d.word or _EMPTY_WORD}"
+            f"({self.terms[d].to_text()}) * {d.word or _EMPTY_WORD}"
             for d in sorted(self.terms, key=lambda d: dyck_lex_key(d.word))
         )
 

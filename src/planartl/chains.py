@@ -9,10 +9,13 @@ right multiplications by descending products of braiding elements:
     d^i(x) = sum_{j=0}^{i} (-1)^j lam^{-j} x * s_{n-i+j-1} ... s_{n-i}
 
 followed by the projection that kills any arc landing in the enlarged
-box.  A boundary matrix over Z[v, v^-1] in the Dyck-lex bases is built
-for each use that needs its Laurent entries (d o d = 0, the Jacobsthal
-comparison, the matrix dump) and not kept: Euler characteristics only
-need basis sizes, and rank checks never build one.
+box.  Each basis is held as the range of its diagrams' Dyck-lex
+positions (see :mod:`planartl.indmod`), so the complex, its chain ranks
+and its Euler characteristic come from closed-form sizes and enumerate
+no diagram.  A boundary matrix over Z[v, v^-1] in the Dyck-lex bases is
+built for each use that needs its Laurent entries (d o d = 0, the
+Jacobsthal comparison, the matrix dump) and not kept; rank checks never
+build one.
 
 Every right-multiplication map (the boundary maps, and a Jacobsthal map
 where its element differs from the boundary element) is assembled by
@@ -56,7 +59,7 @@ from .combin import (
     fine_by_enumeration,
     first_peak_count_B,
 )
-from .indmod import BlackBoxBasis, black_box_basis
+from .indmod import black_box_basis, project
 from .linalg import PolyMatrix, primitive, rank_of_int_columns, specialize_column, unit_point
 
 __all__ = [
@@ -142,9 +145,7 @@ def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
     return total
 
 
-def _left_action_columns(
-    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis, first, act
-) -> list:
+def _left_action_columns(elt: AlgebraElement, source: range, target: range, first, act) -> list:
     """The columns of x -> project(x * elt), one per source diagram, in
     any coefficient ring.
 
@@ -158,14 +159,16 @@ def _left_action_columns(
     most one loop), and drops a row at or past ``len(target)``.  Columns
     are built in the tables' visiting order, parents first.  A parent
     always lies in its child's box basis; one outside the source basis
-    raises RuntimeError.
+    raises RuntimeError.  A basis is a range of Dyck-lex positions, so
+    one whose size is no B_m(n) for elt's n raises ValueError.
     """
-    if elt.n != source.n or source.n != target.n:
-        raise ValueError("strand counts do not match")
+    sizes = {first_peak_count_B(elt.n, m) for m in range(elt.n + 1)}
+    if len(source) not in sizes or len(target) not in sizes:
+        raise ValueError(f"a basis size is no box size on {elt.n} strands")
     tables = generator_tables(elt.n)
     count = len(source)
     columns: list = [None] * count
-    columns[tables.order[0]] = first(target.project(elt))
+    columns[tables.order[0]] = first(project(elt, target))
     for k in tables.order[1:]:
         if k >= count:
             continue
@@ -176,9 +179,7 @@ def _left_action_columns(
     return columns
 
 
-def right_mult_matrix(
-    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis
-) -> PolyMatrix:
+def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> PolyMatrix:
     """Matrix of x -> project(x * elt) from the source basis to the
     target basis (the projection kills arcs inside the target box),
     over Z[v, v^-1]; assembled by the left action of
@@ -203,7 +204,7 @@ def right_mult_matrix(
 
 
 def right_mult_columns_at(
-    elt: AlgebraElement, source: BlackBoxBasis, target: BlackBoxBasis, x
+    elt: AlgebraElement, source: range, target: range, x
 ) -> list[dict[int, int]]:
     """The columns of :func:`right_mult_matrix` evaluated at v = x = p/q,
     each a primitive integer vector, built by the same left action in
@@ -243,7 +244,9 @@ def right_mult_columns_at(
 class ChainComplexData:
     """Bases and boundary ranks of W(n) for one convention.
 
-    ``bases[i]`` is the degree-i basis for -1 <= i <= n-1;
+    ``bases[i]`` is the degree-i basis for -1 <= i <= n-1, the range of
+    its diagrams' Dyck-lex positions (see :func:`black_box_basis`), so
+    building the complex and its chain ranks enumerates no diagram;
     ``differential(i)`` builds the matrix of d^i mapping degree i to
     degree i-1, for 0 <= i <= n-1, on every call.  ``boundary_rank(i, p)``,
     the exact rank of d^i at v = p cached per (degree, point), is the one
@@ -259,7 +262,7 @@ class ChainComplexData:
             raise ValueError("n must be positive")
         self.n = n
         self.convention = c
-        self.bases: dict[int, BlackBoxBasis] = {
+        self.bases: dict[int, range] = {
             i: black_box_basis(n, n - i - 1) for i in range(-1, n)
         }
         self._ranks: dict[tuple[int, Fraction], int] = {}
@@ -329,10 +332,6 @@ class HomologyReport:
         return all(self.homology_ranks[d] == 0 for d in range(-1, self.n - 1))
 
     @property
-    def chain_alternating_sum(self) -> int:
-        return sum(_sign(i) * r for i, r in self.chain_ranks.items())
-
-    @property
     def homology_alternating_sum(self) -> int:
         return sum(_sign(i) * r for i, r in self.homology_ranks.items())
 
@@ -341,7 +340,7 @@ class HomologyReport:
         """Alternating sums of chain and homology ranks agree.  Each h_d is
         c_d - r_d - r_{d+1}, so this holds by telescoping: the check can
         fail only through the points disagreeing on the ranks."""
-        return self.chain_alternating_sum == self.homology_alternating_sum
+        return self.euler_characteristic == self.homology_alternating_sum
 
 
 def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyReport:

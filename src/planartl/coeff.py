@@ -196,15 +196,15 @@ class LaurentPoly:
 
     # -- text form ---------------------------------------------------
 
-    def to_text(self, compact: bool = False) -> str:
-        """Canonical text: terms c*v^e sorted by descending exponent.
+    def to_text(self) -> str:
+        """Canonical text: terms c*v^e sorted by descending exponent,
+        with no spaces.
 
         Coefficient +-1 on a nonconstant term is suppressed, so the loop
-        weight renders as ``v^1 + v^-1``.
+        weight renders as ``v^1+v^-1``.
         """
         if not self._terms:
             return "0"
-        plus, minus = ("+", "-") if compact else (" + ", " - ")
         pieces: list[str] = []
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
@@ -214,10 +214,8 @@ class LaurentPoly:
                 body = f"v^{e}"
             else:
                 body = f"{abs(c)}*v^{e}"
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append((minus if c < 0 else plus) + body)
+            sign = "-" if c < 0 else "+" if pieces else ""
+            pieces.append(sign + body)
         return "".join(pieces)
 
     def __str__(self) -> str:

@@ -5,17 +5,17 @@ the m-strand subalgebra has a diagram basis: the diagrams on n strands
 with no arc joining two of the right dots 1..m (the box).  Under the
 Dyck bijection these are exactly the words that start with m u's, and
 since u < d they are the first B_m(n) (first-peak count) entries of the
-full Dyck-lex list.  So every basis is a prefix of one basis per n, held
-as pairing tuples (a prefix of
-:func:`planartl.diagram.enumerate_pairings`); a basis carries no index
-of its own, and positions are looked up by pairing in the one per-n
-:func:`planartl.diagram.dyck_lex_index`.
+full Dyck-lex list.  So every basis is a prefix of one list per n, and
+is held as its range of positions in
+:func:`planartl.diagram.enumerate_pairings`: its size is a closed form,
+and only a caller that reads a basis diagram's pairing enumerates.
 
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
 action is the algebra product followed by that projection, which keeps
-an entry exactly when its Dyck-lex position is below B_m(n).
-:meth:`BlackBoxBasis.project` applies it to an algebra element, and the
+an entry exactly when its Dyck-lex position, looked up in the one per-n
+:func:`planartl.diagram.dyck_lex_index`, is below B_m(n).
+:func:`project` applies it to an algebra element, and the
 boundary-matrix kernel in :mod:`planartl.chains` drops each row at or
 past that position as the left action moves it there.
 """
@@ -27,12 +27,12 @@ from functools import cache
 from .algebra import AlgebraElement
 from .coeff import LaurentPoly
 from .combin import first_peak_count_B
-from .diagram import dyck_lex_index, enumerate_pairings
+from .diagram import dyck_lex_index
 
 __all__ = [
-    "BlackBoxBasis",
     "largest_free_box",
     "black_box_basis",
+    "project",
 ]
 
 
@@ -50,44 +50,24 @@ def largest_free_box(pairing: tuple[int, ...]) -> int:
     return 0
 
 
-class BlackBoxBasis:
-    """The ordered diagram basis of the size-m black box module on n
-    strands: ``pairings`` holds the first B_m(n) pairings in Dyck-lex
-    order.
-
-    A diagram lies in this basis exactly when the position of its
-    pairing in ``dyck_lex_index(n)`` is below ``len(self)``.
-    """
-
-    __slots__ = ("n", "m", "pairings")
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self.pairings = enumerate_pairings(n)[: first_peak_count_B(n, m)]
-
-    def __len__(self) -> int:
-        return len(self.pairings)
-
-    def project(self, x: AlgebraElement) -> dict[int, LaurentPoly]:
-        """Coordinates of x's image in this module, keyed by Dyck-lex
-        position: the coefficient of each basis diagram, with every
-        diagram that has an arc inside the box dropped."""
-        index = dyck_lex_index(self.n)
-        size = len(self.pairings)
-        coords = ((index[d.pairing], c) for d, c in x.terms.items())
-        return {k: c for k, c in coords if k < size}
-
-    def __repr__(self) -> str:
-        return f"BlackBoxBasis(n={self.n}, m={self.m}, size={len(self.pairings)})"
-
-
 @cache
-def black_box_basis(n: int, m: int) -> BlackBoxBasis:
-    """All diagrams on n strands with no arc inside the size-m box,
-    equivalently those whose Dyck word starts with m u's."""
+def black_box_basis(n: int, m: int) -> range:
+    """The basis of the size-m black box module on n strands: the
+    diagrams with no arc inside the box, equivalently those whose Dyck
+    word starts with m u's, as their positions 0..B_m(n)-1 in
+    ``enumerate_pairings(n)``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= m <= n:
         raise ValueError(f"box size must lie in 0..{n}, got {m}")
-    return BlackBoxBasis(n, m)
+    return range(first_peak_count_B(n, m))
+
+
+def project(x: AlgebraElement, basis: range) -> dict[int, LaurentPoly]:
+    """Coordinates of x's image in the module with this basis, keyed by
+    Dyck-lex position: the coefficient of each basis diagram, with every
+    diagram that has an arc inside the box dropped."""
+    index = dyck_lex_index(x.n)
+    size = len(basis)
+    coords = ((index[d.pairing], c) for d, c in x.terms.items())
+    return {k: c for k, c in coords if k < size}

@@ -121,7 +121,7 @@ class PolyMatrix:
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
         items = [
-            (r, c, poly.to_text(compact=True))
+            (r, c, poly.to_text())
             for c, col in enumerate(self.columns)
             for r, poly in col.items()
         ]

@@ -230,59 +230,52 @@ def test_verify_failure_exits_one(monkeypatch):
     assert statuses == ["pass", "fail", "pass"]
 
 
-class _Basis:
-    def __init__(self, pairings):
-        self.pairings = tuple(pairings)
+def _doctored_enumeration(monkeypatch, doctor):
+    """Bind the CLI's enumeration to the Dyck-lex list with ``doctor``
+    applied to its n = 4 list."""
+    import planartl.cli as cli
 
-    def __len__(self):
-        return len(self.pairings)
+    real = cli.enumerate_pairings
 
+    def doctored(n):
+        pairings = list(real(n))
+        if n == 4:
+            doctor(pairings)
+        return tuple(pairings)
 
-def test_verify_bcounts_fails_on_out_of_order_basis(monkeypatch):
-    import planartl.indmod as indmod
-
-    real = indmod.black_box_basis
-
-    def swapped(n, m):
-        basis = real(n, m)
-        if (n, m) != (4, 2):
-            return basis
-        d = list(basis.pairings)
-        d[0], d[1] = d[1], d[0]
-        return _Basis(d)
-
-    monkeypatch.setattr(indmod, "black_box_basis", swapped)
-    code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
-    assert code == 1
-    assert "FAIL bcounts n=4  basis at box 2 is not a Dyck-lex prefix" in out
+    monkeypatch.setattr(cli, "enumerate_pairings", doctored)
 
 
 def test_verify_bcounts_fails_on_banned_diagram(monkeypatch):
     # the Dyck-lex list with the last box-2 diagram and the first banned
-    # one swapped: every basis is still a prefix of it, and the box-2
-    # basis holds a diagram with an arc inside the box
-    import planartl.cli as cli
-    import planartl.indmod as indmod
+    # one swapped: as many diagrams are free at each box, and the box-2
+    # prefix holds a diagram with an arc inside the box
     from planartl.combin import first_peak_count_B
 
-    real_enumerate = cli.enumerate_pairings
     cut = first_peak_count_B(4, 2)
 
-    def enumerate_swapped(n):
-        d = list(real_enumerate(n))
-        if n == 4:
-            d[cut - 1], d[cut] = d[cut], d[cut - 1]
-        return tuple(d)
+    def swap(pairings):
+        pairings[cut - 1], pairings[cut] = pairings[cut], pairings[cut - 1]
 
-    def prefix_basis(n, m):
-        return _Basis(enumerate_swapped(n)[: first_peak_count_B(n, m)])
-
-    monkeypatch.setattr(cli, "enumerate_pairings", enumerate_swapped)
-    monkeypatch.setattr(indmod, "black_box_basis", prefix_basis)
+    _doctored_enumeration(monkeypatch, swap)
     code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
     assert code == 1
     assert "PASS bcounts n=3" in out
     assert "FAIL bcounts n=4  banned diagram in basis at box 2" in out
+
+
+def test_verify_bcounts_fails_on_a_free_diagram_past_the_prefix(monkeypatch):
+    # the last diagram (udududud, free at no box above 1) replaced by a
+    # copy of the first (uuuudddd, free at every box): every prefix is
+    # unchanged, and one diagram more than B_2(4) = 9 is free at box 2
+    def copy_first(pairings):
+        pairings[13] = pairings[0]
+
+    _doctored_enumeration(monkeypatch, copy_first)
+    code, out = run_cli_capture(["verify", "bcounts", "--n-max", "4"])
+    assert code == 1
+    assert "PASS bcounts n=3" in out
+    assert "FAIL bcounts n=4  basis size at box 2 is 10, expected 9" in out
 
 
 def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
@@ -391,6 +384,21 @@ def test_verify_enumeration_checks_build_no_index():
     code, _ = run_cli_capture(["verify", "euler", "bcounts", "bijection", "--n-max", "9"])
     assert code == 0
     assert dyck_lex_index.cache_info().currsize == 0
+
+
+def test_verify_euler_builds_no_enumeration_or_tables(fresh_complexes):
+    # every basis is a range of Dyck-lex positions sized by a closed
+    # form, so the Euler characteristic enumerates no diagram
+    from planartl.algebra import generator_tables
+    from planartl.diagram import dyck_lex_index, enumerate_pairings
+    from planartl.indmod import black_box_basis
+
+    for cached in (black_box_basis, dyck_lex_index, enumerate_pairings, generator_tables):
+        cached.cache_clear()
+    code, _ = run_cli_capture(["verify", "euler", "--n-max", "9"])
+    assert code == 0
+    assert enumerate_pairings.cache_info().currsize == 0
+    assert generator_tables.cache_info().currsize == 0
 
 
 def test_verify_bad_flags_exit_2():
@@ -682,7 +690,7 @@ def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
     checks = json.loads(out)["checks"]
     assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
     assert checks[2]["details"]["mismatches"] == [
-        {"degree": 1, "ratio_sign": -1, "first_mismatch": [1, 0, "v^1", "v^1 + 1"]}
+        {"degree": 1, "ratio_sign": -1, "first_mismatch": [1, 0, "v^1", "v^1+1"]}
     ]
 
 

@@ -133,11 +133,10 @@ def test_powers():
 
 
 def test_text_form_examples():
-    assert (V + V_INV).to_text() == "v^1 + v^-1"
-    assert (V + V_INV).to_text(compact=True) == "v^1+v^-1"
+    assert (V + V_INV).to_text() == "v^1+v^-1"
     assert ZERO.to_text() == "0"
-    assert LaurentPoly({2: -3, 0: 5}).to_text() == "-3*v^2 + 5"
-    assert LaurentPoly({1: 1, -1: -1}).to_text() == "v^1 - v^-1"
+    assert LaurentPoly({2: -3, 0: 5}).to_text() == "-3*v^2+5"
+    assert LaurentPoly({1: 1, -1: -1}).to_text() == "v^1-v^-1"
 
 
 def test_parse_examples():
@@ -173,7 +172,6 @@ def test_specialize_is_ring_homomorphism(p, q, x):
 @given(polys)
 def test_text_round_trip(p):
     assert parse(p.to_text()) == p
-    assert parse(p.to_text(compact=True)) == p
 
 
 @given(polys, polys)

@@ -16,7 +16,7 @@ from planartl.diagram import (
     identity,
     word_of_pairing,
 )
-from planartl.indmod import black_box_basis, largest_free_box
+from planartl.indmod import black_box_basis, largest_free_box, project
 
 
 def has_cup_in_box(pairing, m):
@@ -34,9 +34,8 @@ def random_element(rng, n):
 
 def in_module(basis, x):
     """x's image in the module, as a combination of basis diagrams."""
-    return AlgebraElement(
-        basis.n, {Diagram(basis.pairings[k]): c for k, c in basis.project(x).items()}
-    )
+    pairings = enumerate_pairings(x.n)
+    return AlgebraElement(x.n, {Diagram(pairings[k]): c for k, c in project(x, basis).items()})
 
 
 def test_basis_sizes_match_first_peak_counts():
@@ -51,7 +50,7 @@ def test_basis_pinned_sizes():
     for n in range(9):
         assert len(black_box_basis(n, 0)) == catalan(n)
         assert len(black_box_basis(n, n)) == 1
-        assert black_box_basis(n, n).pairings == (identity(n).pairing,)
+        assert [enumerate_pairings(n)[k] for k in black_box_basis(n, n)] == [identity(n).pairing]
 
 
 def test_basis_range_validation():
@@ -92,7 +91,7 @@ def test_basis_is_prefix_filter_in_order():
         for m in range(n + 1):
             basis = black_box_basis(n, m)
             expected = [p for p in full if not has_cup_in_box(p, m)]
-            assert list(basis.pairings) == expected
+            assert [full[k] for k in basis] == expected
 
 
 def test_black_box_action_worked_example():
@@ -102,7 +101,7 @@ def test_black_box_action_worked_example():
     basis = black_box_basis(4, 2)
     assert dyck_lex_index(4)[y.pairing] < len(basis)
     u1u3 = elt_mul(AlgebraElement.generator(4, 1), AlgebraElement.generator(4, 3))
-    assert basis.project(elt_mul(u1u3, AlgebraElement.from_diagram(y))) == {}
+    assert project(elt_mul(u1u3, AlgebraElement.from_diagram(y)), basis) == {}
 
 
 def test_identity_acts_trivially():
@@ -113,7 +112,7 @@ def test_identity_acts_trivially():
             basis = black_box_basis(n, m)
             for _ in range(5):
                 vec = in_module(basis, random_element(rng, n))
-                assert basis.project(elt_mul(one, vec)) == basis.project(vec)
+                assert project(elt_mul(one, vec), basis) == project(vec, basis)
 
 
 def test_action_is_module_action():
@@ -126,22 +125,22 @@ def test_action_is_module_action():
                 y = random_element(rng, n)
                 vec = in_module(basis, random_element(rng, n))
                 y_vec = in_module(basis, elt_mul(y, vec))
-                assert basis.project(elt_mul(elt_mul(x, y), vec)) == basis.project(
-                    elt_mul(x, y_vec)
+                assert project(elt_mul(elt_mul(x, y), vec), basis) == project(
+                    elt_mul(x, y_vec), basis
                 )
 
 
 def test_quotient_project_examples():
-    assert black_box_basis(4, 2).project(AlgebraElement.generator(4, 1)) == {}
+    assert project(AlgebraElement.generator(4, 1), black_box_basis(4, 2)) == {}
     for n in range(1, 7):
         for m in range(n + 1):
             basis = black_box_basis(n, m)
-            projected = basis.project(AlgebraElement.one(n))
+            projected = project(AlgebraElement.one(n), basis)
             assert projected == {dyck_lex_index(n)[identity(n).pairing]: LaurentPoly.one()}
     for n in range(3, 7):
         for m in range(n - 1):
             basis = black_box_basis(n, m)
-            assert basis.project(AlgebraElement.generator(n, m + 1)) != {}
+            assert project(AlgebraElement.generator(n, m + 1), basis) != {}
 
 
 def test_quotient_is_a_module_map():
@@ -163,7 +162,7 @@ def test_quotient_is_a_module_map():
                         assert in_module(basis, ey) == ey
                     else:
                         assert in_module(basis, ey).is_zero
-                        assert basis.project(product) == {}
+                        assert project(product, basis) == {}
 
 
 def test_act_at_box_zero_agrees_with_algebra_product():
@@ -180,4 +179,4 @@ def test_strand_mismatch():
     basis = black_box_basis(3, 1)
     vec = in_module(basis, AlgebraElement.one(3))
     with pytest.raises(ValueError):
-        basis.project(elt_mul(AlgebraElement.one(4), vec))
+        project(elt_mul(AlgebraElement.one(4), vec), basis)
