@@ -150,10 +150,6 @@ class AlgebraElement:
 
     # -- comparisons and inspection -------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -164,9 +160,6 @@ class AlgebraElement:
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(((d.word, c) for d, c in self.terms.items())))))
-
-    def coefficient(self, d: Diagram) -> LaurentPoly:
-        return self.terms.get(d, LaurentPoly.zero())
 
     def to_text(self) -> str:
         """Terms as '(coeff) * dyckword', in Dyck-lex order of the word;

@@ -9,32 +9,33 @@ right multiplications by descending products of braiding elements:
     d^i(x) = sum_{j=0}^{i} (-1)^j lam^{-j} x * s_{n-i+j-1} ... s_{n-i}
 
 followed by the projection that kills any arc landing in the enlarged
-box.  Each basis is held as the range of its diagrams' Dyck-lex
-positions (see :mod:`planartl.indmod`), so the complex, its chain ranks
-and its Euler characteristic come from closed-form sizes and enumerate
-no diagram.  A boundary matrix over Z[v, v^-1] in the Dyck-lex bases is
-built for each use that needs its Laurent entries (d o d = 0, the
-Jacobsthal comparison, the matrix dump) and not kept; rank checks never
-build one.
+box.  The complex is three functions of (n, degree, convention), and
+holds no object: :func:`chain_basis` is the range of a degree's
+Dyck-lex positions (see :mod:`planartl.indmod`), so chain ranks and the
+Euler characteristic come from closed-form sizes and enumerate no
+diagram; :func:`differential` builds the matrix of d^i over
+Z[v, v^-1] on every call; and :func:`boundary_rank`, cached, ranks d^i
+at a point without building that matrix.
 
-Every right-multiplication map (the boundary maps, and a Jacobsthal map
-where its element differs from the boundary element) is assembled by
-one walk, :func:`_left_action_columns`.  The projection kills the
-diagrams with an arc between two right dots inside the box, and left
-multiplication keeps every such arc, so the killed span is a left ideal
-and the projection commutes with the left action.  A column is
-therefore its parent's column acted on by one cup generator, read from
-the per-n generator tables of :mod:`planartl.algebra`: assembly is
-integer lookups and counting, and no diagram is glued in the loop.  One
-cup generator closes at most one loop, so an entry is weighted by a or
-by 1.  Two kernels share the walk and differ only in that arithmetic:
-:func:`right_mult_matrix` keeps :class:`~planartl.coeff.LaurentPoly`
-entries, which are immutable, so a child column shares every entry the
-move leaves unchanged with its parent; :func:`right_mult_columns_at`
-works in the integers at one rational point v = p/q, where
-pq * a = p^2 + q^2.  The tables are built by the constant-time cup
-rule, and the general diagram product stays the test suite's oracle
-for them.
+Every right-multiplication map is assembled by one walk,
+:func:`_left_action_columns`.  The projection kills the diagrams with an
+arc between two right dots inside the box, and left multiplication
+keeps every such arc, so the killed span is a left ideal and the
+projection commutes with the left action.  Each chain module is a
+cyclic left module on the identity diagram, so each such map is fixed
+by its identity column: d o d = 0 and the Jacobsthal comparison read
+that one column alone.  Every other column is its parent's column acted
+on by one cup generator, read from the per-n generator tables of
+:mod:`planartl.algebra`: assembly is integer lookups and counting, and
+no diagram is glued in the loop.  One cup generator closes at most one
+loop, so an entry is weighted by a or by 1.  Two kernels share the walk
+and differ only in that arithmetic: :func:`right_mult_matrix` keeps
+:class:`~planartl.coeff.LaurentPoly` entries, which are immutable, so a
+child column shares every entry the move leaves unchanged with its
+parent; :func:`right_mult_columns_at` works in the integers at one
+rational point v = p/q, where pq * a = p^2 + q^2.  The tables are built
+by the constant-time cup rule, and the general diagram product stays
+the test suite's oracle for them.
 
 Homology ranks are computed by exact elimination at two or more rational
 specialization points; the points must agree, and disagreement raises
@@ -53,17 +54,11 @@ from functools import cache
 
 from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from .coeff import LOOP_FACTOR, Convention, LaurentPoly
-from .combin import (
-    ENUM_LIMIT,
-    fine_by_alternating_binomials,
-    fine_by_enumeration,
-    first_peak_count_B,
-)
+from .combin import first_peak_count_B
 from .indmod import black_box_basis, project
 from .linalg import PolyMatrix, primitive, rank_of_int_columns, specialize_column, unit_point
 
 __all__ = [
-    "ChainComplexData",
     "HomologyReport",
     "SpecializationMismatch",
     "DEFAULT_POINTS",
@@ -72,10 +67,11 @@ __all__ = [
     "boundary_element",
     "right_mult_matrix",
     "right_mult_columns_at",
-    "build_complex",
+    "chain_basis",
+    "differential",
+    "boundary_rank",
     "euler_characteristic",
     "homology_ranks",
-    "theorem_B_rank_identity",
 ]
 
 #: Default specialization points.  Over Q every nonzero v gives a
@@ -149,26 +145,29 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
     """The columns of x -> project(x * elt), one per source diagram, in
     any coefficient ring.
 
-    The identity's column is ``first`` applied to the projection of elt
-    itself, a row -> LaurentPoly map.  Every other
-    source diagram x is U_j y for its loop-free parent (y, j) in the
-    generator tables, so x * elt = U_j (y * elt).  The span the
-    projection kills is a left ideal, so x's column is U_j acting on
-    y's column: ``act(column, left, loops)`` moves each entry at row r to
-    row ``left[r]``, weighted by a where ``loops[r]`` is 1 (U_j closes at
+    The identity comes first in Dyck-lex order, and its column, at
+    position 0, is ``first`` applied to the projection of elt itself, a
+    row -> LaurentPoly map.  Every other source diagram x is U_j y for
+    its loop-free parent (y, j) in the generator tables, so
+    x * elt = U_j (y * elt).  The span the projection kills is a left
+    ideal, so x's column is U_j acting on y's column:
+    ``act(column, left, loops)`` moves each entry at row r to row
+    ``left[r]``, weighted by a where ``loops[r]`` is 1 (U_j closes at
     most one loop), and drops a row at or past ``len(target)``.  Columns
-    are built in the tables' visiting order, parents first.  A parent
-    always lies in its child's box basis; one outside the source basis
-    raises RuntimeError.  A basis is a range of Dyck-lex positions, so
-    one whose size is no B_m(n) for elt's n raises ValueError.
+    are built in the tables' visiting order, parents first; a source
+    holding the identity alone needs no tables.  A parent always lies in
+    its child's box basis; one outside the source basis raises
+    RuntimeError.  A basis is a range of Dyck-lex positions, so one
+    whose size is no B_m(n) for elt's n raises ValueError.
     """
     sizes = {first_peak_count_B(elt.n, m) for m in range(elt.n + 1)}
     if len(source) not in sizes or len(target) not in sizes:
         raise ValueError(f"a basis size is no box size on {elt.n} strands")
-    tables = generator_tables(elt.n)
     count = len(source)
-    columns: list = [None] * count
-    columns[tables.order[0]] = first(project(elt, target))
+    columns: list = [first(project(elt, target))] + [None] * (count - 1)
+    if count == 1:
+        return columns
+    tables = generator_tables(elt.n)
     for k in tables.order[1:]:
         if k >= count:
             continue
@@ -241,61 +240,30 @@ def right_mult_columns_at(
     return _left_action_columns(elt, source, target, evaluate, act)
 
 
-class ChainComplexData:
-    """Bases and boundary ranks of W(n) for one convention.
+def chain_basis(n: int, i: int) -> range:
+    """The degree-i basis of W(n) for -1 <= i <= n-1: the black box
+    basis of box size n-i-1 (see :func:`black_box_basis`), a range of
+    Dyck-lex positions."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return black_box_basis(n, n - i - 1)
 
-    ``bases[i]`` is the degree-i basis for -1 <= i <= n-1, the range of
-    its diagrams' Dyck-lex positions (see :func:`black_box_basis`), so
-    building the complex and its chain ranks enumerates no diagram;
-    ``differential(i)`` builds the matrix of d^i mapping degree i to
-    degree i-1, for 0 <= i <= n-1, on every call.  ``boundary_rank(i, p)``,
-    the exact rank of d^i at v = p cached per (degree, point), is the one
-    place a boundary map is ranked, for homology and the top Jacobsthal
-    kernel; it ranks integer columns built at the point and never builds
-    ``differential(i)``.
-    """
 
-    __slots__ = ("n", "convention", "bases", "_ranks")
-
-    def __init__(self, n: int, c: Convention):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
-        self.convention = c
-        self.bases: dict[int, range] = {
-            i: black_box_basis(n, n - i - 1) for i in range(-1, n)
-        }
-        self._ranks: dict[tuple[int, Fraction], int] = {}
-
-    def chain_rank(self, i: int) -> int:
-        return len(self.bases[i])
-
-    def differential(self, i: int) -> PolyMatrix:
-        """The matrix of d^i in the Dyck-lex bases."""
-        if not 0 <= i <= self.n - 1:
-            raise ValueError(f"degree must lie in 0..{self.n - 1}, got {i}")
-        elt = boundary_element(self.n, i, self.convention)
-        return right_mult_matrix(elt, self.bases[i], self.bases[i - 1])
-
-    def boundary_rank(self, i: int, point: Fraction) -> int:
-        """Exact rank of d^i at v = point, from
-        :func:`right_mult_columns_at`."""
-        key = (i, Fraction(point))
-        rank = self._ranks.get(key)
-        if rank is None:
-            elt = boundary_element(self.n, i, self.convention)
-            columns = right_mult_columns_at(elt, self.bases[i], self.bases[i - 1], key[1])
-            rank = self._ranks[key] = rank_of_int_columns(columns)
-        return rank
-
-    def __repr__(self) -> str:
-        return f"ChainComplexData(n={self.n}, convention={self.convention.tag})"
+def differential(n: int, i: int, c: Convention) -> PolyMatrix:
+    """The matrix of d^i, from degree i to degree i-1, in the Dyck-lex
+    bases; built on every call."""
+    elt = boundary_element(n, i, c)
+    return right_mult_matrix(elt, chain_basis(n, i), chain_basis(n, i - 1))
 
 
 @cache
-def build_complex(n: int, c: Convention) -> ChainComplexData:
-    """The complex of planar injective words; cached per (n, convention)."""
-    return ChainComplexData(n, c)
+def boundary_rank(n: int, i: int, c: Convention, point: Fraction) -> int:
+    """Exact rank of d^i at v = point, from :func:`right_mult_columns_at`;
+    cached, since homology, the Hopf trace and the top Jacobsthal kernel
+    all read it."""
+    elt = boundary_element(n, i, c)
+    columns = right_mult_columns_at(elt, chain_basis(n, i), chain_basis(n, i - 1), point)
+    return rank_of_int_columns(columns)
 
 
 def _sign(i: int) -> int:
@@ -303,10 +271,10 @@ def _sign(i: int) -> int:
     return -1 if i % 2 else 1
 
 
-def euler_characteristic(cx: ChainComplexData) -> int:
-    """sum_{i=-1}^{n-1} (-1)^i rank(chain module i), the degree -1
+def euler_characteristic(n: int) -> int:
+    """sum_{i=-1}^{n-1} (-1)^i rank(chain module i) of W(n), the degree -1
     term included."""
-    return sum(_sign(i) * cx.chain_rank(i) for i in range(-1, cx.n))
+    return sum(_sign(i) * len(chain_basis(n, i)) for i in range(-1, n))
 
 
 @dataclass(frozen=True)
@@ -343,8 +311,8 @@ class HomologyReport:
         return self.euler_characteristic == self.homology_alternating_sum
 
 
-def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyReport:
-    """Exact homology ranks of the complex at the given points.
+def homology_ranks(n: int, c: Convention, points=DEFAULT_POINTS) -> HomologyReport:
+    """Exact homology ranks of W(n) under convention c at the given points.
 
     Needs at least two distinct nonzero points (see
     :func:`specialization_points`); the per-degree boundary
@@ -353,9 +321,8 @@ def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyRepor
     retry with different points.
     """
     pts = specialization_points(points)
-    n = cx.n
-    first = agreed_ranks({p: {i: cx.boundary_rank(i, p) for i in range(n)} for p in pts})
-    chain_ranks = {i: cx.chain_rank(i) for i in range(-1, n)}
+    chain_ranks = {i: len(chain_basis(n, i)) for i in range(-1, n)}
+    first = agreed_ranks({p: {i: boundary_rank(n, i, c, p) for i in range(n)} for p in pts})
     homology = {}
     for d in range(-1, n):
         # no boundary map leaves degree -1, and none enters degree n-1
@@ -365,27 +332,10 @@ def homology_ranks(cx: ChainComplexData, points=DEFAULT_POINTS) -> HomologyRepor
         homology[d] = h
     return HomologyReport(
         n=n,
-        convention_tag=cx.convention.tag,
+        convention_tag=c.tag,
         points=pts,
         chain_ranks=chain_ranks,
         boundary_ranks=first,
         homology_ranks=homology,
-        euler_characteristic=euler_characteristic(cx),
+        euler_characteristic=euler_characteristic(n),
     )
-
-
-def theorem_B_rank_identity(n: int) -> bool:
-    """Check the rank identity behind the alternating induced-module sum:
-    the top homology rank (the n-th Fine number) equals
-    sum_{m=0}^{n} (-1)^m B_m(n).
-
-    The Fine number is taken from routes that do not go through the
-    first-peak counts: the alternating binomial sum, and for n <= 12 the
-    even-first-peak enumeration as well.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    alternating = sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
-    if alternating != fine_by_alternating_binomials(n):
-        return False
-    return n > ENUM_LIMIT or alternating == fine_by_enumeration(n)

@@ -76,13 +76,6 @@ class LaurentPoly:
         """A copy of the exponent -> coefficient map (canonical form)."""
         return dict(self._terms)
 
-    def coefficient(self, e: int) -> int:
-        return self._terms.get(e, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -132,12 +125,6 @@ class LaurentPoly:
         if q is None:
             return NotImplemented
         return self + (-q)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
         q = self._coerce(other)

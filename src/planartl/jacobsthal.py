@@ -13,12 +13,15 @@ sequences give distinct diagrams, so the element has exactly J_l terms.
 The ratio rho is sign * mu/lam.  The two readings of the boundary maps
 differ precisely in this sign, so the comparison below records which
 sign reproduces them; the descending-product definition is the ground
-truth and the element formula is the hypothesis under test.  With the
-matching sign, -1 for every n and both conventions, the two are equal
-as algebra elements, so they are compared as elements; matrices are
-assembled only at a degree where the elements differ.  The top
-element's kernel rank follows the same rule: where the top elements are
-equal, it reads the complex's rank of d^{n-1} instead of ranking a copy.
+truth and the element formula is the hypothesis under test.  Both maps
+are right multiplications followed by the same projection, so both are
+left-module maps out of a cyclic left module on the identity diagram
+(see :mod:`planartl.chains`), and each is fixed by its identity column:
+the two maps are compared on that one column, at every degree and for
+both signs, and no full matrix is assembled.  The matching sign is -1
+for every n and both conventions.  The top element's kernel rank
+follows the same rule: where the two identity columns agree, it reads
+the rank of d^{n-1} instead of ranking a copy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .chains import (
     DEFAULT_POINTS,
     agreed_ranks,
     boundary_element,
-    build_complex,
+    boundary_rank,
+    chain_basis,
     right_mult_columns_at,
     right_mult_matrix,
     specialization_points,
@@ -38,7 +42,7 @@ from .chains import (
 from .coeff import Convention, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, jacobsthal_number
 from .diagram import generator_u, identity, multiply
-from .linalg import rank_of_int_columns
+from .linalg import PolyMatrix, rank_of_int_columns
 
 __all__ = [
     "MATCHING_RATIO_SIGN",
@@ -140,29 +144,33 @@ class TheoremDReport:
         return signs == (MATCHING_RATIO_SIGN,)
 
 
-def _is_boundary(jelt: JacobsthalElement, cx) -> bool:
-    """Whether the l-th element equals boundary_element(n, l-1, c), so
-    that its matrix is d^{l-1} of cx."""
-    return jelt.element == boundary_element(cx.n, jelt.l - 1, cx.convention)
+def _identity_columns(
+    n: int, i: int, c: Convention, elt: AlgebraElement
+) -> tuple[PolyMatrix, PolyMatrix]:
+    """The identity columns of d^i and of x -> project(x * elt), from
+    degree i to degree i-1: each map's one-column matrix on degree -1's
+    basis, the identity diagram alone.  The maps are equal exactly when
+    these are."""
+    source, target = chain_basis(n, -1), chain_basis(n, i - 1)
+    boundary = right_mult_matrix(boundary_element(n, i, c), source, target)
+    return boundary, right_mult_matrix(elt, source, target)
 
 
 def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
     """Compare each boundary map d^i of W(n) with right multiplication by
-    the (i+1)-st Jacobsthal element, for both ratio signs.  Equal elements
-    match; where they differ, the two matrices are compared after
-    projection and the first differing entry is recorded (never raised).
+    the (i+1)-st Jacobsthal element, for both ratio signs, on their
+    identity columns.  Where they differ, the first differing row of
+    that column is recorded (never raised), so its column index is 0.
     The opposite sign stops at its first mismatch."""
-    cx = build_complex(n, c)
     comparisons: list[DegreeComparison] = []
     for sign in (1, -1):
         for i in range(n):
             jelt = jacobsthal_element(n, i + 1, c, sign)
+            boundary, got = _identity_columns(n, i, c, jelt.element)
+            diff = boundary.first_difference(got)
             mismatch = None
-            if not _is_boundary(jelt, cx):
-                got = right_mult_matrix(jelt.element, cx.bases[i], cx.bases[i - 1])
-                diff = cx.differential(i).first_difference(got)
-                if diff is not None:
-                    mismatch = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
+            if diff is not None:
+                mismatch = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
             comparisons.append(
                 DegreeComparison(
                     degree=i, ratio_sign=sign, matches=mismatch is None, first_mismatch=mismatch
@@ -179,21 +187,21 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module; the points
-    must agree on the rank (see :func:`agreed_ranks`).  Where the element
-    equals the top boundary element this is ``cx.boundary_rank(n - 1, p)``;
-    elsewhere its own map into degree n-2 (box size 1, all of C_n) is
-    ranked at each point from :func:`right_mult_columns_at`, as the
-    complex ranks its boundary maps.
+    must agree on the rank (see :func:`agreed_ranks`).  Where the map
+    and d^{n-1} have equal identity columns, it is
+    ``boundary_rank(n, n - 1, c, p)``; elsewhere its own map into
+    degree n-2 (box size 1, all of C_n) is ranked at each point from
+    :func:`right_mult_columns_at`, as the boundary maps are ranked.
     """
     pts = specialization_points(points)
-    cx = build_complex(n, c)
     jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
-    if _is_boundary(jelt, cx):
-        ranks = {p: cx.boundary_rank(n - 1, p) for p in pts}
+    boundary, got = _identity_columns(n, n - 1, c, jelt.element)
+    source, target = chain_basis(n, n - 1), chain_basis(n, n - 2)
+    if boundary == got:
+        ranks = {p: boundary_rank(n, n - 1, c, p) for p in pts}
     else:
-        source, target = cx.bases[n - 1], cx.bases[n - 2]
         ranks = {
             p: rank_of_int_columns(right_mult_columns_at(jelt.element, source, target, p))
             for p in pts
         }
-    return cx.chain_rank(n - 1) - agreed_ranks(ranks)
+    return len(source) - agreed_ranks(ranks)

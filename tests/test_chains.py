@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from planartl.algebra import AlgebraElement, GeneratorTables, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
-    build_complex,
+    boundary_rank,
+    chain_basis,
+    differential,
     euler_characteristic,
     homology_ranks,
     right_mult_columns_at,
     right_mult_matrix,
-    theorem_B_rank_identity,
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
@@ -31,14 +32,12 @@ CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 def test_chain_ranks_match_first_peak_counts():
     for conv in CONVENTIONS:
         for n in range(1, 8):
-            cx = build_complex(n, conv)
             for i in range(-1, n):
-                assert cx.chain_rank(i) == first_peak_count_B(n, n - i - 1)
+                assert len(chain_basis(n, i)) == first_peak_count_B(n, n - i - 1)
 
 
 def test_chain_ranks_pinned_n3():
-    cx = build_complex(3, CONVENTION_A)
-    assert [cx.chain_rank(i) for i in range(-1, 3)] == [1, 3, 5, 5]
+    assert [len(chain_basis(3, i)) for i in range(-1, 3)] == [1, 3, 5, 5]
 
 
 def test_boundary_element_small_cases():
@@ -57,11 +56,10 @@ def test_degree_one_boundary_is_ratio_weighted_cup():
     # d^1 equals right multiplication by -(mu/lam) U_{n-1} then projection
     for conv in CONVENTIONS:
         for n in range(2, 7):
-            cx = build_complex(n, conv)
             ratio = mu_over_lambda(conv)
             elt = AlgebraElement.generator(n, n - 1).scale(-ratio)
-            expected = right_mult_matrix(elt, cx.bases[1], cx.bases[0])
-            assert cx.differential(1) == expected
+            expected = right_mult_matrix(elt, chain_basis(n, 1), chain_basis(n, 0))
+            assert differential(n, 1, conv) == expected
 
 
 def test_degree_two_boundary_expansion():
@@ -69,7 +67,6 @@ def test_degree_two_boundary_expansion():
     # 1 + (mu/lam) U_{n-1} + (mu/lam)^2 U_{n-1} U_{n-2}, then projection
     for conv in CONVENTIONS:
         for n in range(3, 7):
-            cx = build_complex(n, conv)
             ratio = mu_over_lambda(conv)
             u_top = AlgebraElement.generator(n, n - 1)
             u_next = AlgebraElement.generator(n, n - 2)
@@ -78,8 +75,8 @@ def test_degree_two_boundary_expansion():
                 + u_top.scale(ratio)
                 + elt_mul(u_top, u_next).scale(ratio * ratio)
             )
-            expected = right_mult_matrix(elt, cx.bases[2], cx.bases[1])
-            assert cx.differential(2) == expected
+            expected = right_mult_matrix(elt, chain_basis(n, 2), chain_basis(n, 1))
+            assert differential(n, 2, conv) == expected
 
 
 def reference_right_mult_matrix(elt, source, target):
@@ -96,9 +93,8 @@ def reference_right_mult_matrix(elt, source, target):
 def test_right_mult_matrix_equals_reference():
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            cx = build_complex(n, conv)
             for i in range(n):
-                source, target = cx.bases[i], cx.bases[i - 1]
+                source, target = chain_basis(n, i), chain_basis(n, i - 1)
                 elements = [boundary_element(n, i, conv)] + [
                     jacobsthal_element(n, i + 1, conv, sign).element for sign in (1, -1)
                 ]
@@ -188,10 +184,9 @@ def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
     n = 6
     tables = generator_tables(n)
     for conv in CONVENTIONS:
-        cx = build_complex(n, conv)
         shared = 0
         for i in range(n):
-            columns = right_mult_matrix(boundary_element(n, i, conv), cx.bases[i], cx.bases[i - 1])
+            columns = right_mult_matrix(boundary_element(n, i, conv), chain_basis(n, i), chain_basis(n, i - 1))
             assert all(all(col.values()) for col in columns)
             for k in tables.order[1:]:
                 if k < len(columns):
@@ -262,44 +257,39 @@ def test_columns_at_zero_raise():
     with pytest.raises(ValueError, match="v must be a unit"):
         right_mult_columns_at(AlgebraElement.one(n), basis, basis, 0)
     with pytest.raises(ValueError, match="v must be a unit"):
-        build_complex(n, CONVENTION_A).boundary_rank(1, Fraction(0))
+        boundary_rank(n, 1, CONVENTION_A, Fraction(0))
 
 
 def test_degree_zero_boundary_is_identity_coefficient():
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            cx = build_complex(n, conv)
-            mat = cx.differential(0)
+            mat = differential(n, 0, conv)
             assert mat.nrows == 1
-            basis = cx.bases[0]
-            for col in basis:
+            for col in chain_basis(n, 0):
                 entry = mat.entry(0, col)
                 if enumerate_pairings(n)[col] == identity(n).pairing:
                     assert entry == LaurentPoly.one()
                 else:
-                    assert entry.is_zero
+                    assert not entry
 
 
 def test_dd_zero_symbolically():
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            cx = build_complex(n, conv)
             for i in range(n - 1):
-                assert cx.differential(i).compose(cx.differential(i + 1)).is_zero
+                assert differential(n, i, conv).compose(differential(n, i + 1, conv)).is_zero
 
 
 def test_euler_characteristic_small():
     for n in range(1, 10):
-        cx = build_complex(n, CONVENTION_A)
-        assert euler_characteristic(cx) == (-1) ** (n - 1) * fine(n)
-    cx3 = build_complex(3, CONVENTION_A)
-    assert euler_characteristic(cx3) == -1 + 3 - 5 + 5 == 2
+        assert euler_characteristic(n) == (-1) ** (n - 1) * fine(n)
+    assert euler_characteristic(3) == -1 + 3 - 5 + 5 == 2
 
 
 def test_homology_ranks_small():
     for conv in CONVENTIONS:
         for n in range(1, 6):
-            report = homology_ranks(build_complex(n, conv))
+            report = homology_ranks(n, conv)
             assert report.low_degrees_vanish
             assert report.fineberg_rank == fine(n)
             assert report.hopf_trace_holds
@@ -307,16 +297,14 @@ def test_homology_ranks_small():
 
 
 def test_homology_pinned_n3():
-    report = homology_ranks(build_complex(3, CONVENTION_A), (Fraction(2), Fraction(3)))
+    report = homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(3)))
     assert report.boundary_ranks == {0: 1, 1: 2, 2: 3}
     assert report.homology_ranks == {-1: 0, 0: 0, 1: 0, 2: 2}
     assert report.fineberg_rank == 2 == fine_by_enumeration(3)
 
 
 def test_homology_alternative_points():
-    report = homology_ranks(
-        build_complex(4, CONVENTION_B), (Fraction(5), Fraction(-7, 3))
-    )
+    report = homology_ranks(4, CONVENTION_B, (Fraction(5), Fraction(-7, 3)))
     assert report.low_degrees_vanish
     assert report.fineberg_rank == fine(4) == 6
     # the rational points of the rank benchmark, where denominators and
@@ -324,48 +312,56 @@ def test_homology_alternative_points():
     points = tuple(Fraction(p) for p in ("1/2", "-1/2", "3/2", "-3/2", "-2"))
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            report = homology_ranks(build_complex(n, conv), points)
+            report = homology_ranks(n, conv, points)
             assert report.low_degrees_vanish
             assert report.fineberg_rank == fine(n)
 
 
 def test_homology_requires_two_nonzero_points():
-    cx = build_complex(3, CONVENTION_A)
     with pytest.raises(ValueError):
-        homology_ranks(cx, (Fraction(2),))
+        homology_ranks(3, CONVENTION_A, (Fraction(2),))
     with pytest.raises(ValueError):
-        homology_ranks(cx, (Fraction(2), Fraction(2)))
+        homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(2)))
     with pytest.raises(ValueError):
-        homology_ranks(cx, (Fraction(0), Fraction(2)))
+        homology_ranks(3, CONVENTION_A, (Fraction(0), Fraction(2)))
 
 
-def test_build_complex_validation_and_cache():
-    with pytest.raises(ValueError):
-        build_complex(0, CONVENTION_A)
-    assert build_complex(3, CONVENTION_A) is build_complex(3, CONVENTION_A)
-    assert build_complex(3, CONVENTION_A) is not build_complex(3, CONVENTION_B)
+def test_complex_functions_reject_n_0_and_cache_ranks():
+    for call in (
+        lambda: chain_basis(0, -1),
+        lambda: euler_characteristic(0),
+        lambda: homology_ranks(0, CONVENTION_A),
+    ):
+        with pytest.raises(ValueError, match="n must be positive"):
+            call()
+    # an integer point and its Fraction are one cache entry
+    boundary_rank.cache_clear()
+    first = boundary_rank(3, 1, CONVENTION_A, Fraction(2))
+    assert boundary_rank(3, 1, CONVENTION_A, 2) == first
+    info = boundary_rank.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
-def test_build_complex_keys_on_the_weights_not_the_tag():
-    # B's weights under A's tag build B's complex, and any tag is accepted
+def test_differential_reads_the_weights_not_the_tag():
+    # B's weights under A's tag give B's maps, and any tag is accepted
     mixed = Convention("A", CONVENTION_B.lam, CONVENTION_B.mu)
-    cx = build_complex(3, mixed)
-    assert cx.convention is mixed
-    assert cx.differential(1) == build_complex(3, CONVENTION_B).differential(1)
-    assert cx.differential(1) != build_complex(3, CONVENTION_A).differential(1)
+    assert differential(3, 1, mixed) == differential(3, 1, CONVENTION_B)
+    assert differential(3, 1, mixed) != differential(3, 1, CONVENTION_A)
     custom = Convention("custom", CONVENTION_B.lam, CONVENTION_B.mu)
-    assert build_complex(3, custom).convention is custom
+    assert differential(3, 1, custom) == differential(3, 1, CONVENTION_B)
+    assert homology_ranks(3, custom).convention_tag == "custom"
 
 
 def test_theorem_B_rank_identity():
+    # the top homology rank, the n-th Fine number, is the alternating
+    # first-peak sum
     for n in range(1, 13):
-        assert theorem_B_rank_identity(n)
+        assert fine(n) == sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
     assert sum((-1) ** m * first_peak_count_B(3, m) for m in range(4)) == 2
     assert sum((-1) ** m * first_peak_count_B(1, m) for m in range(2)) == 0
 
 
 def test_theorem_B_rank_identity_detects_wrong_counts(monkeypatch):
-    import planartl.chains as chains_module
     import planartl.combin as combin_module
 
     def wrong_count(n, m):
@@ -375,6 +371,6 @@ def test_theorem_B_rank_identity_detects_wrong_counts(monkeypatch):
     # can stand in for the check
     combin_module.fine.cache_clear()
     monkeypatch.setattr(combin_module, "first_peak_count_B", wrong_count)
-    monkeypatch.setattr(chains_module, "first_peak_count_B", wrong_count)
     for n in range(1, 13):
-        assert theorem_B_rank_identity(n) is False
+        with pytest.raises(RuntimeError, match="Fine number routes disagree"):
+            combin_module.fine(n)

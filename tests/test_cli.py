@@ -534,12 +534,12 @@ def test_verify_rank_checks_at_six_points_byte_identical(conv):
 
 @pytest.fixture
 def fresh_complexes():
-    # boundary ranks are cached on the cached complexes
-    from planartl.chains import build_complex
+    # boundary ranks are cached per (n, degree, convention, point)
+    from planartl.chains import boundary_rank
 
-    build_complex.cache_clear()
+    boundary_rank.cache_clear()
     yield
-    build_complex.cache_clear()
+    boundary_rank.cache_clear()
 
 
 def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complexes):
@@ -569,13 +569,13 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
 
 
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
-    # the top Jacobsthal element is the top boundary element, so fineberg
-    # reads the rank of d^{n-1} that homology needs anyway: each boundary
-    # map is ranked once per point, and no Jacobsthal matrix is built
+    # the top Jacobsthal map and d^{n-1} have equal identity columns, so
+    # fineberg reads the rank of d^{n-1} that homology needs anyway: each
+    # boundary map is ranked once per point, and the two identity columns
+    # are the only Jacobsthal matrices built
     import planartl.chains as chains
     import planartl.jacobsthal as jacobsthal
-    from planartl.chains import build_complex
-    from planartl.coeff import CONVENTION_A
+    from planartl.chains import chain_basis
 
     real_rank = chains.right_mult_columns_at
     real_assemble = jacobsthal.right_mult_matrix
@@ -599,11 +599,12 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
     assert code == 0
-    assert assembled == []
+    assert [args[1] for args in assembled] == [
+        chain_basis(n, -1) for n in range(1, 7) for _ in range(2)
+    ]
     assert len(set(ranked)) == len(ranked) == sum(2 * n for n in range(1, 7))
     for n in range(1, 7):
-        cx = build_complex(n, CONVENTION_A)
-        maps = {(id(cx.bases[i]), id(cx.bases[i - 1])) for i in range(n)}
+        maps = {(id(chain_basis(n, i)), id(chain_basis(n, i - 1))) for i in range(n)}
         assert len([r for r in ranked if r[:2] in maps]) == 2 * n
     assert laurent == []  # ranked from integer columns alone
 
@@ -630,22 +631,21 @@ def test_ddzero_on_the_generator_agrees_with_the_full_composite(monkeypatch):
     # the check composes d^i with d^{i+1}'s identity column; the full
     # composite is the oracle, for b_{i+1} and for b_{i+1} + U_j
     import planartl.cli as cli
-    from planartl.chains import DEFAULT_POINTS, build_complex, right_mult_matrix
+    from planartl.chains import DEFAULT_POINTS, chain_basis, differential, right_mult_matrix
     from planartl.coeff import CONVENTION_A, CONVENTION_B
 
     verdicts = set()
     for conv in (CONVENTION_A, CONVENTION_B):
         ctx = cli.CheckContext(convention=conv, points=DEFAULT_POINTS)
         for n in range(1, 7):
-            cx = build_complex(n, conv)
             assert cli._check_ddzero(n, ctx) == (True, {"degrees_checked": n - 1})
             for i in range(n - 1):
                 for j in range(1, n):
                     with monkeypatch.context() as m:
                         patched = _perturbed_boundary(m, n, i + 1, j)
                         passed, details = cli._check_ddzero(n, ctx)
-                    full = right_mult_matrix(patched(n, i + 1, conv), cx.bases[i + 1], cx.bases[i])
-                    expected = cx.differential(i).compose(full).is_zero
+                    full = right_mult_matrix(patched(n, i + 1, conv), chain_basis(n, i + 1), chain_basis(n, i))
+                    expected = differential(n, i, conv).compose(full).is_zero
                     assert passed == expected, (conv.tag, n, i, j)
                     if not passed:
                         assert details == {"failed": f"d^{i} o d^{i + 1} != 0"}
@@ -669,8 +669,8 @@ def test_verify_ddzero_fails_on_a_surviving_extra_term(monkeypatch):
 
 def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
     # the sign -1 element at n = 3, l = 2 gains U_2, which survives the
-    # projection into degree 0: the report names the first differing
-    # entry of d^1 and its Jacobsthal matrix, as text
+    # projection into degree 0: the report names the first differing row
+    # of the identity columns of d^1 and its Jacobsthal map, as text
     import dataclasses
 
     import planartl.jacobsthal as jacobsthal
@@ -699,8 +699,7 @@ def test_verify_ddzero_never_assembles_the_top_map(monkeypatch, fresh_complexes)
     # from degree -1; the largest map, out of degree n-1, is never built
     import planartl.chains as chains
     import planartl.cli as cli
-    from planartl.chains import build_complex
-    from planartl.coeff import CONVENTION_A
+    from planartl.chains import chain_basis
 
     real = chains.right_mult_matrix
     sources = []
@@ -715,10 +714,9 @@ def test_verify_ddzero_never_assembles_the_top_map(monkeypatch, fresh_complexes)
     assert code == 0
     expected = []
     for n in range(1, 7):
-        cx = build_complex(n, CONVENTION_A)
-        assert id(cx.bases[n - 1]) not in sources
+        assert id(chain_basis(n, n - 1)) not in sources
         for i in range(n - 1):
-            expected += [id(cx.bases[-1]), id(cx.bases[i])]
+            expected += [id(chain_basis(n, -1)), id(chain_basis(n, i))]
     assert sources == expected
 
 

@@ -9,7 +9,15 @@ import pytest
 import planartl.chains as chains
 import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
-from planartl.chains import boundary_element, build_complex, homology_ranks, right_mult_matrix
+from planartl.algebra import generator_tables
+from planartl.chains import (
+    boundary_element,
+    boundary_rank,
+    chain_basis,
+    differential,
+    homology_ranks,
+    right_mult_matrix,
+)
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
 from planartl.combin import catalan, descending_opposite_parity_sequences, fine, jacobsthal_number
 from planartl.jacobsthal import (
@@ -59,7 +67,7 @@ def test_element_l2_is_ratio_weighted_cup():
 
 def test_element_l0_is_zero():
     jelt = jacobsthal_element(4, 0, CONVENTION_A)
-    assert jelt.element.is_zero
+    assert not jelt.element
     assert jelt.term_count == 0
 
 
@@ -111,13 +119,36 @@ def test_element_route_agrees_with_matrix_route():
     # elements decides every degree the matrix route decides
     for conv in CONVENTIONS:
         for n in range(1, 8):
-            cx = build_complex(n, conv)
             for i in range(n):
                 expected = boundary_element(n, i, conv)
                 for sign in (1, -1):
                     jelt = jacobsthal_element(n, i + 1, conv, sign).element
-                    got = right_mult_matrix(jelt, cx.bases[i], cx.bases[i - 1])
-                    assert (jelt == expected) == (got == cx.differential(i)), (conv.tag, n, i, sign)
+                    got = right_mult_matrix(jelt, chain_basis(n, i), chain_basis(n, i - 1))
+                    assert (jelt == expected) == (got == differential(n, i, conv)), (conv.tag, n, i, sign)
+
+
+def test_identity_column_decides_the_map():
+    # both maps are left-module maps out of a cyclic module on the
+    # identity, so they are equal exactly where their identity columns
+    # are: checked against the full matrices for the Jacobsthal elements
+    # and for b_i + U_j, which differs from d^i at some degrees only
+    verdicts = set()
+    for conv in CONVENTIONS:
+        for n in range(2, 7):
+            for i in range(n):
+                source, target = chain_basis(n, i), chain_basis(n, i - 1)
+                full = differential(n, i, conv)
+                elements = [jacobsthal_element(n, i + 1, conv, sign).element for sign in (1, -1)]
+                elements += [
+                    boundary_element(n, i, conv) + AlgebraElement.generator(n, j) for j in range(1, n)
+                ]
+                for elt in elements:
+                    boundary, got = jacobsthal._identity_columns(n, i, conv, elt)
+                    assert (boundary.ncols, got.ncols) == (1, 1)
+                    equal = boundary == got
+                    assert equal == (right_mult_matrix(elt, source, target) == full), (conv.tag, n, i)
+                    verdicts.add(equal)
+    assert verdicts == {True, False}
 
 
 def _with_extra_term(monkeypatch, generator, strands=3, index=2):
@@ -135,7 +166,7 @@ def _with_extra_term(monkeypatch, generator, strands=3, index=2):
     monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
 
 
-def test_theorem_D_falls_back_to_matrices_where_elements_differ(monkeypatch):
+def test_theorem_D_decides_on_the_identity_column(monkeypatch):
     # U_1 lands in the degree-0 box, so the projection kills it and the
     # degree-1 matrices still agree
     _with_extra_term(monkeypatch, 1)
@@ -150,13 +181,15 @@ def test_theorem_D_falls_back_to_matrices_where_elements_differ(monkeypatch):
     wrong = [c for c in report.comparisons if c.ratio_sign == -1 and not c.matches]
     assert [c.degree for c in wrong] == [1]
     row, col, left, right = wrong[0].first_mismatch
-    assert 0 <= row < len(build_complex(3, CONVENTION_A).bases[0])
+    assert 0 <= row < len(chain_basis(3, 0))
+    assert col == 0
     assert left != right
 
 
-def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
-    # the matching sign is decided on elements; the +1 control stops at
-    # degree 1, where one boundary and one Jacobsthal matrix are built
+def test_theorem_D_builds_identity_columns_only(monkeypatch):
+    # every degree of both signs is decided on two identity columns, built
+    # through jacobsthal's own binding: 2n for the matching sign, and 4 for
+    # the +1 control, which stops at degree 1; no generator table is built
     real = jacobsthal.right_mult_matrix
     sources, boundary_sources = [], []
 
@@ -170,23 +203,23 @@ def test_theorem_D_assembles_only_the_control_at_degree_1(monkeypatch):
 
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
     monkeypatch.setattr(chains, "right_mult_matrix", counting_boundary)
-    build_complex.cache_clear()
+    generator_tables.cache_clear()
     for conv in CONVENTIONS:
-        for n in range(2, 7):
+        for n in range(2, 10):
             sources.clear()
-            boundary_sources.clear()
             report = verify_theorem_D(n, conv)
-            cx = build_complex(n, conv)
-            assert boundary_sources == [cx.bases[1]]
-            assert sources == [cx.bases[1]]
+            assert sources == [chain_basis(n, -1)] * (2 * n + 4)
             wrong = [(c.ratio_sign, c.degree) for c in report.comparisons if not c.matches]
             assert wrong == [(1, 1)]
             assert len([c for c in report.comparisons if c.ratio_sign == -1]) == n
+    assert boundary_sources == []
+    assert generator_tables.cache_info().currsize == 0
 
 
 def test_kernel_rank_equals_fine_number(monkeypatch):
-    # the top element equals the top boundary element, so its kernel rank
-    # is read from d^{n-1} of the complex, and no Laurent matrix is assembled
+    # the top element and the top boundary element have equal identity
+    # columns, so the kernel rank is read from the rank of d^{n-1}: the
+    # two identity columns are the only Laurent matrices assembled
     real = chains.right_mult_matrix
     built = []
 
@@ -196,12 +229,13 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
 
     monkeypatch.setattr(chains, "right_mult_matrix", counting)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
-    build_complex.cache_clear()
+    boundary_rank.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
+            built.clear()
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
-            assert built == []
-    build_complex.cache_clear()
+            assert [args[1] for args in built] == [chain_basis(n, -1)] * 2
+    boundary_rank.cache_clear()
 
 
 def test_kernel_rank_falls_back_to_the_jacobsthal_matrix(monkeypatch):
@@ -212,23 +246,21 @@ def test_kernel_rank_falls_back_to_the_jacobsthal_matrix(monkeypatch):
     built = []
 
     def counting(elt, source, target, x):
-        cx = build_complex(3, CONVENTION_A)
-        assert (source, target) == (cx.bases[2], cx.bases[1])
+        assert (source, target) == (chain_basis(3, 2), chain_basis(3, 1))
         built.append((elt, x))
         return real(elt, source, target, x)
 
     monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting)
     kernel = jacobsthal_kernel_rank(3, CONVENTION_A)
     assert [x for _, x in built] == [Fraction(2), Fraction(3)]
-    cx = build_complex(3, CONVENTION_A)
-    matrix = right_mult_matrix(built[0][0], cx.bases[2], cx.bases[1])
+    matrix = right_mult_matrix(built[0][0], chain_basis(3, 2), chain_basis(3, 1))
     assert kernel == catalan(3) - rank_at(matrix, Fraction(2))
 
 
 def test_kernel_rank_matches_top_homology():
     for conv in CONVENTIONS:
         for n in range(1, 6):
-            report = homology_ranks(build_complex(n, conv))
+            report = homology_ranks(n, conv)
             assert jacobsthal_kernel_rank(n, conv) == report.fineberg_rank
 
 
