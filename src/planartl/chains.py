@@ -43,7 +43,11 @@ specialization points; the points must agree, and disagreement raises
 boundary map is ranked at a point from its integer columns there, each
 a primitive vector, up to sign the Laurent column evaluated at the
 point; the Laurent matrix followed by evaluation stays the tests'
-oracle route.
+oracle route.  Since d o d = 0, the rank of d^i at a point is at most
+c_(i-1) - r_(i-1), the lower degree's chain rank less its boundary rank
+at that point; the elimination stops once it reaches this bound (see
+:func:`boundary_rank`).  The ranks therefore rest on d o d = 0, which
+the ``ddzero`` check proves over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ def specialization_points(points) -> tuple[Fraction, ...]:
     """The points as exact rationals (anything ``Fraction`` accepts).
 
     Raises ValueError unless every point is a finite nonzero rational
-    (v must be a unit) and at least two of them are distinct.
+    (v must be a unit), the points are distinct, and there are at least
+    two of them.
     """
     try:
         pts = tuple(Fraction(p) for p in points)
@@ -96,8 +101,10 @@ def specialization_points(points) -> tuple[Fraction, ...]:
         raise ValueError(f"specialization point with zero denominator: {exc}") from None
     if any(p == 0 for p in pts):
         raise ValueError("specialization points must be nonzero")
-    if len(set(pts)) < 2:
-        raise ValueError("need at least two distinct specialization points")
+    if len(set(pts)) < len(pts):
+        raise ValueError("specialization points must be distinct")
+    if len(pts) < 2:
+        raise ValueError("need at least two specialization points")
     return pts
 
 
@@ -260,10 +267,24 @@ def differential(n: int, i: int, c: Convention) -> PolyMatrix:
 def boundary_rank(n: int, i: int, c: Convention, point: Fraction) -> int:
     """Exact rank of d^i at v = point, from :func:`right_mult_columns_at`;
     cached, since homology, the Hopf trace and the top Jacobsthal kernel
-    all read it."""
+    all read it.
+
+    The elimination stops at the bound d o d = 0 gives.  Evaluation at
+    v = point is a ring map, so d^(i-1) d^i = 0 holds at the point too:
+    the image of d^i lies in the kernel of d^(i-1), so
+    r_i <= c_(i-1) - r_(i-1), with r_(i-1) read from this cache at the
+    same point (and r_(-1) = 0, no map leaving degree -1).  This bound is
+    the limit passed to :func:`rank_of_int_columns`.  The pivot count
+    never exceeds the rank, so if it reaches the bound the rank equals
+    the bound; if not, every column was inserted and the count is the
+    rank.  Either way the rank is exact.
+    """
+    target = chain_basis(n, i - 1)
+    # The lower degree first, so no two degrees' columns are held at once.
+    limit = len(target) - (boundary_rank(n, i - 1, c, point) if i else 0)
     elt = boundary_element(n, i, c)
-    columns = right_mult_columns_at(elt, chain_basis(n, i), chain_basis(n, i - 1), point)
-    return rank_of_int_columns(columns)
+    columns = right_mult_columns_at(elt, chain_basis(n, i), target, point)
+    return rank_of_int_columns(columns, limit)
 
 
 def _sign(i: int) -> int:

@@ -9,8 +9,11 @@ Laurent column; the boundary maps build theirs at the point directly),
 inserted one at a time into an echelon form keyed by leading
 row: a column is combined with a stored one by cross-multiplication
 only, with a gcd content reduction after each step, so no division ever
-leaves the integers.  :func:`rank_at`, a Laurent matrix evaluated and
-then eliminated, is the test suite's oracle route for those ranks.
+leaves the integers.  A caller that knows a bound on the rank passes
+it as a limit, and the insertion stops once that many pivots are
+stored.  :func:`rank_at`, a Laurent matrix evaluated and then
+eliminated with no limit, is the test suite's oracle route for those
+ranks.
 
 A dense Bareiss elimination is provided as an independent cross-check;
 the test suite keeps the two routes in agreement.
@@ -174,9 +177,13 @@ def primitive(column: dict[int, int]) -> dict[int, int]:
     return column
 
 
-def rank_of_int_columns(columns: list[dict[int, int]]) -> int:
+def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = None) -> int:
     """Rank of an integer matrix given as sparse columns, by inserting
     the columns one at a time into a column echelon form.
+
+    With a ``limit``, no further column is read once ``limit`` pivots
+    are stored, so the result is ``min(rank, limit)``: the exact rank
+    whenever the caller knows that ``rank <= limit``.
 
     ``pivots`` maps a leading (smallest) row to the one stored column
     that leads there.  While a new column leads at a taken row it becomes
@@ -187,7 +194,8 @@ def rank_of_int_columns(columns: list[dict[int, int]]) -> int:
     changed.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for col in columns:
+    columns = iter(columns)
+    while len(pivots) != limit and (col := next(columns, None)) is not None:
         col = {i: x for i, x in col.items() if x}
         while col and (lead := min(col)) in pivots:
             pivot = pivots[lead]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planartl.chains as chains
 from planartl.algebra import AlgebraElement, GeneratorTables, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
@@ -320,8 +321,10 @@ def test_homology_alternative_points():
 def test_homology_requires_two_nonzero_points():
     with pytest.raises(ValueError):
         homology_ranks(3, CONVENTION_A, (Fraction(2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be distinct"):
         homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(2)))
+    with pytest.raises(ValueError, match="must be distinct"):
+        homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(2), Fraction(3)))
     with pytest.raises(ValueError):
         homology_ranks(3, CONVENTION_A, (Fraction(0), Fraction(2)))
 
@@ -339,7 +342,37 @@ def test_complex_functions_reject_n_0_and_cache_ranks():
     first = boundary_rank(3, 1, CONVENTION_A, Fraction(2))
     assert boundary_rank(3, 1, CONVENTION_A, 2) == first
     info = boundary_rank.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    # the first call also ranks degree 0, whose rank bounds degree 1's
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_boundary_rank_stops_at_the_bound_d_d_zero_gives(monkeypatch):
+    # each elimination is handed c_(i-1) - r_(i-1), the bound that
+    # d^(i-1) d^i = 0 puts on the rank of d^i at the same point
+    limits = []
+    real = chains.rank_of_int_columns
+
+    def recording(columns, limit=None):
+        limits.append(limit)
+        return real(columns, limit)
+
+    monkeypatch.setattr(chains, "rank_of_int_columns", recording)
+    boundary_rank.cache_clear()
+    try:
+        for conv in CONVENTIONS:
+            for n in range(1, 7):
+                for point in (Fraction(2), Fraction(-3, 2)):
+                    for i in range(n):
+                        limits.clear()
+                        rank = boundary_rank(n, i, conv, point)
+                        if i == 0:
+                            bound = 1
+                        else:
+                            bound = len(chain_basis(n, i - 1)) - boundary_rank(n, i - 1, conv, point)
+                        assert limits == [bound]
+                        assert rank <= bound
+    finally:
+        boundary_rank.cache_clear()
 
 
 def test_differential_reads_the_weights_not_the_tag():

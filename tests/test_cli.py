@@ -205,6 +205,14 @@ def test_verify_bad_points_exit_2():
     assert code == 2
 
 
+def test_verify_repeated_points_exit_2(capsys):
+    # a repeated point would be listed twice in the report yet ranked once
+    code, out = run_cli_capture(["verify", "homology", "--n-max", "3", "--points", "2,2,3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: specialization points must be distinct\n"
+
+
 def test_usage_errors_carry_the_error_prefix(capsys):
     for argv in (["tables", "fine", "-1"], ["verify", "euler", "--n-max", "0"]):
         code, out = run_cli_capture(argv)
@@ -551,9 +559,10 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
     real = chains.right_mult_columns_at
 
     def skewed(elt, source, target, x):
-        # a unit column at a row no basis has raises the rank at v = 3 by one
+        # every column zeroed at v = 3: the rank drop a non-generic point
+        # would show (a raised rank could not pass the bound d o d = 0 sets)
         columns = real(elt, source, target, x)
-        return columns + [{len(target): 1}] if x == Fraction(3) else columns
+        return [{} for _ in columns] if x == Fraction(3) else columns
 
     monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
     monkeypatch.setattr(jacobsthal, "right_mult_columns_at", skewed)

@@ -77,6 +77,16 @@ def test_rank_pinned_small():
     assert rank_of_int_columns(cols) == 1
 
 
+def test_rank_with_a_limit_reads_no_column_past_it():
+    def columns(*given):
+        yield from given
+        raise AssertionError("a column past the limit was read")
+
+    # the dependent column is read; the limit is reached at the third
+    assert rank_of_int_columns(columns({0: 1}, {0: 2}, {1: 3}), limit=2) == 2
+    assert rank_of_int_columns(columns(), limit=0) == 0
+
+
 def test_rank_routes_agree_on_random_matrices():
     rng = random.Random(424242)
     for _ in range(120):
@@ -89,6 +99,8 @@ def test_rank_routes_agree_on_random_matrices():
         assert cols == before  # zeros included: the caller's columns are not changed
         assert sparse_rank == rank_dense_bareiss(dense)
         assert sparse_rank == rank_fraction_gauss(dense)
+        for limit in range(sparse_rank + 2):
+            assert rank_of_int_columns(cols, limit) == min(sparse_rank, limit)
 
 
 def test_rank_routes_agree_on_boundary_and_jacobsthal_matrices():
