@@ -1,6 +1,7 @@
 """The diagram algebra on n strands over Z[v, v^-1]: sparse Laurent
-weighted combinations of planar diagrams, with a = v + v^-1 as the
-weight of every erased loop.
+weighted combinations of planar diagrams, each diagram its pairing
+tuple (see :mod:`planartl.diagram`), with a = v + v^-1 as the weight of
+every erased loop.
 
 The diagram basis is the source of truth; the familiar presentation by
 the U_i and their relations is exercised by the test suite rather than
@@ -19,8 +20,9 @@ for y; that is how :func:`planartl.chains.right_mult_matrix` assembles
 every boundary and Jacobsthal matrix.  The tables come from the cup
 rule :func:`planartl.diagram.cup_times`, not from the general product:
 (n-1) * C_n constant-time steps on pairing tuples, each followed by one
-lookup in the tuple-keyed Dyck-lex index; no diagram object is built or
-hashed.  Diagrams appear here only as the terms of an element.
+lookup in the tuple-keyed Dyck-lex index.  The cup rule returns the
+diagram itself exactly when U_j closes a loop, so the tables record no
+loop count: U_j closes one on diagram k exactly where it fixes k.
 ``elt_mul`` still does not use the tables: at n = 12 they would cost
 about 2.3 million of those steps for what is often a single product.
 """
@@ -32,13 +34,14 @@ from functools import cache
 from .coeff import Convention, LaurentPoly, loop_factor_power
 from .combin import dyck_lex_key
 from .diagram import (
-    Diagram,
     cup_times,
     dyck_lex_index,
     enumerate_pairings,
     generator_u,
     identity,
+    is_planar_pairing,
     multiply,
+    word_of_pairing,
 )
 
 __all__ = [
@@ -56,20 +59,23 @@ _EMPTY_WORD = '""'
 
 
 class AlgebraElement:
-    """A finite Laurent-weighted combination of diagrams on n strands.
+    """A finite Laurent-weighted combination of diagrams on n strands,
+    keyed by their pairing tuples.
 
     Canonical form: no zero coefficients are stored.  Elements are
-    immutable values; arithmetic returns new elements.
+    immutable values; arithmetic returns new elements.  The constructor
+    raises ValueError on a term that is no planar pairing on n strands;
+    the operations below build their results from terms already checked.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Diagram, LaurentPoly] | None = None):
-        clean: dict[Diagram, LaurentPoly] = {}
+    def __init__(self, n: int, terms: dict[tuple[int, ...], LaurentPoly] | None = None):
+        clean: dict[tuple[int, ...], LaurentPoly] = {}
         if terms:
             for d, c in terms.items():
-                if d.n != n:
-                    raise ValueError(f"diagram on {d.n} strands in an element on {n}")
+                if not (isinstance(d, tuple) and len(d) == 2 * n and is_planar_pairing(d)):
+                    raise ValueError(f"{d!r} is no planar pairing on {n} strands")
                 if c:
                     clean[d] = c
         self.n = n
@@ -86,8 +92,8 @@ class AlgebraElement:
         return cls(n, {identity(n): _ONE})
 
     @classmethod
-    def from_diagram(cls, d: Diagram, coeff: LaurentPoly = _ONE) -> "AlgebraElement":
-        return cls(d.n, {d: coeff})
+    def from_diagram(cls, d: tuple[int, ...], coeff: LaurentPoly = _ONE) -> "AlgebraElement":
+        return cls(len(d) // 2, {d: coeff})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "AlgebraElement":
@@ -159,7 +165,7 @@ class AlgebraElement:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(((d.word, c) for d, c in self.terms.items())))))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def to_text(self) -> str:
         """Terms as '(coeff) * dyckword', in Dyck-lex order of the word;
@@ -167,9 +173,9 @@ class AlgebraElement:
         takes it."""
         if not self.terms:
             return "0"
+        words = {word_of_pairing(d): c for d, c in self.terms.items()}
         return " + ".join(
-            f"({self.terms[d].to_text()}) * {d.word or _EMPTY_WORD}"
-            for d in sorted(self.terms, key=lambda d: dyck_lex_key(d.word))
+            f"({words[w].to_text()}) * {w or _EMPTY_WORD}" for w in sorted(words, key=dyck_lex_key)
         )
 
     def __str__(self) -> str:
@@ -183,7 +189,7 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; every erased loop
     contributes a factor v + v^-1."""
     x._check(y)
-    terms: dict[Diagram, LaurentPoly] = {}
+    terms: dict[tuple[int, ...], LaurentPoly] = {}
     for dx, cx in x.terms.items():
         for dy, cy in y.terms.items():
             d, loops = multiply(dx, dy)
@@ -206,50 +212,42 @@ class GeneratorTables:
     """Left multiplication by the cup generators on n strands, over the
     Dyck-lex positions of :func:`planartl.diagram.enumerate_pairings`.
 
-    ``left[j - 1][k]`` and ``loops[j - 1][k]`` give the product of U_j
-    and diagram k: U_j times diagram k is a^loops times diagram left,
-    with loops 0 or 1 (a product closing more raises RuntimeError).
-    ``parent[k]`` is a pair (y, j) with U_j times diagram y equal to
-    diagram k and no loop closed (None for the identity), and ``order``
-    is the breadth-first walk out of the identity that found them, each
-    position after its parent.  Left multiplication glues onto the left
-    dots only, so an arc between two right dots of y stays one in U_j y:
-    a parent lies in every box basis its child does, and the span a box
-    projection kills is a left ideal.  Every product is read off the cup
-    rule :func:`planartl.diagram.cup_times` on pairing tuples and looked
-    up in the tuple-keyed :func:`planartl.diagram.dyck_lex_index`; no
-    :class:`~planartl.diagram.Diagram` is built, and the general product
-    :func:`planartl.diagram.multiply` is only the tests' oracle here.
+    ``left[j - 1][k]`` is the position of U_j times diagram k, up to the
+    loop it may close: U_j closes one loop exactly where
+    ``left[j - 1][k] == k``, and none elsewhere.  ``parent[k]`` is a
+    pair (y, j) with U_j times diagram y equal to diagram k and no loop
+    closed (None for the identity), and ``order`` is the breadth-first
+    walk out of the identity that found them, each position after its
+    parent.  Left multiplication glues onto the left dots only, so an
+    arc between two right dots of y stays one in U_j y: a parent lies in
+    every box basis its child does, and the span a box projection kills
+    is a left ideal.  Every product is read off the cup rule
+    :func:`planartl.diagram.cup_times` on pairing tuples and looked up
+    in the tuple-keyed :func:`planartl.diagram.dyck_lex_index`; the
+    general product :func:`planartl.diagram.multiply` is only the
+    tests' oracle here.
     """
 
-    __slots__ = ("left", "loops", "parent", "order")
+    __slots__ = ("left", "parent", "order")
 
     def __init__(self, n: int):
         pairings = enumerate_pairings(n)
         index = dyck_lex_index(n)
-        lefts = []
-        loops = []
-        for j in range(1, n):
-            products, closed = zip(*(cup_times(j, p) for p in pairings))
-            # The boundary kernels weight a loop-closing entry by a once.
-            if max(closed) > 1:
-                raise RuntimeError(f"U_{j} times a diagram closed {max(closed)} loops")
-            lefts.append(tuple(map(index.__getitem__, products)))
-            loops.append(closed)
-        # Breadth first out of the identity along loop-free edges.  No
-        # product U_j y is the identity, so a parent of None means unseen.
+        lefts = [tuple(index[cup_times(j, p)[0]] for p in pairings) for j in range(1, n)]
+        # Breadth first out of the identity.  No product U_j y is the
+        # identity, so a parent of None means unseen; a product that
+        # closes a loop is y itself, already seen.
         parent: list[tuple[int, int] | None] = [None] * len(pairings)
-        order = [index[tuple(range(2 * n - 1, -1, -1))]]  # the identity
+        order = [index[identity(n)]]
         for y in order:
             for j in range(1, n):
                 k = lefts[j - 1][y]
-                if parent[k] is None and not loops[j - 1][y]:
+                if parent[k] is None:
                     parent[k] = (y, j)
                     order.append(k)
         if len(order) != len(pairings):
             raise RuntimeError("some diagram has no loop-free parent")
         self.left = tuple(lefts)
-        self.loops = tuple(loops)
         self.parent = tuple(parent)
         self.order = tuple(order)
 

@@ -28,12 +28,14 @@ that one column alone.  Every other column is its parent's column acted
 on by one cup generator, read from the per-n generator tables of
 :mod:`planartl.algebra`: assembly is integer lookups and counting, and
 no diagram is glued in the loop.  One cup generator closes at most one
-loop, so an entry is weighted by a or by 1.  Two kernels share the walk
-and differ only in that arithmetic: :func:`right_mult_matrix` keeps
-:class:`~planartl.coeff.LaurentPoly` entries, which are immutable, so a
-child column shares every entry the move leaves unchanged with its
-parent; :func:`right_mult_columns_at` works in the integers at one
-rational point v = p/q, where pq * a = p^2 + q^2.  The tables are built
+loop, and closes one exactly where it fixes the diagram, so an entry is
+weighted by a where its row stays put and by 1 where it moves.  Two
+kernels share the walk and differ only in that arithmetic:
+:func:`right_mult_matrix` keeps :class:`~planartl.coeff.LaurentPoly`
+entries, which are immutable, so a child column shares every entry the
+move leaves unchanged with its parent; :func:`right_mult_columns_at`
+works in the integers at one rational point v = p/q, where
+pq * a = p^2 + q^2.  The tables are built
 by the constant-time cup rule, and the general diagram product stays
 the test suite's oracle for them.
 
@@ -158,9 +160,9 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
     its loop-free parent (y, j) in the generator tables, so
     x * elt = U_j (y * elt).  The span the projection kills is a left
     ideal, so x's column is U_j acting on y's column:
-    ``act(column, left, loops)`` moves each entry at row r to row
-    ``left[r]``, weighted by a where ``loops[r]`` is 1 (U_j closes at
-    most one loop), and drops a row at or past ``len(target)``.  Columns
+    ``act(column, left)`` moves each entry at row r to row ``left[r]``,
+    weighted by a where ``left[r] == r`` (there U_j closes its one
+    loop), and drops a row at or past ``len(target)``.  Columns
     are built in the tables' visiting order, parents first; a source
     holding the identity alone needs no tables.  A parent always lies in
     its child's box basis; one outside the source basis raises
@@ -181,7 +183,7 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
         y, j = tables.parent[k]
         if y >= count:
             raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
-        columns[k] = act(columns[y], tables.left[j - 1], tables.loops[j - 1])
+        columns[k] = act(columns[y], tables.left[j - 1])
     return columns
 
 
@@ -194,12 +196,12 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
     """
     size = len(target)
 
-    def act(parent: dict, left, closed) -> dict:
+    def act(parent: dict, left) -> dict:
         column: dict[int, LaurentPoly] = {}
         for r, poly in parent.items():
             row = left[r]
             if row < size:
-                if closed[r]:
+                if row == r:
                     poly = poly * LOOP_FACTOR
                 column[row] = column[row] + poly if row in column else poly
         # Cancelled entries are dropped here, before any child inherits them.
@@ -228,13 +230,13 @@ def right_mult_columns_at(
     size = len(target)
     plain, loop = p * q, p * p + q * q
 
-    def act(parent: dict, left, closed) -> dict:
+    def act(parent: dict, left) -> dict:
         column: dict[int, int] = {}
         looped: dict[int, int] = {}
         for r, val in parent.items():
             row = left[r]
             if row < size:
-                acc = looped if closed[r] else column
+                acc = looped if row == r else column
                 acc[row] = acc.get(row, 0) + val
         # Without a loop every weight is pq, which the content absorbs.
         if looped:

@@ -46,7 +46,7 @@ from .combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from .diagram import Diagram, enumerate_pairings, from_dyck, pairing_of_word, word_of_pairing
+from .diagram import enumerate_pairings, from_dyck, from_pairs, pairing_of_word, word_of_pairing
 from .indmod import largest_free_box
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
@@ -125,10 +125,10 @@ def _check_bijection(n: int, ctx: CheckContext):
     details = {"diagrams": len(pairings)}
     if n == 4:
         # the worked four-strand example: arcs {1,8},{2,5},{3,4},{6,7}
-        sample = Diagram.from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
-        if sample.word != "uuuddudd":
+        sample = word_of_pairing(from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)]))
+        if sample != "uuuddudd":
             return False, {"failed": "worked example word mismatch"}
-        details["worked_example"] = sample.word
+        details["worked_example"] = sample
     return True, details
 
 
@@ -333,7 +333,7 @@ def cmd_mul(args, out) -> int:
             raise ValueError("n must be nonnegative")
         x = from_dyck(args.word_x)
         y = from_dyck(args.word_y)
-        if x.n != n or y.n != n:
+        if len(x) != 2 * n or len(y) != 2 * n:
             raise ValueError(f"words must have length {2 * n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

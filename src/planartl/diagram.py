@@ -17,15 +17,15 @@ dot i, and the points n..3n-1 that stay outside it become the product's.
 A cup generator on the left needs no walk: U_j's right cap meets two
 left dots of the other factor, and the cup rule rejoins their partners.
 
-The combinatorial paths handle pairing tuples only: the enumeration
+A diagram is its pairing: the tuple whose entry p is the partner of
+point p.  Every path takes and returns these tuples: the enumeration
 walks pairings directly, building and parsing no word, the Dyck-lex
-index is keyed by the pairing tuple (hashed in C), and the cup rule
-takes and returns pairings.  :class:`Diagram` wraps one pairing only
-where an algebra element needs a hashable term: the identity, the cup
-generators, :func:`from_dyck`, ``Diagram.from_pairs`` and the products
-of :func:`multiply`.  The Dyck word is read off a pairing by one
-function, :func:`word_of_pairing`, and parsed back by one stack walk,
-:func:`pairing_of_word`.
+index is keyed by them (hashed in C), the cup rule and the general
+product act on them, and an algebra element keys its terms by them.
+The Dyck word is read off a pairing by one function,
+:func:`word_of_pairing`, and parsed back by one stack walk,
+:func:`pairing_of_word`; :func:`is_planar_pairing` decides whether a
+tuple is a diagram at all.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from functools import cache
 from operator import gt
 
 __all__ = [
-    "Diagram",
     "is_planar_pairing",
     "word_of_pairing",
     "pairing_of_word",
+    "from_pairs",
     "identity",
     "generator_u",
     "multiply",
@@ -89,83 +89,31 @@ def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
     return not stack
 
 
-class Diagram:
-    """A planar diagram: a fixed-point-free noncrossing involution on
-    the 2n boundary points.
-
-    Immutable and hashable; ``pairing[p]`` is the 0-indexed partner of
-    the 0-indexed point p.  Only ``n`` and the pairing are stored; the
-    Dyck word and the hash are read off the pairing.
-    """
-
-    __slots__ = ("n", "pairing")
-
-    def __init__(self, pairing: tuple[int, ...]):
-        pairing = tuple(pairing)
-        if not is_planar_pairing(pairing):
-            raise ValueError("pairing must be a noncrossing fixed-point-free involution")
-        self.n = len(pairing) // 2
-        self.pairing = pairing
-
-    @classmethod
-    def _trusted(cls, n: int, pairing: tuple[int, ...]) -> "Diagram":
-        """Construction bypass for pairings already known to be valid."""
-        self = cls.__new__(cls)
-        self.n = n
-        self.pairing = pairing
-        return self
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "Diagram":
-        """Build a diagram from 1-based matched point pairs.  Raises
-        ValueError, before building anything, unless n is nonnegative and
-        the pairs name each point of 1..2n exactly once."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        pairs = list(pairs)
-        if sorted(p for pair in pairs for p in pair) != list(range(1, 2 * n + 1)):
-            raise ValueError(f"pairs must name each point of 1..{2 * n} exactly once")
-        pairing = [0] * (2 * n)
-        for a, b in pairs:
-            pairing[a - 1] = b - 1
-            pairing[b - 1] = a - 1
-        return cls(tuple(pairing))
-
-    @property
-    def word(self) -> str:
-        """The Dyck word, by :func:`word_of_pairing`."""
-        return word_of_pairing(self.pairing)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The matched point pairs, 1-based, each (low, high), sorted."""
-        return tuple(
-            (p + 1, q + 1) for p, q in enumerate(self.pairing) if q > p
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.pairing == other.pairing
-
-    def __hash__(self) -> int:
-        # A tuple of ints hashes the same under every PYTHONHASHSEED.
-        return hash(self.pairing)
-
-    def __str__(self) -> str:
-        return self.word
-
-    def __repr__(self) -> str:
-        return f"from_dyck({self.word!r})"
+def from_pairs(n: int, pairs) -> tuple[int, ...]:
+    """The pairing of the diagram with these 1-based matched point pairs.
+    Raises ValueError unless n is nonnegative, the pairs name each point
+    of 1..2n exactly once, and no two of them cross."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pairs = list(pairs)
+    if sorted(p for pair in pairs for p in pair) != list(range(1, 2 * n + 1)):
+        raise ValueError(f"pairs must name each point of 1..{2 * n} exactly once")
+    pairing = [0] * (2 * n)
+    for a, b in pairs:
+        pairing[a - 1] = b - 1
+        pairing[b - 1] = a - 1
+    if not is_planar_pairing(pairing):
+        raise ValueError("pairs must not cross")
+    return tuple(pairing)
 
 
 @cache
-def identity(n: int) -> Diagram:
+def identity(n: int) -> tuple[int, ...]:
     """The diagram joining right dot i to left dot i for every i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     size = 2 * n
-    pairing = tuple(size - 1 - p for p in range(size))
-    return Diagram._trusted(n, pairing)
+    return tuple(size - 1 - p for p in range(size))
 
 
 def _check_generator_index(n: int, i: int) -> None:
@@ -173,7 +121,7 @@ def _check_generator_index(n: int, i: int) -> None:
         raise ValueError(f"generator index must lie in 1..{n - 1}, got {i}")
 
 
-def generator_u(n: int, i: int) -> Diagram:
+def generator_u(n: int, i: int) -> tuple[int, ...]:
     """The cup generator U_i: cups joining dots i, i+1 on both sides,
     all other strands horizontal."""
     _check_generator_index(n, i)
@@ -183,10 +131,10 @@ def generator_u(n: int, i: int) -> Diagram:
     c, d = size - i, size - i - 1      # left dots i, i+1
     pairing[a], pairing[b] = b, a
     pairing[c], pairing[d] = d, c
-    return Diagram._trusted(n, tuple(pairing))
+    return tuple(pairing)
 
 
-def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
+def multiply(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The product of x (drawn on the left) and y, as the pair
     (diagram, loops): the glued diagram and the number of closed loops
     erased from the wall.
@@ -202,12 +150,12 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     each x right dot left unmarked lies on a closed loop, traced with the
     same step.
     """
-    if x.n != y.n:
-        raise ValueError(f"strand-count mismatch: {x.n} != {y.n}")
-    n = x.n
-    size = 2 * n
+    if len(x) != len(y):
+        raise ValueError(f"strand-count mismatch: {len(x) // 2} != {len(y) // 2}")
+    size = len(x)
+    n = size // 2
     last = 2 * size - 1
-    arc = x.pairing + tuple(q + size for q in y.pairing)
+    arc = x + tuple(q + size for q in y)
     res = [-1] * size
     crossed = [False] * n
     for start in range(n, n + size):
@@ -226,7 +174,7 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
             while q != p:
                 crossed[q if q < n else last - q] = True
                 q = arc[last - q]
-    return Diagram._trusted(n, tuple(res)), loops
+    return tuple(res), loops
 
 
 def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -239,7 +187,9 @@ def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     a = 2n-j and b = 2n-j-1.  Where the pairing joins a to b the cap
     closes one loop and U_j's left cup puts the same arc back, so the
     product is the pairing itself.  Otherwise the cap joins the partners
-    of a and b to each other, and the left cup joins a to b.
+    of a and b to each other, and the left cup joins a to b, an arc the
+    pairing lacked: so the product is the pairing itself exactly when a
+    loop is closed.
     """
     _check_generator_index(len(pairing) // 2, j)
     a = len(pairing) - j
@@ -253,12 +203,12 @@ def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(res), 0
 
 
-def from_dyck(word: str) -> Diagram:
+def from_dyck(word: str) -> tuple[int, ...]:
     """The diagram whose arcs match each d with its unmatched u."""
     pairing = pairing_of_word(word)
     if pairing is None:
         raise ValueError(f"not a Dyck word: {word!r}")
-    return Diagram._trusted(len(word) // 2, pairing)
+    return pairing
 
 
 @cache
@@ -294,10 +244,10 @@ def enumerate_pairings(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_diagrams(n: int) -> tuple[Diagram, ...]:
-    """:func:`enumerate_pairings` wrapped as new, uncached diagrams; for
-    callers outside the library that want objects, never called in it."""
-    return tuple(Diagram._trusted(n, p) for p in enumerate_pairings(n))
+def enumerate_diagrams(n: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`enumerate_pairings` under the name the tracing harness in
+    ``perfbench/traced.py`` wraps; never called in the library."""
+    return enumerate_pairings(n)
 
 
 @cache

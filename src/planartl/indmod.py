@@ -13,8 +13,10 @@ and only a caller that reads a basis diagram's pairing enumerates.
 A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
 action is the algebra product followed by that projection, which keeps
-an entry exactly when its Dyck-lex position, looked up in the one per-n
-:func:`planartl.diagram.dyck_lex_index`, is below B_m(n).
+an entry exactly when its Dyck-lex position is below B_m(n).  An
+element's terms are pairing tuples, the very keys of the one per-n
+:func:`planartl.diagram.dyck_lex_index`, so each is looked up as it
+stands.
 :func:`project` applies it to an algebra element, and the
 boundary-matrix kernel in :mod:`planartl.chains` drops each row at or
 past that position as the left action moves it there.
@@ -69,5 +71,5 @@ def project(x: AlgebraElement, basis: range) -> dict[int, LaurentPoly]:
     diagram that has an arc inside the box dropped."""
     index = dyck_lex_index(x.n)
     size = len(basis)
-    coords = ((index[d.pairing], c) for d, c in x.terms.items())
+    coords = ((index[d], c) for d, c in x.terms.items())
     return {k: c for k, c in coords if k < size}

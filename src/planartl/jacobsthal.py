@@ -20,8 +20,10 @@ left-module maps out of a cyclic left module on the identity diagram
 the two maps are compared on that one column, at every degree and for
 both signs, and no full matrix is assembled.  The matching sign is -1
 for every n and both conventions.  The top element's kernel rank
-follows the same rule: where the two identity columns agree, it reads
-the rank of d^{n-1} instead of ranking a copy.
+follows the same rule: its identity column must equal that of d^{n-1},
+and then the map is d^{n-1}, whose rank the complex already holds; a
+differing column raises, since that is a Theorem D failure, not a
+second map to rank.
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ from .chains import (
     boundary_element,
     boundary_rank,
     chain_basis,
-    right_mult_columns_at,
     right_mult_matrix,
     specialization_points,
 )
 from .coeff import Convention, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, jacobsthal_number
 from .diagram import generator_u, identity, multiply
-from .linalg import PolyMatrix, rank_of_int_columns
+from .linalg import PolyMatrix
 
 __all__ = [
     "MATCHING_RATIO_SIGN",
@@ -187,21 +188,15 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module; the points
-    must agree on the rank (see :func:`agreed_ranks`).  Where the map
-    and d^{n-1} have equal identity columns, it is
-    ``boundary_rank(n, n - 1, c, p)``; elsewhere its own map into
-    degree n-2 (box size 1, all of C_n) is ranked at each point from
-    :func:`right_mult_columns_at`, as the boundary maps are ranked.
+    must agree on the rank (see :func:`agreed_ranks`).  The map and
+    d^{n-1} are fixed by their identity columns; where those are equal
+    the rank is ``boundary_rank(n, n - 1, c, p)``, and where they differ
+    RuntimeError is raised before anything is ranked.
     """
     pts = specialization_points(points)
     jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
     boundary, got = _identity_columns(n, n - 1, c, jelt.element)
-    source, target = chain_basis(n, n - 1), chain_basis(n, n - 2)
-    if boundary == got:
-        ranks = {p: boundary_rank(n, n - 1, c, p) for p in pts}
-    else:
-        ranks = {
-            p: rank_of_int_columns(right_mult_columns_at(jelt.element, source, target, p))
-            for p in pts
-        }
-    return len(source) - agreed_ranks(ranks)
+    if boundary != got:
+        raise RuntimeError("the top Jacobsthal map and d^{n-1} differ")
+    ranks = {p: boundary_rank(n, n - 1, c, p) for p in pts}
+    return len(chain_basis(n, n - 1)) - agreed_ranks(ranks)

@@ -32,7 +32,7 @@ from planartl.combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from planartl.diagram import Diagram, enumerate_diagrams, from_dyck
+from planartl.diagram import enumerate_pairings, from_dyck, from_pairs, word_of_pairing
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
@@ -88,9 +88,9 @@ def test_criterion_01_relations_suite():
 
 
 def test_criterion_02_basis_counts():
-    ok = len(enumerate_diagrams(10)) == catalan(10) == 16796
+    ok = len(enumerate_pairings(10)) == catalan(10) == 16796
     for n in range(11):
-        ok &= len(enumerate_diagrams(n)) == catalan(n) == len(dyck_words(n))
+        ok &= len(enumerate_pairings(n)) == catalan(n) == len(dyck_words(n))
         for m in range(n + 1):
             expected = first_peak_count_B(n, m)
             ok &= len(black_box_basis(n, m)) == expected
@@ -101,12 +101,12 @@ def test_criterion_02_basis_counts():
 def test_criterion_03_bijection_round_trip():
     ok = True
     for n in range(9):
-        for diagram in enumerate_diagrams(n):
-            ok &= from_dyck(diagram.word) == diagram
+        for diagram in enumerate_pairings(n):
+            ok &= from_dyck(word_of_pairing(diagram)) == diagram
         for word in dyck_words(n):
-            ok &= from_dyck(word).word == word
-    sample = Diagram.from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
-    ok &= sample.word == "uuuddudd" and from_dyck("uuuddudd") == sample
+            ok &= word_of_pairing(from_dyck(word)) == word
+    sample = from_pairs(4, [(1, 8), (2, 5), (3, 4), (6, 7)])
+    ok &= word_of_pairing(sample) == "uuuddudd" and from_dyck("uuuddudd") == sample
     report(3, "Dyck bijection round trips on all diagrams, n <= 8, worked example included", ok)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planartl.chains as chains
-from planartl.algebra import AlgebraElement, GeneratorTables, braiding_s, elt_mul, generator_tables
+from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
     boundary_rank,
@@ -22,7 +22,7 @@ from planartl.chains import (
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
-from planartl.diagram import Diagram, enumerate_diagrams, enumerate_pairings, identity
+from planartl.diagram import enumerate_pairings, identity
 from planartl.indmod import black_box_basis, project
 from planartl.jacobsthal import jacobsthal_element
 from planartl.linalg import PolyMatrix
@@ -85,7 +85,7 @@ def reference_right_mult_matrix(elt, source, target):
     one projection per source diagram."""
     pairings = enumerate_pairings(elt.n)
     columns = [
-        project(elt_mul(AlgebraElement.from_diagram(Diagram(pairings[k])), elt), target)
+        project(elt_mul(AlgebraElement.from_diagram(pairings[k]), elt), target)
         for k in source
     ]
     return PolyMatrix(len(target), len(source), columns)
@@ -139,7 +139,7 @@ def kernel_cases(draw):
     """A random nonzero element on n <= 6 strands and a random (source,
     target) pair of box bases."""
     n = draw(st.integers(1, 6))
-    diagrams = enumerate_diagrams(n)
+    diagrams = enumerate_pairings(n)
     coeffs = st.builds(
         LaurentPoly,
         st.dictionaries(st.integers(-3, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
@@ -169,7 +169,7 @@ def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
     k = next(k for k in real.order[1:] if k < len(source))
     parent = list(real.parent)
     parent[k] = (len(source), parent[k][1])
-    tampered = SimpleNamespace(left=real.left, loops=real.loops, order=real.order, parent=parent)
+    tampered = SimpleNamespace(left=real.left, order=real.order, parent=parent)
     monkeypatch.setattr(chains_module, "generator_tables", lambda n: tampered)
     for kernel in (right_mult_matrix, lambda *bases: right_mult_columns_at(*bases, Fraction(2))):
         with pytest.raises(RuntimeError, match="outside the source basis"):
@@ -194,24 +194,6 @@ def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
                     parent = {id(poly) for poly in columns[tables.parent[k][0]].values()}
                     shared += sum(id(poly) in parent for poly in columns[k].values())
         assert shared > 0
-
-
-def test_generator_tables_raise_on_a_product_closing_two_loops(monkeypatch):
-    # the kernels weight a loop-closing entry by a once, so the tables
-    # refuse a product that closes more
-    import planartl.algebra as algebra_module
-
-    real = algebra_module.cup_times
-
-    def doubled(j, pairing):
-        product, loops = real(j, pairing)
-        return product, 2 * loops
-
-    monkeypatch.setattr(algebra_module, "cup_times", doubled)
-    with pytest.raises(RuntimeError, match="closed 2 loops"):
-        GeneratorTables(3)
-    monkeypatch.setattr(algebra_module, "cup_times", real)
-    assert max(max(closed) for closed in GeneratorTables(3).loops) == 1
 
 
 # generic points, points with a denominator, and the non-semisimple v = +-1
@@ -268,7 +250,7 @@ def test_degree_zero_boundary_is_identity_coefficient():
             assert mat.nrows == 1
             for col in chain_basis(n, 0):
                 entry = mat.entry(0, col)
-                if enumerate_pairings(n)[col] == identity(n).pairing:
+                if enumerate_pairings(n)[col] == identity(n):
                     assert entry == LaurentPoly.one()
                 else:
                     assert not entry

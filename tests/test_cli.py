@@ -99,13 +99,13 @@ def test_mul_identity():
 
 def test_mul_intro_example():
     # the five-strand product that erases one loop
-    from planartl.diagram import Diagram
+    from planartl.diagram import from_pairs, word_of_pairing
 
-    x = Diagram.from_pairs(5, [(9, 10), (6, 7), (2, 3), (4, 5), (1, 8)])
-    y = Diagram.from_pairs(5, [(8, 9), (2, 3), (4, 5), (7, 10), (1, 6)])
-    code, out = run_cli_capture(["mul", "5", x.word, y.word])
+    x = word_of_pairing(from_pairs(5, [(9, 10), (6, 7), (2, 3), (4, 5), (1, 8)]))
+    y = word_of_pairing(from_pairs(5, [(8, 9), (2, 3), (4, 5), (7, 10), (1, 6)]))
+    code, out = run_cli_capture(["mul", "5", x, y])
     assert code == 0
-    assert out == f"(v^1+v^-1) * {x.word}\n"
+    assert out == f"(v^1+v^-1) * {x}\n"
 
 
 def test_mul_empty_word():
@@ -292,7 +292,6 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
     # reads uudd, so reading the word off the pairing cannot catch it
     import planartl.cli as cli
     from planartl.combin import dyck_words
-    from planartl.diagram import Diagram
 
     def from_dyck_fifo(word):
         pairing = [0] * len(word)
@@ -303,11 +302,11 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
             else:
                 q = opened.pop(0)
                 pairing[p], pairing[q] = q, p
-        return Diagram._trusted(len(word) // 2, tuple(pairing))
+        return tuple(pairing)
 
     monkeypatch.setattr(cli, "from_dyck", from_dyck_fifo)
     monkeypatch.setattr(
-        cli, "enumerate_pairings", lambda n: tuple(from_dyck_fifo(w).pairing for w in dyck_words(n))
+        cli, "enumerate_pairings", lambda n: tuple(from_dyck_fifo(w) for w in dyck_words(n))
     )
     code, out = run_cli_capture(["verify", "bijection", "--n-max", "2"])
     assert code == 1
@@ -354,32 +353,6 @@ def test_verify_bijection_fails_on_a_broken_walk(monkeypatch, case):
     (check,) = [c for c in json.loads(out)["checks"] if c["n"] == 3]
     assert check["status"] == "fail"
     assert check["details"] == {"failed": f"round trip broke at {word}"}
-
-
-def test_verify_enumeration_checks_build_no_diagram(monkeypatch):
-    # the enumeration, the bases and the bijection work on pairing
-    # tuples; the n = 4 worked example is the one diagram built
-    from planartl.diagram import Diagram, dyck_lex_index, enumerate_pairings
-    from planartl.indmod import black_box_basis
-
-    for cached in (enumerate_pairings, dyck_lex_index, black_box_basis):
-        cached.cache_clear()
-    calls = []
-    real_init, real_trusted = Diagram.__init__, Diagram._trusted.__func__
-
-    def counted_init(self, *args):
-        calls.append("init")
-        real_init(self, *args)
-
-    def counted_trusted(cls, *args):
-        calls.append("trusted")
-        return real_trusted(cls, *args)
-
-    monkeypatch.setattr(Diagram, "__init__", counted_init)
-    monkeypatch.setattr(Diagram, "_trusted", classmethod(counted_trusted))
-    code, _ = run_cli_capture(["verify", "euler", "bcounts", "bijection", "--n-max", "9"])
-    assert code == 0
-    assert calls == ["init"]
 
 
 def test_verify_enumeration_checks_build_no_index():
@@ -554,7 +527,6 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
     from fractions import Fraction
 
     import planartl.chains as chains
-    import planartl.jacobsthal as jacobsthal
 
     real = chains.right_mult_columns_at
 
@@ -565,7 +537,6 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
         return [{} for _ in columns] if x == Fraction(3) else columns
 
     monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
-    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", skewed)
     for check in ("homology", "hopf", "fineberg"):
         code, out = run_cli_capture(["verify", check, "--n-max", "3", "--format", "json"])
         assert code == 1
@@ -604,7 +575,6 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
 
     monkeypatch.setattr(chains, "right_mult_columns_at", counting_rank)
     monkeypatch.setattr(chains, "right_mult_matrix", counting_laurent)
-    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting_assemble)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
     assert code == 0

@@ -35,7 +35,7 @@ def test_library_imports_only_the_standard_library():
 
 # Public top-level names kept out of ``__all__`` on purpose.
 UNEXPORTED = {
-    # kept only so that the tracing harness can wrap diagram building
+    # enumerate_pairings under the name the tracing harness wraps
     ("diagram.py", "enumerate_diagrams"),
 }
 

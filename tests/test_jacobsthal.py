@@ -2,6 +2,8 @@
 with its sign bookkeeping, and the kernel rank of the top element."""
 
 import dataclasses
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,14 +21,13 @@ from planartl.chains import (
     right_mult_matrix,
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
-from planartl.combin import catalan, descending_opposite_parity_sequences, fine, jacobsthal_number
+from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
     jacobsthal_element,
     jacobsthal_kernel_rank,
     verify_theorem_D,
 )
-from planartl.linalg import rank_at
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -238,23 +239,30 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
     boundary_rank.cache_clear()
 
 
-def test_kernel_rank_falls_back_to_the_jacobsthal_matrix(monkeypatch):
-    # a top element that differs from the top boundary element is built
-    # once per point, from degree n-1 to degree n-2, and ranked itself
+def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
+    # a top element whose identity column differs from that of d^{n-1}
+    # is a Theorem D failure: the fineberg check fails on it, and no rank
+    # is taken for it
+    from planartl.cli import main
+
     _with_extra_term(monkeypatch, 2, strands=3, index=3)
-    real = jacobsthal.right_mult_columns_at
-    built = []
+    real = jacobsthal.boundary_rank
+    ranked = []
 
-    def counting(elt, source, target, x):
-        assert (source, target) == (chain_basis(3, 2), chain_basis(3, 1))
-        built.append((elt, x))
-        return real(elt, source, target, x)
+    def counting(n, *args):
+        ranked.append(n)
+        return real(n, *args)
 
-    monkeypatch.setattr(jacobsthal, "right_mult_columns_at", counting)
-    kernel = jacobsthal_kernel_rank(3, CONVENTION_A)
-    assert [x for _, x in built] == [Fraction(2), Fraction(3)]
-    matrix = right_mult_matrix(built[0][0], chain_basis(3, 2), chain_basis(3, 1))
-    assert kernel == catalan(3) - rank_at(matrix, Fraction(2))
+    monkeypatch.setattr(jacobsthal, "boundary_rank", counting)
+    message = "the top Jacobsthal map and d^{n-1} differ"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        jacobsthal_kernel_rank(3, CONVENTION_A)
+    assert ranked == []
+    assert main(["verify", "fineberg", "--n-max", "3", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+    assert checks[2]["details"] == {"failed": message}
+    assert 3 not in ranked
 
 
 def test_kernel_rank_matches_top_homology():
