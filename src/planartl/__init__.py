@@ -8,8 +8,8 @@ Catalan and Fine numbers, first-peak counts of Dyck paths, two-column
 standard Young tableaux, and Jacobsthal numbers and elements.
 
 All arithmetic is exact; ranks are computed by fraction-free
-elimination at rational specialization points, two at a time, with
-mandatory agreement.
+elimination at two or more rational specialization points, which must
+agree.
 """
 
 __version__ = "0.1.0"

@@ -54,7 +54,6 @@ the ``ddzero`` check proves over Z[v, v^-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -65,7 +64,6 @@ from .indmod import black_box_basis, project
 from .linalg import PolyMatrix, primitive, rank_of_int_columns, specialize_column, unit_point
 
 __all__ = [
-    "HomologyReport",
     "SpecializationMismatch",
     "DEFAULT_POINTS",
     "specialization_points",
@@ -289,53 +287,18 @@ def boundary_rank(n: int, i: int, c: Convention, point: Fraction) -> int:
     return rank_of_int_columns(columns, limit)
 
 
-def _sign(i: int) -> int:
-    """(-1)^i as an exact integer, valid for negative i."""
-    return -1 if i % 2 else 1
-
-
 def euler_characteristic(n: int) -> int:
     """sum_{i=-1}^{n-1} (-1)^i rank(chain module i) of W(n), the degree -1
     term included."""
-    return sum(_sign(i) * len(chain_basis(n, i)) for i in range(-1, n))
+    return sum((-1) ** (i % 2) * len(chain_basis(n, i)) for i in range(-1, n))
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    """Per-degree exact ranks of one complex, agreed across points."""
-
-    n: int
-    convention_tag: str
-    points: tuple[Fraction, ...]
-    chain_ranks: dict[int, int]
-    boundary_ranks: dict[int, int]
-    homology_ranks: dict[int, int]
-    euler_characteristic: int
-
-    @property
-    def fineberg_rank(self) -> int:
-        """Rank of the top homology module."""
-        return self.homology_ranks[self.n - 1]
-
-    @property
-    def low_degrees_vanish(self) -> bool:
-        """Whether homology vanishes in all degrees below the top."""
-        return all(self.homology_ranks[d] == 0 for d in range(-1, self.n - 1))
-
-    @property
-    def homology_alternating_sum(self) -> int:
-        return sum(_sign(i) * r for i, r in self.homology_ranks.items())
-
-    @property
-    def hopf_trace_holds(self) -> bool:
-        """Alternating sums of chain and homology ranks agree.  Each h_d is
-        c_d - r_d - r_{d+1}, so this holds by telescoping: the check can
-        fail only through the points disagreeing on the ranks."""
-        return self.euler_characteristic == self.homology_alternating_sum
-
-
-def homology_ranks(n: int, c: Convention, points=DEFAULT_POINTS) -> HomologyReport:
-    """Exact homology ranks of W(n) under convention c at the given points.
+def homology_ranks(
+    n: int, c: Convention, points=DEFAULT_POINTS
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Exact ranks of W(n) under convention c at the given points: the
+    boundary rank out of each degree 0..n-1, and the homology rank at
+    each degree -1..n-1, as two dicts keyed by degree.
 
     Needs at least two distinct nonzero points (see
     :func:`specialization_points`); the per-degree boundary
@@ -353,12 +316,4 @@ def homology_ranks(n: int, c: Convention, points=DEFAULT_POINTS) -> HomologyRepo
         if h < 0:
             raise RuntimeError(f"negative homology rank at degree {d}")
         homology[d] = h
-    return HomologyReport(
-        n=n,
-        convention_tag=c.tag,
-        points=pts,
-        chain_ranks=chain_ranks,
-        boundary_ranks=first,
-        homology_ranks=homology,
-        euler_characteristic=euler_characteristic(n),
-    )
+    return first, homology

@@ -18,7 +18,7 @@ In both cases mu/lam is a unit monomial (-v and -v^-1 respectively).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "LaurentPoly",
@@ -178,7 +178,12 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            terms = self._terms
+            if len(terms) > 1 or (terms and 0 not in terms):
+                self._hash = hash(tuple(sorted(terms.items())))
+            else:
+                # zero or a constant: hash as the integer it equals
+                self._hash = hash(terms.get(0, 0))
         return self._hash
 
     # -- text form ---------------------------------------------------
@@ -228,13 +233,10 @@ def loop_factor_power(k: int) -> LaurentPoly:
     return _loop_powers[k]
 
 
-@dataclass(frozen=True)
-class Convention:
+class Convention(namedtuple("Convention", "tag lam mu")):
     """One of the two (lam, mu) weight choices for s_i = lam + mu*U_i."""
 
-    tag: str
-    lam: LaurentPoly
-    mu: LaurentPoly
+    __slots__ = ()
 
 
 CONVENTION_A = Convention("A", LaurentPoly.constant(-1), LaurentPoly.v_power(1))

@@ -9,7 +9,7 @@ in any single route cannot silently produce a wrong table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -267,17 +267,16 @@ def jacobsthal_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoColumnPartition:
+class TwoColumnPartition(namedtuple("TwoColumnPartition", "c1 c2")):
     """A partition of n with at most two columns, stored as column
     lengths (c1, c2) with c1 >= c2 >= 0."""
 
-    c1: int
-    c2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.c1 >= self.c2 >= 0):
-            raise ValueError(f"column lengths must satisfy c1 >= c2 >= 0, got {self}")
+    def __new__(cls, c1: int, c2: int):
+        if not (c1 >= c2 >= 0):
+            raise ValueError(f"column lengths must satisfy c1 >= c2 >= 0, got ({c1},{c2})")
+        return super().__new__(cls, c1, c2)
 
     @property
     def n(self) -> int:
@@ -287,29 +286,26 @@ class TwoColumnPartition:
         return f"({self.c1},{self.c2})"
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(namedtuple("Tableau", "shape col1 col2")):
     """A standard filling of a two-column shape.
 
     Entries 1..n, columns strictly increasing downward, and each row
     increasing left to right.
     """
 
-    shape: TwoColumnPartition
-    col1: tuple[int, ...]
-    col2: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.shape.n
-        if len(self.col1) != self.shape.c1 or len(self.col2) != self.shape.c2:
+    def __new__(cls, shape: TwoColumnPartition, col1: tuple[int, ...], col2: tuple[int, ...]):
+        if len(col1) != shape.c1 or len(col2) != shape.c2:
             raise ValueError("column lengths do not match the shape")
-        if sorted(self.col1 + self.col2) != list(range(1, n + 1)):
+        if sorted(col1 + col2) != list(range(1, shape.n + 1)):
             raise ValueError("entries must be a permutation of 1..n")
-        for col in (self.col1, self.col2):
+        for col in (col1, col2):
             if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
                 raise ValueError("columns must increase downward")
-        if any(self.col1[k] >= self.col2[k] for k in range(self.shape.c2)):
+        if any(col1[k] >= col2[k] for k in range(shape.c2)):
             raise ValueError("rows must increase left to right")
+        return super().__new__(cls, shape, col1, col2)
 
     def second_column_top(self) -> int:
         """Top entry of the second column; declared n+1 when the shape

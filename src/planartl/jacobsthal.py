@@ -28,7 +28,7 @@ second map to rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraElement
 from .chains import (
@@ -49,8 +49,6 @@ __all__ = [
     "MATCHING_RATIO_SIGN",
     "JacobsthalElement",
     "jacobsthal_element",
-    "DegreeComparison",
-    "TheoremDReport",
     "verify_theorem_D",
     "jacobsthal_kernel_rank",
 ]
@@ -60,17 +58,12 @@ __all__ = [
 MATCHING_RATIO_SIGN = -1
 
 
-@dataclass(frozen=True)
-class JacobsthalElement:
+class JacobsthalElement(namedtuple("JacobsthalElement", "n l ratio_sign element term_count")):
     """One Jacobsthal element together with its bookkeeping: the strand
     count, the index l, the ratio sign used, and the monomial count
     (which equals the Jacobsthal number J_l)."""
 
-    n: int
-    l: int
-    ratio_sign: int
-    element: AlgebraElement
-    term_count: int
+    __slots__ = ()
 
 
 def jacobsthal_element(
@@ -106,45 +99,6 @@ def jacobsthal_element(
     return JacobsthalElement(n=n, l=l, ratio_sign=ratio_sign, element=elt, term_count=count)
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
-    """Outcome of comparing d^i with right multiplication by the
-    (i+1)-st Jacobsthal element for one ratio sign."""
-
-    degree: int
-    ratio_sign: int
-    matches: bool
-    first_mismatch: tuple[int, int, str, str] | None
-
-
-@dataclass(frozen=True)
-class TheoremDReport:
-    """Comparison of the boundary maps with the Jacobsthal right
-    multiplications: every degree for the matching sign, up to the first
-    mismatch for the other."""
-
-    n: int
-    convention_tag: str
-    comparisons: tuple[DegreeComparison, ...]
-
-    def signs_matching_all_degrees(self) -> tuple[int, ...]:
-        out = []
-        for sign in (1, -1):
-            if all(c.matches for c in self.comparisons if c.ratio_sign == sign):
-                out.append(sign)
-        return tuple(out)
-
-    @property
-    def passes(self) -> bool:
-        """True when the expected sign matches in every degree and, for
-        n >= 2, is the only sign that does.  (At n = 1 the ratio never
-        appears, so both signs match vacuously.)"""
-        signs = self.signs_matching_all_degrees()
-        if self.n == 1:
-            return MATCHING_RATIO_SIGN in signs
-        return signs == (MATCHING_RATIO_SIGN,)
-
-
 def _identity_columns(
     n: int, i: int, c: Convention, elt: AlgebraElement
 ) -> tuple[PolyMatrix, PolyMatrix]:
@@ -157,29 +111,29 @@ def _identity_columns(
     return boundary, right_mult_matrix(elt, source, target)
 
 
-def verify_theorem_D(n: int, c: Convention) -> TheoremDReport:
+def verify_theorem_D(n: int, c: Convention) -> dict[int, dict[int, tuple[int, int, str, str]]]:
     """Compare each boundary map d^i of W(n) with right multiplication by
     the (i+1)-st Jacobsthal element, for both ratio signs, on their
-    identity columns.  Where they differ, the first differing row of
-    that column is recorded (never raised), so its column index is 0.
-    The opposite sign stops at its first mismatch."""
-    comparisons: list[DegreeComparison] = []
+    identity columns.
+
+    Returns ``{sign: {degree: mismatch}}`` for the signs +1 and -1, in
+    that order, where a mismatch is the first differing row of the
+    identity column as ``(row, 0, boundary text, element text)``; a sign
+    whose dict is empty matches in every degree.  Mismatches are
+    recorded, never raised.  The opposite sign stops at its first
+    mismatch."""
+    mismatches: dict[int, dict[int, tuple[int, int, str, str]]] = {}
     for sign in (1, -1):
+        found = mismatches[sign] = {}
         for i in range(n):
             jelt = jacobsthal_element(n, i + 1, c, sign)
             boundary, got = _identity_columns(n, i, c, jelt.element)
             diff = boundary.first_difference(got)
-            mismatch = None
             if diff is not None:
-                mismatch = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
-            comparisons.append(
-                DegreeComparison(
-                    degree=i, ratio_sign=sign, matches=mismatch is None, first_mismatch=mismatch
-                )
-            )
-            if mismatch is not None and sign != MATCHING_RATIO_SIGN:
-                break
-    return TheoremDReport(n=n, convention_tag=c.tag, comparisons=tuple(comparisons))
+                found[i] = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
+                if sign != MATCHING_RATIO_SIGN:
+                    break
+    return mismatches
 
 
 def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:

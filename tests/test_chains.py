@@ -272,32 +272,33 @@ def test_euler_characteristic_small():
 def test_homology_ranks_small():
     for conv in CONVENTIONS:
         for n in range(1, 6):
-            report = homology_ranks(n, conv)
-            assert report.low_degrees_vanish
-            assert report.fineberg_rank == fine(n)
-            assert report.hopf_trace_holds
-            assert report.euler_characteristic == (-1) ** (n - 1) * fine(n)
+            _, homology = homology_ranks(n, conv)
+            assert all(homology[d] == 0 for d in range(-1, n - 1))
+            assert homology[n - 1] == fine(n)
+            homology_sum = sum((-1) ** (d % 2) * h for d, h in homology.items())
+            assert homology_sum == euler_characteristic(n)
+            assert euler_characteristic(n) == (-1) ** (n - 1) * fine(n)
 
 
 def test_homology_pinned_n3():
-    report = homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(3)))
-    assert report.boundary_ranks == {0: 1, 1: 2, 2: 3}
-    assert report.homology_ranks == {-1: 0, 0: 0, 1: 0, 2: 2}
-    assert report.fineberg_rank == 2 == fine_by_enumeration(3)
+    boundary, homology = homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(3)))
+    assert boundary == {0: 1, 1: 2, 2: 3}
+    assert homology == {-1: 0, 0: 0, 1: 0, 2: 2}
+    assert homology[2] == 2 == fine_by_enumeration(3)
 
 
 def test_homology_alternative_points():
-    report = homology_ranks(4, CONVENTION_B, (Fraction(5), Fraction(-7, 3)))
-    assert report.low_degrees_vanish
-    assert report.fineberg_rank == fine(4) == 6
+    _, homology = homology_ranks(4, CONVENTION_B, (Fraction(5), Fraction(-7, 3)))
+    assert all(homology[d] == 0 for d in range(-1, 3))
+    assert homology[3] == fine(4) == 6
     # the rational points of the rank benchmark, where denominators and
     # signs enter the integer specialization
     points = tuple(Fraction(p) for p in ("1/2", "-1/2", "3/2", "-3/2", "-2"))
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            report = homology_ranks(n, conv, points)
-            assert report.low_degrees_vanish
-            assert report.fineberg_rank == fine(n)
+            _, homology = homology_ranks(n, conv, points)
+            assert all(homology[d] == 0 for d in range(-1, n - 1))
+            assert homology[n - 1] == fine(n)
 
 
 def test_homology_requires_two_nonzero_points():
@@ -364,7 +365,7 @@ def test_differential_reads_the_weights_not_the_tag():
     assert differential(3, 1, mixed) != differential(3, 1, CONVENTION_A)
     custom = Convention("custom", CONVENTION_B.lam, CONVENTION_B.mu)
     assert differential(3, 1, custom) == differential(3, 1, CONVENTION_B)
-    assert homology_ranks(3, custom).convention_tag == "custom"
+    assert homology_ranks(3, custom) == homology_ranks(3, CONVENTION_B)
 
 
 def test_theorem_B_rank_identity():

@@ -174,6 +174,35 @@ def test_verify_homology_to_six():
     assert top["fineberg_rank"] == 57 == top["fine"]
 
 
+def test_verify_homology_and_hopf_fail_on_a_wrong_rank(monkeypatch):
+    # one homology rank raised at n = 3, below the top (degree 0) or at
+    # it (degree 2): homology fails on it, and hopf's sums part
+    import planartl.cli as cli
+
+    real = cli.homology_ranks
+    for degree in (0, 2):
+        def raised(n, c, points, degree=degree):
+            boundary, homology = real(n, c, points)
+            if n == 3:
+                homology = {**homology, degree: homology[degree] + 1}
+            return boundary, homology
+
+        monkeypatch.setattr(cli, "homology_ranks", raised)
+        code, out = run_cli_capture(["verify", "homology", "hopf", "--n-max", "3", "--format", "json"])
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["n"], c["status"]) for c in checks] == [
+            ("homology", 1, "pass"), ("hopf", 1, "pass"),
+            ("homology", 2, "pass"), ("hopf", 2, "pass"),
+            ("homology", 3, "fail"), ("hopf", 3, "fail"),
+        ]
+        homology, hopf = checks[4]["details"], checks[5]["details"]
+        assert homology["homology_ranks"][str(degree)] == (degree == 2) * 2 + 1
+        assert homology["fineberg_rank"] == 2 + (degree == 2)
+        assert homology["fine"] == 2
+        assert hopf["homology_alternating_sum"] == hopf["chain_alternating_sum"] + 1
+
+
 def test_verify_thmC_to_twelve():
     code, out = run_cli_capture(["verify", "thmC", "--n-max", "12"])
     assert code == 0
@@ -224,7 +253,7 @@ def test_usage_errors_carry_the_error_prefix(capsys):
 def test_verify_failure_exits_one(monkeypatch):
     import planartl.cli as cli
 
-    def broken(n, ctx):
+    def broken(n, c, points):
         return n != 2, {"failed": "forced"} if n == 2 else {}
 
     monkeypatch.setitem(cli._CHECKS, "euler", broken)
@@ -304,7 +333,6 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
                 pairing[p], pairing[q] = q, p
         return tuple(pairing)
 
-    monkeypatch.setattr(cli, "from_dyck", from_dyck_fifo)
     monkeypatch.setattr(
         cli, "enumerate_pairings", lambda n: tuple(from_dyck_fifo(w) for w in dyck_words(n))
     )
@@ -416,7 +444,7 @@ def test_verify_emit_matrices(tmp_path):
 def test_verify_emit_matrices_to_an_unwritable_path_exits_2(tmp_path, monkeypatch, capsys):
     import planartl.cli as cli
 
-    def never(n, ctx):
+    def never(n, c, points):
         raise AssertionError("a check ran")
 
     monkeypatch.setitem(cli._CHECKS, "euler", never)
@@ -615,14 +643,13 @@ def test_ddzero_on_the_generator_agrees_with_the_full_composite(monkeypatch):
 
     verdicts = set()
     for conv in (CONVENTION_A, CONVENTION_B):
-        ctx = cli.CheckContext(convention=conv, points=DEFAULT_POINTS)
         for n in range(1, 7):
-            assert cli._check_ddzero(n, ctx) == (True, {"degrees_checked": n - 1})
+            assert cli._check_ddzero(n, conv, DEFAULT_POINTS) == (True, {"degrees_checked": n - 1})
             for i in range(n - 1):
                 for j in range(1, n):
                     with monkeypatch.context() as m:
                         patched = _perturbed_boundary(m, n, i + 1, j)
-                        passed, details = cli._check_ddzero(n, ctx)
+                        passed, details = cli._check_ddzero(n, conv, DEFAULT_POINTS)
                     full = right_mult_matrix(patched(n, i + 1, conv), chain_basis(n, i + 1), chain_basis(n, i))
                     expected = differential(n, i, conv).compose(full).is_zero
                     assert passed == expected, (conv.tag, n, i, j)
@@ -650,8 +677,6 @@ def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
     # the sign -1 element at n = 3, l = 2 gains U_2, which survives the
     # projection into degree 0: the report names the first differing row
     # of the identity columns of d^1 and its Jacobsthal map, as text
-    import dataclasses
-
     import planartl.jacobsthal as jacobsthal
     from planartl.algebra import AlgebraElement
 
@@ -660,7 +685,7 @@ def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
     def patched(n, l, c, ratio_sign=jacobsthal.MATCHING_RATIO_SIGN):
         jelt = real(n, l, c, ratio_sign)
         if (n, l, ratio_sign) == (3, 2, -1):
-            return dataclasses.replace(jelt, element=jelt.element + AlgebraElement.generator(3, 2))
+            return jelt._replace(element=jelt.element + AlgebraElement.generator(3, 2))
         return jelt
 
     monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
@@ -718,11 +743,10 @@ def test_verify_reports_a_raising_check_as_failed(monkeypatch):
     assert checks[2]["details"] == {"failed": "Fine number routes disagree at n=3"}
 
 
-def test_traced_run_reports_the_cli_output():
-    # perfbench/traced.py wraps library functions by name wherever the
-    # planartl modules bind them, and must print the CLI's own report
+def _traced(argv):
+    """The JSON that perfbench/traced.py prints for ``argv``, run in a
+    fresh process so the library's caches start empty."""
     root = Path(__file__).resolve().parents[1]
-    argv = ["verify", "ddzero", "thmD", "fineberg", "bcounts", "--n-max", "4", "--format", "json"]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
@@ -730,13 +754,36 @@ def test_traced_run_reports_the_cli_output():
         capture_output=True, text=True, env=env, cwd=root,
     )
     assert proc.returncode == 0, proc.stderr
-    traced = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_run_reports_the_cli_output():
+    # perfbench/traced.py wraps library functions by name wherever the
+    # planartl modules bind them, and must print the CLI's own report
+    argv = ["verify", "ddzero", "thmD", "fineberg", "bcounts", "--n-max", "4", "--format", "json"]
+    traced = _traced(argv)
     code, out = run_cli(argv)
     assert code == 0
     assert traced["exit"] == 0
     assert traced["report"] == out
     layers = {span[0] for span in traced["spans"]}
     assert {"chains.assemble", "jacobsthal.assemble", "jacobsthal.compare", "linalg.compose"} <= layers
+
+
+def test_traced_run_covers_every_benchmark_check():
+    # the checks of all three benchmark workloads, small: a renamed
+    # function or field the tracer reads fails here, not in a benchmark
+    argv = [
+        "verify", "ddzero", "thmD", "homology", "fineberg", "euler", "bcounts", "bijection",
+        "--n-max", "4", "--format", "json",
+    ]
+    traced = _traced(argv)
+    code, out = run_cli(argv)
+    assert code == 0
+    assert traced["exit"] == 0
+    assert traced["report"] == out
+    for count in ("jacobsthal.element.terms", "chains.assemble.nnz", "linalg.eliminate.rank"):
+        assert traced["counts"].get(count, 0) > 0, count
 
 
 def test_version_flag():

@@ -132,6 +132,20 @@ def test_powers():
     assert loop_factor_power(2) == LaurentPoly({2: 1, 0: 2, -2: 1})
 
 
+def test_constants_hash_as_the_integers_they_equal():
+    # equal values must hash alike, so a constant and its integer are
+    # one set member and one dict key
+    for c in (0, 1, -1, 7):
+        p = LaurentPoly.constant(c)
+        assert p == c
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+        assert {c: "int"}[p] == "int"
+        assert {p: "poly"}[c] == "poly"
+    assert hash(LaurentPoly.zero()) == hash(LaurentPoly()) == 0
+    assert len({LaurentPoly.constant(3), 3}) == 1
+
+
 def test_text_form_examples():
     assert (V + V_INV).to_text() == "v^1+v^-1"
     assert ZERO.to_text() == "0"

@@ -1,11 +1,13 @@
 """Combinatorics tests, each closed form checked against a brute-force
 enumeration oracle."""
 
+import re
 from math import factorial
 
 import pytest
 
 from planartl.combin import (
+    Tableau,
     TwoColumnPartition,
     catalan,
     count_N,
@@ -239,10 +241,24 @@ def test_two_column_partitions_n4():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^column lengths must satisfy c1 >= c2 >= 0, got \(1,2\)$"):
         TwoColumnPartition(1, 2)
     with pytest.raises(ValueError):
         TwoColumnPartition(-1, -1)
+
+
+def test_tableau_validation():
+    shape = TwoColumnPartition(2, 1)
+    assert Tableau(shape, (1, 2), (3,)).second_column_top() == 3
+    assert Tableau(TwoColumnPartition(2, 0), (1, 2), ()).second_column_top() == 3
+    for col1, col2, message in (
+        ((1,), (2, 3), "column lengths do not match the shape"),
+        ((1, 2), (4,), "entries must be a permutation of 1..n"),
+        ((2, 1), (3,), "columns must increase downward"),
+        ((2, 3), (1,), "rows must increase left to right"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Tableau(shape, col1, col2)
 
 
 def test_syt_enumeration_pinned():

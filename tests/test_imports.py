@@ -1,13 +1,17 @@
 """The library stays pure standard library: every absolute import in
-``src/planartl`` names a standard-library module.  And each library
-module's ``__all__`` names exactly its public definitions."""
+``src/planartl`` names a standard-library module, and importing the
+command line loads none of the heavy introspection modules.  And each
+library module's ``__all__`` names exactly its public definitions."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "planartl").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "planartl").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -31,6 +35,18 @@ def test_library_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, which pulls in ast and dis: each
+    # start of the command line would pay for them
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = f"import sys, planartl.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # Public top-level names kept out of ``__all__`` on purpose.

@@ -1,7 +1,6 @@
 """Jacobsthal element tests: term structure, the boundary comparison
 with its sign bookkeeping, and the kernel rank of the top element."""
 
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -13,6 +12,7 @@ import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
 from planartl.algebra import generator_tables
 from planartl.chains import (
+    DEFAULT_POINTS,
     boundary_element,
     boundary_rank,
     chain_basis,
@@ -22,6 +22,7 @@ from planartl.chains import (
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
 from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
+from planartl.cli import _check_thmD
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
     jacobsthal_element,
@@ -30,6 +31,15 @@ from planartl.jacobsthal import (
 )
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
+
+
+def matching_signs(mismatches):
+    """The signs with no mismatch in any degree, +1 before -1."""
+    return tuple(sign for sign, found in mismatches.items() if not found)
+
+
+def thmD_passes(n, conv):
+    return _check_thmD(n, conv, DEFAULT_POINTS)[0]
 
 
 def test_descending_sequences_counts():
@@ -92,9 +102,8 @@ def test_element_validation():
 def test_theorem_D_small():
     for conv in CONVENTIONS:
         for n in range(1, 6):
-            report = verify_theorem_D(n, conv)
-            assert report.passes
-            signs = report.signs_matching_all_degrees()
+            assert thmD_passes(n, conv)
+            signs = matching_signs(verify_theorem_D(n, conv))
             if n == 1:
                 # the ratio never appears in degree 0, so both signs match
                 assert signs == (1, -1)
@@ -103,15 +112,9 @@ def test_theorem_D_small():
 
 
 def test_theorem_D_records_mismatch_entries():
-    report = verify_theorem_D(3, CONVENTION_A)
-    wrong = [
-        c
-        for c in report.comparisons
-        if c.ratio_sign != MATCHING_RATIO_SIGN and not c.matches
-    ]
+    wrong = verify_theorem_D(3, CONVENTION_A)[-MATCHING_RATIO_SIGN]
     assert wrong, "the opposite sign must fail somewhere for n >= 2"
-    for comparison in wrong:
-        row, col, left, right = comparison.first_mismatch
+    for row, col, left, right in wrong.values():
         assert left != right
 
 
@@ -161,7 +164,7 @@ def _with_extra_term(monkeypatch, generator, strands=3, index=2):
         jelt = real(n, l, c, ratio_sign)
         if (n, l, ratio_sign) == (strands, index, -1):
             extra = AlgebraElement.generator(strands, generator)
-            return dataclasses.replace(jelt, element=jelt.element + extra)
+            return jelt._replace(element=jelt.element + extra)
         return jelt
 
     monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
@@ -171,17 +174,16 @@ def test_theorem_D_decides_on_the_identity_column(monkeypatch):
     # U_1 lands in the degree-0 box, so the projection kills it and the
     # degree-1 matrices still agree
     _with_extra_term(monkeypatch, 1)
-    report = verify_theorem_D(3, CONVENTION_A)
-    assert report.passes
-    assert report.signs_matching_all_degrees() == (-1,)
+    assert thmD_passes(3, CONVENTION_A)
+    assert matching_signs(verify_theorem_D(3, CONVENTION_A)) == (-1,)
     # U_2 survives the projection: a matrix-level mismatch at degree 1
     _with_extra_term(monkeypatch, 2)
-    report = verify_theorem_D(3, CONVENTION_A)
-    assert not report.passes
-    assert report.signs_matching_all_degrees() == ()
-    wrong = [c for c in report.comparisons if c.ratio_sign == -1 and not c.matches]
-    assert [c.degree for c in wrong] == [1]
-    row, col, left, right = wrong[0].first_mismatch
+    assert not thmD_passes(3, CONVENTION_A)
+    mismatches = verify_theorem_D(3, CONVENTION_A)
+    assert matching_signs(mismatches) == ()
+    wrong = mismatches[-1]
+    assert list(wrong) == [1]
+    row, col, left, right = wrong[1]
     assert 0 <= row < len(chain_basis(3, 0))
     assert col == 0
     assert left != right
@@ -208,11 +210,11 @@ def test_theorem_D_builds_identity_columns_only(monkeypatch):
     for conv in CONVENTIONS:
         for n in range(2, 10):
             sources.clear()
-            report = verify_theorem_D(n, conv)
+            mismatches = verify_theorem_D(n, conv)
+            # 2n of the sources are the matching sign's n degrees
             assert sources == [chain_basis(n, -1)] * (2 * n + 4)
-            wrong = [(c.ratio_sign, c.degree) for c in report.comparisons if not c.matches]
+            wrong = [(sign, degree) for sign, found in mismatches.items() for degree in found]
             assert wrong == [(1, 1)]
-            assert len([c for c in report.comparisons if c.ratio_sign == -1]) == n
     assert boundary_sources == []
     assert generator_tables.cache_info().currsize == 0
 
@@ -268,8 +270,8 @@ def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
 def test_kernel_rank_matches_top_homology():
     for conv in CONVENTIONS:
         for n in range(1, 6):
-            report = homology_ranks(n, conv)
-            assert jacobsthal_kernel_rank(n, conv) == report.fineberg_rank
+            _, homology = homology_ranks(n, conv)
+            assert jacobsthal_kernel_rank(n, conv) == homology[n - 1]
 
 
 def test_kernel_rank_point_validation():
