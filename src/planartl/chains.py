@@ -14,8 +14,9 @@ holds no object: :func:`chain_basis` is the range of a degree's
 Dyck-lex positions (see :mod:`planartl.indmod`), so chain ranks and the
 Euler characteristic come from closed-form sizes and enumerate no
 diagram; :func:`differential` builds the matrix of d^i over
-Z[v, v^-1] on every call; and :func:`boundary_rank`, cached, ranks d^i
-at a point without building that matrix.
+Z[v, v^-1] on every call; and :func:`boundary_ranks`, cached, ranks
+d^0 ... d^(n-1) at a point, in one loop, without building those
+matrices.
 
 Every right-multiplication map is assembled by one walk,
 :func:`_left_action_columns`.  The projection kills the diagrams with an
@@ -40,15 +41,18 @@ by the constant-time cup rule, and the general diagram product stays
 the test suite's oracle for them.
 
 Homology ranks are computed by exact elimination at two or more rational
-specialization points; the points must agree, and disagreement raises
-(it signals a non-generic point, never a silent wrong answer).  Each
-boundary map is ranked at a point from its integer columns there, each
-a primitive vector, up to sign the Laurent column evaluated at the
-point; the Laurent matrix followed by evaluation stays the tests'
-oracle route.  Since d o d = 0, the rank of d^i at a point is at most
-c_(i-1) - r_(i-1), the lower degree's chain rank less its boundary rank
-at that point; the elimination stops once it reaches this bound (see
-:func:`boundary_rank`).  The ranks therefore rest on d o d = 0, which
+specialization points.  :func:`homology_ranks` holds the package's one
+check that the points agree, and disagreement raises: it means some
+point is not exact below the top, never a silent wrong answer.  A pass
+is sound over Q(v), since a point exact below the top has the ranks of
+Q(v) (see :func:`homology_ranks`).  Each boundary map is ranked at a
+point from its integer columns there, each a primitive vector, up to
+sign the Laurent column evaluated at the point; the Laurent matrix
+followed by evaluation stays the tests' oracle route.  Since
+d o d = 0, the rank of d^i at a point is at most c_(i-1) - r_(i-1), the
+lower degree's chain rank less its boundary rank at that point; the
+elimination stops once it reaches this bound (see
+:func:`boundary_ranks`).  The ranks therefore rest on d o d = 0, which
 the ``ddzero`` check proves over Z[v, v^-1].
 """
 
@@ -67,13 +71,12 @@ __all__ = [
     "SpecializationMismatch",
     "DEFAULT_POINTS",
     "specialization_points",
-    "agreed_ranks",
     "boundary_element",
     "right_mult_matrix",
     "right_mult_columns_at",
     "chain_basis",
     "differential",
-    "boundary_rank",
+    "boundary_ranks",
     "euler_characteristic",
     "homology_ranks",
 ]
@@ -106,21 +109,6 @@ def specialization_points(points) -> tuple[Fraction, ...]:
     if len(pts) < 2:
         raise ValueError("need at least two specialization points")
     return pts
-
-
-def agreed_ranks(ranks: dict):
-    """The ranks shared by every point of ``ranks`` (point -> ranks).
-
-    Raises :class:`SpecializationMismatch`, naming the first point and
-    the first one that disagrees with it.
-    """
-    (p0, first), *rest = ranks.items()
-    for p, other in rest:
-        if other != first:
-            raise SpecializationMismatch(
-                f"specialization ranks disagree between v={p0} and v={p}: {first} vs {other}"
-            )
-    return first
 
 
 @cache
@@ -264,27 +252,29 @@ def differential(n: int, i: int, c: Convention) -> PolyMatrix:
 
 
 @cache
-def boundary_rank(n: int, i: int, c: Convention, point: Fraction) -> int:
-    """Exact rank of d^i at v = point, from :func:`right_mult_columns_at`;
-    cached, since homology, the Hopf trace and the top Jacobsthal kernel
-    all read it.
+def boundary_ranks(n: int, c: Convention, point: Fraction) -> tuple[int, ...]:
+    """Exact ranks of d^0 ... d^(n-1) at v = point, in that order, from
+    :func:`right_mult_columns_at`; cached, since homology, the Hopf
+    trace and the top Jacobsthal kernel all read them.
 
-    The elimination stops at the bound d o d = 0 gives.  Evaluation at
+    Each elimination stops at the bound d o d = 0 gives.  Evaluation at
     v = point is a ring map, so d^(i-1) d^i = 0 holds at the point too:
     the image of d^i lies in the kernel of d^(i-1), so
-    r_i <= c_(i-1) - r_(i-1), with r_(i-1) read from this cache at the
-    same point (and r_(-1) = 0, no map leaving degree -1).  This bound is
-    the limit passed to :func:`rank_of_int_columns`.  The pivot count
-    never exceeds the rank, so if it reaches the bound the rank equals
-    the bound; if not, every column was inserted and the count is the
-    rank.  Either way the rank is exact.
+    r_i <= c_(i-1) - r_(i-1), with r_(i-1) the rank just taken (and
+    r_(-1) = 0, no map leaving degree -1, so the bound at degree 0 is
+    1).  This bound is the limit passed to :func:`rank_of_int_columns`.
+    The pivot count never exceeds the rank, so if it reaches the bound
+    the rank equals the bound; if not, every column was inserted and the
+    count is the rank.  Either way the rank is exact.
     """
-    target = chain_basis(n, i - 1)
-    # The lower degree first, so no two degrees' columns are held at once.
-    limit = len(target) - (boundary_rank(n, i - 1, c, point) if i else 0)
-    elt = boundary_element(n, i, c)
-    columns = right_mult_columns_at(elt, chain_basis(n, i), target, point)
-    return rank_of_int_columns(columns, limit)
+    ranks: list[int] = []
+    for i in range(n):
+        target = chain_basis(n, i - 1)
+        limit = len(target) - (ranks[-1] if ranks else 0)
+        elt = boundary_element(n, i, c)
+        # The columns are bound to no name, so no two degrees' are held at once.
+        ranks.append(rank_of_int_columns(right_mult_columns_at(elt, chain_basis(n, i), target, point), limit))
+    return tuple(ranks)
 
 
 def euler_characteristic(n: int) -> int:
@@ -301,19 +291,35 @@ def homology_ranks(
     each degree -1..n-1, as two dicts keyed by degree.
 
     Needs at least two distinct nonzero points (see
-    :func:`specialization_points`); the per-degree boundary
-    ranks must agree across all of them, otherwise
-    :class:`SpecializationMismatch` is raised and the caller should
-    retry with different points.
+    :func:`specialization_points`).  The boundary ranks must agree
+    across all of them: at the first point whose ranks differ from the
+    first point's, :class:`SpecializationMismatch` is raised and the
+    caller should retry with different points.  This is the package's
+    only agreement check.
+
+    What a pass certifies.  Evaluation at v = p cannot raise a rank over
+    Q(v), and d o d = 0 over Q(v) gives r_i <= c_(i-1) - r_(i-1).  So if
+    a point is exact below the top (h_d = 0 for d < n-1), induction up
+    from r_0 shows that every r_i at the point equals r_i over Q(v),
+    with the same top rank.  Exact points therefore always agree, and a
+    disagreement means that some point is not exact there.
+
+    No homology rank is negative: the elimination's limit gives
+    r_(d+1) <= c_d - r_d, the top rank is at most the column count, and
+    r_0 <= 1 = c_(-1).
     """
     pts = specialization_points(points)
-    chain_ranks = {i: len(chain_basis(n, i)) for i in range(-1, n)}
-    first = agreed_ranks({p: {i: boundary_rank(n, i, c, p) for i in range(n)} for p in pts})
-    homology = {}
-    for d in range(-1, n):
-        # no boundary map leaves degree -1, and none enters degree n-1
-        h = chain_ranks[d] - first.get(d, 0) - first.get(d + 1, 0)
-        if h < 0:
-            raise RuntimeError(f"negative homology rank at degree {d}")
-        homology[d] = h
-    return first, homology
+    first = boundary_ranks(n, c, pts[0])
+    boundary = dict(enumerate(first))
+    for p in pts[1:]:
+        other = boundary_ranks(n, c, p)
+        if other != first:
+            raise SpecializationMismatch(
+                f"specialization ranks disagree between v={pts[0]} and v={p}: "
+                f"{boundary} vs {dict(enumerate(other))}"
+            )
+    # no boundary map leaves degree -1, and none enters degree n-1
+    homology = {
+        d: len(chain_basis(n, d)) - boundary.get(d, 0) - boundary.get(d + 1, 0) for d in range(-1, n)
+    }
+    return boundary, homology

@@ -40,7 +40,7 @@ class LaurentPoly:
     polynomial has empty support.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -49,7 +49,6 @@ class LaurentPoly:
                 if c:
                     clean[int(e)] = int(c)
         self._terms = clean
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
@@ -109,7 +108,6 @@ class LaurentPoly:
                 del terms[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -117,7 +115,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: -c for e, c in self._terms.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other) -> "LaurentPoly":
@@ -144,7 +141,6 @@ class LaurentPoly:
                     del terms[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -177,14 +173,11 @@ class LaurentPoly:
         return self._terms == q._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            terms = self._terms
-            if len(terms) > 1 or (terms and 0 not in terms):
-                self._hash = hash(tuple(sorted(terms.items())))
-            else:
-                # zero or a constant: hash as the integer it equals
-                self._hash = hash(terms.get(0, 0))
-        return self._hash
+        terms = self._terms
+        if len(terms) > 1 or (terms and 0 not in terms):
+            return hash(tuple(sorted(terms.items())))
+        # zero or a constant: hash as the integer it equals
+        return hash(terms.get(0, 0))
 
     # -- text form ---------------------------------------------------
 

@@ -21,9 +21,13 @@ the two maps are compared on that one column, at every degree and for
 both signs, and no full matrix is assembled.  The matching sign is -1
 for every n and both conventions.  The top element's kernel rank
 follows the same rule: its identity column must equal that of d^{n-1},
-and then the map is d^{n-1}, whose rank the complex already holds; a
-differing column raises, since that is a Theorem D failure, not a
-second map to rank.
+and then the map is d^{n-1}, and its kernel rank is the top homology
+rank of :func:`~planartl.chains.homology_ranks`, read with that
+function's check that the points agree at every degree; a differing
+column raises, since that is a Theorem D failure, not a second map to
+rank.  Each descending product is built from the identity by the cup
+rule :func:`~planartl.diagram.cup_times`, one generator at a time from
+the right, and no diagram product is walked.
 """
 
 from __future__ import annotations
@@ -31,18 +35,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import AlgebraElement
-from .chains import (
-    DEFAULT_POINTS,
-    agreed_ranks,
-    boundary_element,
-    boundary_rank,
-    chain_basis,
-    right_mult_matrix,
-    specialization_points,
-)
+from .chains import DEFAULT_POINTS, boundary_element, chain_basis, homology_ranks, right_mult_matrix
 from .coeff import Convention, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, jacobsthal_number
-from .diagram import generator_u, identity, multiply
+from .diagram import cup_times, identity
 from .linalg import PolyMatrix
 
 __all__ = [
@@ -84,9 +80,10 @@ def jacobsthal_element(
         coeff = rho**r
         if (r - 1 + l) % 2 == 1:
             coeff = -coeff
+        # U_{a_1+n-l} ... U_{a_r+n-l}, built from the right by the cup rule
         d = identity(n)
-        for a in seq:
-            d, loops = multiply(d, generator_u(n, a + n - l))
+        for a in reversed(seq):
+            d, loops = cup_times(a + n - l, d)
             if loops:
                 raise RuntimeError("descending cup products never close loops")
         if d in terms:
@@ -141,16 +138,15 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     element on the full diagram algebra, at the given points.
 
     This is the top boundary map under the standard identifications, so
-    the kernel rank is the rank of the top homology module; the points
-    must agree on the rank (see :func:`agreed_ranks`).  The map and
-    d^{n-1} are fixed by their identity columns; where those are equal
-    the rank is ``boundary_rank(n, n - 1, c, p)``, and where they differ
-    RuntimeError is raised before anything is ranked.
+    the kernel rank is the rank of the top homology module.  The map and
+    d^{n-1} are fixed by their identity columns; where those differ
+    RuntimeError is raised before anything is ranked, and where they are
+    equal the kernel rank is the top homology rank that
+    :func:`~planartl.chains.homology_ranks` gives, with its check that
+    the points agree.
     """
-    pts = specialization_points(points)
     jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
     boundary, got = _identity_columns(n, n - 1, c, jelt.element)
     if boundary != got:
         raise RuntimeError("the top Jacobsthal map and d^{n-1} differ")
-    ranks = {p: boundary_rank(n, n - 1, c, p) for p in pts}
-    return len(chain_basis(n, n - 1)) - agreed_ranks(ranks)
+    return homology_ranks(n, c, points)[1][n - 1]

@@ -10,7 +10,7 @@ from functools import cache
 
 from planartl.algebra import AlgebraElement, augment, braiding_s, braiding_s_inv, elt_mul
 from planartl.chains import (
-    boundary_rank,
+    boundary_ranks,
     chain_basis,
     differential,
     euler_characteristic,
@@ -146,7 +146,7 @@ def test_criterion_07_hopf_trace():
                 (-1 if i % 2 else 1) * len(chain_basis(n, i)) for i in range(-1, n)
             )
             for point in POINTS:
-                ranks = {i: boundary_rank(n, i, conv, point) for i in range(n)}
+                ranks = dict(enumerate(boundary_ranks(n, conv, point)))
                 homology_sum = 0
                 for d in range(-1, n):
                     h = len(chain_basis(n, d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)

@@ -12,7 +12,7 @@ import planartl.chains as chains
 from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
     boundary_element,
-    boundary_rank,
+    boundary_ranks,
     chain_basis,
     differential,
     euler_characteristic,
@@ -240,7 +240,7 @@ def test_columns_at_zero_raise():
     with pytest.raises(ValueError, match="v must be a unit"):
         right_mult_columns_at(AlgebraElement.one(n), basis, basis, 0)
     with pytest.raises(ValueError, match="v must be a unit"):
-        boundary_rank(n, 1, CONVENTION_A, Fraction(0))
+        boundary_ranks(n, CONVENTION_A, Fraction(0))
 
 
 def test_degree_zero_boundary_is_identity_coefficient():
@@ -321,12 +321,12 @@ def test_complex_functions_reject_n_0_and_cache_ranks():
         with pytest.raises(ValueError, match="n must be positive"):
             call()
     # an integer point and its Fraction are one cache entry
-    boundary_rank.cache_clear()
-    first = boundary_rank(3, 1, CONVENTION_A, Fraction(2))
-    assert boundary_rank(3, 1, CONVENTION_A, 2) == first
-    info = boundary_rank.cache_info()
-    # the first call also ranks degree 0, whose rank bounds degree 1's
-    assert (info.hits, info.misses) == (1, 2)
+    boundary_ranks.cache_clear()
+    first = boundary_ranks(3, CONVENTION_A, Fraction(2))
+    assert boundary_ranks(3, CONVENTION_A, 2) == first
+    info = boundary_ranks.cache_info()
+    # one call ranks every degree at the point
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_boundary_rank_stops_at_the_bound_d_d_zero_gives(monkeypatch):
@@ -340,22 +340,19 @@ def test_boundary_rank_stops_at_the_bound_d_d_zero_gives(monkeypatch):
         return real(columns, limit)
 
     monkeypatch.setattr(chains, "rank_of_int_columns", recording)
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
     try:
         for conv in CONVENTIONS:
             for n in range(1, 7):
                 for point in (Fraction(2), Fraction(-3, 2)):
-                    for i in range(n):
-                        limits.clear()
-                        rank = boundary_rank(n, i, conv, point)
-                        if i == 0:
-                            bound = 1
-                        else:
-                            bound = len(chain_basis(n, i - 1)) - boundary_rank(n, i - 1, conv, point)
-                        assert limits == [bound]
-                        assert rank <= bound
+                    limits.clear()
+                    ranks = boundary_ranks(n, conv, point)
+                    bounds = [len(chain_basis(n, i - 1)) - (ranks[i - 1] if i else 0) for i in range(n)]
+                    assert bounds[0] == 1
+                    assert limits == bounds
+                    assert all(rank <= bound for rank, bound in zip(ranks, bounds))
     finally:
-        boundary_rank.cache_clear()
+        boundary_ranks.cache_clear()
 
 
 def test_differential_reads_the_weights_not_the_tag():

@@ -543,12 +543,12 @@ def test_verify_rank_checks_at_six_points_byte_identical(conv):
 
 @pytest.fixture
 def fresh_complexes():
-    # boundary ranks are cached per (n, degree, convention, point)
-    from planartl.chains import boundary_rank
+    # boundary ranks are cached per (n, convention, point)
+    from planartl.chains import boundary_ranks
 
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
     yield
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
 
 
 def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complexes):
@@ -574,6 +574,31 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
             assert c["details"]["failed"].startswith(
                 "specialization ranks disagree between v=2 and v=3: "
             )
+
+
+def test_verify_fineberg_fails_when_points_disagree_below_the_top(monkeypatch, fresh_complexes):
+    # ranks dropped at v = 3 below the top degree only: the top rank
+    # still agrees, but the point is not exact, so fineberg fails there
+    from fractions import Fraction
+
+    import planartl.chains as chains
+    from planartl.chains import chain_basis
+
+    real = chains.right_mult_columns_at
+
+    def skewed(elt, source, target, x):
+        columns = real(elt, source, target, x)
+        below_top = source is not chain_basis(elt.n, elt.n - 1)
+        return [{} for _ in columns] if x == Fraction(3) and below_top else columns
+
+    monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
+    code, out = run_cli_capture(["verify", "fineberg", "--n-max", "3", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "fail", "fail"]
+    assert checks[1]["details"] == {
+        "failed": "specialization ranks disagree between v=2 and v=3: {0: 1, 1: 1} vs {0: 0, 1: 1}"
+    }
 
 
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):

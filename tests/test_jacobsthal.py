@@ -14,7 +14,7 @@ from planartl.algebra import generator_tables
 from planartl.chains import (
     DEFAULT_POINTS,
     boundary_element,
-    boundary_rank,
+    boundary_ranks,
     chain_basis,
     differential,
     homology_ranks,
@@ -232,13 +232,13 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
 
     monkeypatch.setattr(chains, "right_mult_matrix", counting)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
             built.clear()
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
             assert [args[1] for args in built] == [chain_basis(n, -1)] * 2
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
 
 
 def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
@@ -248,14 +248,14 @@ def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
     from planartl.cli import main
 
     _with_extra_term(monkeypatch, 2, strands=3, index=3)
-    real = jacobsthal.boundary_rank
+    real = jacobsthal.homology_ranks
     ranked = []
 
     def counting(n, *args):
         ranked.append(n)
         return real(n, *args)
 
-    monkeypatch.setattr(jacobsthal, "boundary_rank", counting)
+    monkeypatch.setattr(jacobsthal, "homology_ranks", counting)
     message = "the top Jacobsthal map and d^{n-1} differ"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         jacobsthal_kernel_rank(3, CONVENTION_A)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planartl.chains import boundary_rank, differential, right_mult_matrix
+from planartl.chains import boundary_ranks, differential, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_element
@@ -123,13 +123,13 @@ def test_boundary_rank_equals_the_rank_of_the_specialized_matrix():
     # the integer columns built at the point against the oracle route:
     # the Laurent matrix, specialized, then eliminated
     points = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
-    boundary_rank.cache_clear()
+    boundary_ranks.cache_clear()
     for conv in (CONVENTION_A, CONVENTION_B):
         for n in range(1, 8):
             for i in range(n):
                 mat = differential(n, i, conv)
                 for point in points:
-                    assert boundary_rank(n, i, conv, point) == rank_at(mat, point)
+                    assert boundary_ranks(n, conv, point)[i] == rank_at(mat, point)
 
 
 def test_rank_routes_agree_on_low_rank_products():
