@@ -29,10 +29,11 @@ about 2.3 million of those steps for what is often a single product.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 
 from .coeff import Convention, LaurentPoly, loop_factor_power
-from .combin import dyck_lex_key
+from .combin import dyck_lex_key, first_peak_count_B
 from .diagram import (
     cup_times,
     dyck_lex_index,
@@ -216,16 +217,18 @@ class GeneratorTables:
     loop it may close: U_j closes one loop exactly where
     ``left[j - 1][k] == k``, and none elsewhere.  ``parent[k]`` is a
     pair (y, j) with U_j times diagram y equal to diagram k and no loop
-    closed (None for the identity), and ``order`` is the breadth-first
-    walk out of the identity that found them, each position after its
-    parent.  Left multiplication glues onto the left dots only, so an
-    arc between two right dots of y stays one in U_j y: a parent lies in
-    every box basis its child does, and the span a box projection kills
-    is a left ideal.  Every product is read off the cup rule
-    :func:`planartl.diagram.cup_times` on pairing tuples and looked up
-    in the tuple-keyed :func:`planartl.diagram.dyck_lex_index`; the
-    general product :func:`planartl.diagram.multiply` is only the
-    tests' oracle here.
+    closed (None for the identity).  Left multiplication glues onto the
+    left dots only, so an arc between two right dots of y stays one in
+    U_j y: a parent lies in every box basis its child does, and the span
+    a box projection kills is a left ideal.  ``order`` is the
+    breadth-first walk out of the identity that found the parents,
+    sorted stably by the smallest box basis holding each position.  So
+    each position still comes after its parent, and every box basis
+    range(B_m(n)) is the prefix ``order[:B_m(n)]``.  Every product is
+    read off the cup rule :func:`planartl.diagram.cup_times` on pairing
+    tuples and looked up in the tuple-keyed
+    :func:`planartl.diagram.dyck_lex_index`; the general product
+    :func:`planartl.diagram.multiply` is only the tests' oracle here.
     """
 
     __slots__ = ("left", "parent", "order")
@@ -247,6 +250,8 @@ class GeneratorTables:
                     order.append(k)
         if len(order) != len(pairings):
             raise RuntimeError("some diagram has no loop-free parent")
+        sizes = sorted({first_peak_count_B(n, m) for m in range(n + 1)})
+        order.sort(key=lambda k: bisect_right(sizes, k))
         self.left = tuple(lefts)
         self.parent = tuple(parent)
         self.order = tuple(order)

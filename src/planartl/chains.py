@@ -19,10 +19,12 @@ d^0 ... d^(n-1) at a point, in one loop, without building those
 matrices.
 
 Every right-multiplication map is assembled by one walk,
-:func:`_left_action_columns`.  The projection kills the diagrams with an
-arc between two right dots inside the box, and left multiplication
-keeps every such arc, so the killed span is a left ideal and the
-projection commutes with the left action.  Each chain module is a
+:func:`_left_action_columns`, a stream of columns in Dyck-lex order
+built one box block at a time, so a reader builds only the blocks it
+reads.  The projection kills the diagrams with an arc between two
+right dots inside the box, and left multiplication keeps every such
+arc, so the killed span is a left ideal and the projection commutes
+with the left action.  Each chain module is a
 cyclic left module on the identity diagram, so each such map is fixed
 by its identity column: d o d = 0 and the Jacobsthal comparison read
 that one column alone.  Every other column is its parent's column acted
@@ -51,13 +53,15 @@ sign the Laurent column evaluated at the point; the Laurent matrix
 followed by evaluation stays the tests' oracle route.  Since
 d o d = 0, the rank of d^i at a point is at most c_(i-1) - r_(i-1), the
 lower degree's chain rank less its boundary rank at that point; the
-elimination stops once it reaches this bound (see
-:func:`boundary_ranks`).  The ranks therefore rest on d o d = 0, which
-the ``ddzero`` check proves over Z[v, v^-1].
+elimination stops once it reaches this bound, and no column past the
+block it stops in is built (see :func:`boundary_ranks`).  The ranks
+therefore rest on d o d = 0, which the ``ddzero`` check proves over
+Z[v, v^-1].
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 
@@ -136,9 +140,10 @@ def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
     return total
 
 
-def _left_action_columns(elt: AlgebraElement, source: range, target: range, first, act) -> list:
-    """The columns of x -> project(x * elt), one per source diagram, in
-    any coefficient ring.
+def _left_action_columns(elt: AlgebraElement, source: range, target: range, first, act) -> Iterator:
+    """The columns of x -> project(x * elt), one per source diagram in
+    Dyck-lex order, in any coefficient ring, as a stream that builds a
+    column only when a reader asks for it or for a later one.
 
     The identity comes first in Dyck-lex order, and its column, at
     position 0, is ``first`` applied to the projection of elt itself, a
@@ -148,29 +153,39 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
     ideal, so x's column is U_j acting on y's column:
     ``act(column, left)`` moves each entry at row r to row ``left[r]``,
     weighted by a where ``left[r] == r`` (there U_j closes its one
-    loop), and drops a row at or past ``len(target)``.  Columns
-    are built in the tables' visiting order, parents first; a source
-    holding the identity alone needs no tables.  A parent always lies in
-    its child's box basis; one outside the source basis raises
-    RuntimeError.  A basis is a range of Dyck-lex positions, so one
-    whose size is no B_m(n) for elt's n raises ValueError.
+    loop), and drops a row at or past ``len(target)``.
+
+    The positions between two consecutive box sizes form a block, and
+    the tables' order lists each block after the smaller ones, parents
+    first.  So the identity's column is yielded first, and then each
+    block up to ``len(source)`` is built in that order and yielded in
+    Dyck-lex order; a source holding the identity alone needs no tables.
+    A parent always lies in its child's box basis; one outside the
+    source basis raises RuntimeError as the stream reaches its child.  A
+    basis is a range of Dyck-lex positions, so one whose size is no
+    B_m(n) for elt's n raises ValueError on the call itself.
     """
-    sizes = {first_peak_count_B(elt.n, m) for m in range(elt.n + 1)}
-    if len(source) not in sizes or len(target) not in sizes:
-        raise ValueError(f"a basis size is no box size on {elt.n} strands")
+    sizes = sorted({first_peak_count_B(elt.n, m) for m in range(elt.n + 1)})
     count = len(source)
-    columns: list = [first(project(elt, target))] + [None] * (count - 1)
-    if count == 1:
-        return columns
-    tables = generator_tables(elt.n)
-    for k in tables.order[1:]:
-        if k >= count:
-            continue
-        y, j = tables.parent[k]
-        if y >= count:
-            raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
-        columns[k] = act(columns[y], tables.left[j - 1])
-    return columns
+    if count not in sizes or len(target) not in sizes:
+        raise ValueError(f"a basis size is no box size on {elt.n} strands")
+
+    def walk():
+        columns: list = [first(project(elt, target))]
+        yield columns[0]
+        if count == 1:
+            return
+        tables = generator_tables(elt.n)
+        columns += [None] * (count - 1)
+        for start, stop in zip(sizes, sizes[1 : sizes.index(count) + 1]):
+            for k in tables.order[start:stop]:
+                y, j = tables.parent[k]
+                if y >= count:
+                    raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
+                columns[k] = act(columns[y], tables.left[j - 1])
+            yield from columns[start:stop]
+
+    return walk()
 
 
 def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> PolyMatrix:
@@ -199,10 +214,12 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
 
 def right_mult_columns_at(
     elt: AlgebraElement, source: range, target: range, x
-) -> list[dict[int, int]]:
+) -> Iterator[dict[int, int]]:
     """The columns of :func:`right_mult_matrix` evaluated at v = x = p/q,
     each a primitive integer vector, built by the same left action in
     the integers; no Laurent entry is formed past the identity's column.
+    They come as the stream of :func:`_left_action_columns`, in Dyck-lex
+    order, so a reader that stops early leaves later blocks unbuilt.
 
     At x, a = (p^2 + q^2)/(pq).  Scaled by pq, a child entry is its
     parent's entry times pq, or times p^2 + q^2 where U_j closes a loop.
@@ -210,7 +227,7 @@ def right_mult_columns_at(
     every other column drops its cancelled entries and is divided by its
     content before a child copies it.  Each column is then, up to sign,
     the one ``right_mult_matrix(...).specialize_int_columns(x)`` gives.
-    Raises ValueError at x = 0.
+    Raises ValueError at x = 0, on the call itself.
     """
     p, q = unit_point(x)
     size = len(target)
@@ -265,14 +282,16 @@ def boundary_ranks(n: int, c: Convention, point: Fraction) -> tuple[int, ...]:
     1).  This bound is the limit passed to :func:`rank_of_int_columns`.
     The pivot count never exceeds the rank, so if it reaches the bound
     the rank equals the bound; if not, every column was inserted and the
-    count is the rank.  Either way the rank is exact.
+    count is the rank.  Either way the rank is exact.  The columns are
+    streamed into the elimination, so the blocks past the one where it
+    stops are never built.
     """
     ranks: list[int] = []
     for i in range(n):
         target = chain_basis(n, i - 1)
         limit = len(target) - (ranks[-1] if ranks else 0)
         elt = boundary_element(n, i, c)
-        # The columns are bound to no name, so no two degrees' are held at once.
+        # The stream is bound to no name, so no two degrees' columns are held at once.
         ranks.append(rank_of_int_columns(right_mult_columns_at(elt, chain_basis(n, i), target, point), limit))
     return tuple(ranks)
 

@@ -220,7 +220,10 @@ _loop_powers: list[LaurentPoly] = [_ONE]
 
 
 def loop_factor_power(k: int) -> LaurentPoly:
-    """(v + v^-1)^k, cached."""
+    """(v + v^-1)^k for k >= 0, cached.  Raises ValueError for k < 0:
+    v + v^-1 is no unit in Z[v, v^-1]."""
+    if k < 0:
+        raise ValueError(f"v + v^-1 is no unit, so it has no power {k}")
     while len(_loop_powers) <= k:
         _loop_powers.append(_loop_powers[-1] * LOOP_FACTOR)
     return _loop_powers[k]

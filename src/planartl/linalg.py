@@ -9,9 +9,10 @@ Laurent column; the boundary maps build theirs at the point directly),
 inserted one at a time into an echelon form keyed by leading
 row: a column is combined with a stored one by cross-multiplication
 only, with a gcd content reduction after each step, so no division ever
-leaves the integers.  A caller that knows a bound on the rank passes
-it as a limit, and the insertion stops once that many pivots are
-stored.  :func:`rank_at`, a Laurent matrix evaluated and then
+leaves the integers.  The columns may come as a stream, read one at a
+time.  A caller that knows a bound on the rank passes it as a limit,
+and the insertion stops once that many pivots are stored, reading no
+further column.  :func:`rank_at`, a Laurent matrix evaluated and then
 eliminated with no limit, is the test suite's oracle route for those
 ranks.
 
@@ -167,11 +168,7 @@ def primitive(column: dict[int, int]) -> dict[int, int]:
     caller's dict is reused when nothing changes."""
     if not all(column.values()):
         column = {r: val for r, val in column.items() if val}
-    content = 0
-    for val in column.values():
-        content = gcd(content, val)
-        if content == 1:
-            return column
+    content = gcd(*column.values())
     if content > 1:
         column = {r: val // content for r, val in column.items()}
     return column
@@ -190,8 +187,9 @@ def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = N
     a*col - b*pivot, with a/b the ratio of the two leading entries in
     lowest terms, which clears that entry and stays in the integers; the
     result is divided by its content.  A column left nonzero is stored
-    under its new leading row.  The caller's columns are copied, never
-    changed.
+    under its new leading row.  The caller's columns are copied on
+    reading, never changed, so ``col`` is always this function's own
+    dict: where a == 1 it is updated in place rather than rebuilt.
     """
     pivots: dict[int, dict[int, int]] = {}
     columns = iter(columns)
@@ -201,18 +199,15 @@ def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = N
             pivot = pivots[lead]
             g = gcd(pivot[lead], col[lead])
             a, b = pivot[lead] // g, col[lead] // g
-            col = {i: a * x for i, x in col.items()}
+            if a != 1:
+                col = {i: a * x for i, x in col.items()}
             for i, y in pivot.items():
                 w = col.get(i, 0) - b * y
                 if w:
                     col[i] = w
                 else:
                     del col[i]
-            content = 0
-            for x in col.values():
-                content = gcd(content, x)
-                if content == 1:
-                    break
+            content = gcd(*col.values())
             if content > 1:
                 col = {i: x // content for i, x in col.items()}
         if col:

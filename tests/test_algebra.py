@@ -295,6 +295,9 @@ def test_parents_are_loop_free_visited_first_and_in_every_box():
         assert tables.parent[0] is None
         visit = {k: t for t, k in enumerate(tables.order)}
         boxes = [first_peak_count_B(n, m) for m in range(n + 1)]
+        # every box basis is a prefix of the order
+        for b in boxes:
+            assert sorted(tables.order[:b]) == list(range(b))
         for k in tables.order[1:]:
             y, j = tables.parent[k]
             assert step(tables, y, 0, j) == (k, 0)

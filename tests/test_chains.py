@@ -171,7 +171,8 @@ def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
     parent[k] = (len(source), parent[k][1])
     tampered = SimpleNamespace(left=real.left, order=real.order, parent=parent)
     monkeypatch.setattr(chains_module, "generator_tables", lambda n: tampered)
-    for kernel in (right_mult_matrix, lambda *bases: right_mult_columns_at(*bases, Fraction(2))):
+    # the columns come as a stream, so the error comes as it is read
+    for kernel in (right_mult_matrix, lambda *bases: list(right_mult_columns_at(*bases, Fraction(2)))):
         with pytest.raises(RuntimeError, match="outside the source basis"):
             kernel(AlgebraElement.one(n), source, source)
 
@@ -181,7 +182,7 @@ def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
     # them, and an entry moved without a loop or a sum is the parent's own
     import planartl.chains as chains_module
 
-    monkeypatch.setattr(chains_module, "PolyMatrix", lambda nrows, ncols, columns: columns)
+    monkeypatch.setattr(chains_module, "PolyMatrix", lambda nrows, ncols, columns: list(columns))
     n = 6
     tables = generator_tables(n)
     for conv in CONVENTIONS:
@@ -219,7 +220,7 @@ def test_columns_at_a_point_match_the_specialized_matrix():
                         matrix = right_mult_matrix(elt, source, target)
                         for x in KERNEL_POINTS:
                             assert_equal_up_to_sign(
-                                right_mult_columns_at(elt, source, target, x),
+                                list(right_mult_columns_at(elt, source, target, x)),
                                 matrix.specialize_int_columns(x),
                             )
 
@@ -229,9 +230,38 @@ def test_columns_at_a_point_match_the_specialized_matrix():
 def test_columns_at_a_point_on_random_elements(case, x):
     elt, source, target = case
     assert_equal_up_to_sign(
-        right_mult_columns_at(elt, source, target, x),
+        list(right_mult_columns_at(elt, source, target, x)),
         right_mult_matrix(elt, source, target).specialize_int_columns(x),
     )
+
+
+def test_column_stream_builds_no_column_past_the_box_block_it_reads(monkeypatch):
+    # after k columns are read, only the box block holding column k - 1
+    # and the smaller ones are built; chains.primitive sees every built
+    # column but the identity's
+    built = []
+    real = chains.primitive
+
+    def counting(column):
+        built.append(column)
+        return real(column)
+
+    monkeypatch.setattr(chains, "primitive", counting)
+    for n in range(1, 8):
+        boxes = sorted({first_peak_count_B(n, m) for m in range(n + 1)})
+        for conv in CONVENTIONS:
+            for i in range(n):
+                elt = boundary_element(n, i, conv)
+                source, target = chain_basis(n, i), chain_basis(n, i - 1)
+                for x in (Fraction(2), Fraction(-1, 2)):
+                    built.clear()
+                    stream = right_mult_columns_at(elt, source, target, x)
+                    assert not built
+                    for k in range(1, len(source) + 1):
+                        next(stream)
+                        assert len(built) <= min(b for b in boxes if b >= k)
+                    assert next(stream, None) is None
+                    assert len(built) == len(source) - 1
 
 
 def test_columns_at_zero_raise():

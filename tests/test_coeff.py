@@ -132,6 +132,14 @@ def test_powers():
     assert loop_factor_power(2) == LaurentPoly({2: 1, 0: 2, -2: 1})
 
 
+def test_loop_factor_has_no_negative_power():
+    # v + v^-1 is no unit, so no cached positive power may stand in
+    loop_factor_power(2)
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="no unit"):
+            loop_factor_power(k)
+
+
 def test_constants_hash_as_the_integers_they_equal():
     # equal values must hash alike, so a constant and its integer are
     # one set member and one dict key

@@ -77,6 +77,24 @@ def test_rank_pinned_small():
     assert rank_of_int_columns(cols) == 1
 
 
+def test_rank_leaves_the_callers_columns_unchanged():
+    cols = [
+        {0: 2, 1: 3},
+        # lead 4 against the pivot's 2: a == 1, the column is updated in
+        # place to {1: -5}, and its content 5 is divided out
+        {0: 4, 1: 1},
+        # lead 3 against 2: a == 2; then lead -7 against -1: a == -1,
+        # leaving {2: -2}, whose content 2 is divided out
+        {0: 3, 1: 1, 2: 1, 3: 0},
+        {0: 6, 1: 9},
+    ]
+    before = [dict(col) for col in cols]
+    assert rank_of_int_columns(cols) == 3
+    assert cols == before
+    assert rank_of_int_columns(cols, limit=2) == 2
+    assert cols == before
+
+
 def test_rank_with_a_limit_reads_no_column_past_it():
     def columns(*given):
         yield from given
