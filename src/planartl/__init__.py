@@ -7,9 +7,11 @@ maps, and the combinatorics that the complex's invariants land on:
 Catalan and Fine numbers, first-peak counts of Dyck paths, two-column
 standard Young tableaux, and Jacobsthal numbers and elements.
 
-All arithmetic is exact; ranks are computed by fraction-free
-elimination at two or more rational specialization points, which must
-agree.
+All arithmetic is exact.  Boundary ranks are read off a chain-homotopy
+certificate: where it holds, the complex is exact below the top degree
+and every rank is a closed form, with no elimination.  Where it fails,
+ranks are computed by fraction-free elimination at two or more rational
+specialization points, which must agree.
 """
 
 __version__ = "0.1.0"

@@ -14,9 +14,11 @@ holds no object: :func:`chain_basis` is the range of a degree's
 Dyck-lex positions (see :mod:`planartl.indmod`), so chain ranks and the
 Euler characteristic come from closed-form sizes and enumerate no
 diagram; :func:`differential` builds the matrix of d^i over
-Z[v, v^-1] on every call; and :func:`boundary_ranks`, cached, ranks
-d^0 ... d^(n-1) at a point, in one loop, without building those
-matrices.
+Z[v, v^-1] on every call; :func:`exactness_certificate`, cached, checks
+that the chain homotopy phi = d i + i d is triangular with a unit
+diagonal, which gives every boundary rank in closed form; and
+:func:`boundary_ranks`, cached, ranks d^0 ... d^(n-1) at a point, in
+one loop, without building those matrices.
 
 Every right-multiplication map is assembled by one walk,
 :func:`_left_action_columns`, a stream of columns in Dyck-lex order
@@ -42,21 +44,30 @@ pq * a = p^2 + q^2.  The tables are built
 by the constant-time cup rule, and the general diagram product stays
 the test suite's oracle for them.
 
-Homology ranks are computed by exact elimination at two or more rational
-specialization points.  :func:`homology_ranks` holds the package's one
-check that the points agree, and disagreement raises: it means some
-point is not exact below the top, never a silent wrong answer.  A pass
-is sound over Q(v), since a point exact below the top has the ranks of
-Q(v) (see :func:`homology_ranks`).  Each boundary map is ranked at a
-point from its integer columns there, each a primitive vector, up to
-sign the Laurent column evaluated at the point; the Laurent matrix
-followed by evaluation stays the tests' oracle route.  Since
-d o d = 0, the rank of d^i at a point is at most c_(i-1) - r_(i-1), the
-lower degree's chain rank less its boundary rank at that point; the
-elimination stops once it reaches this bound, and no column past the
-block it stops in is built (see :func:`boundary_ranks`).  The ranks
-therefore rest on d o d = 0, which the ``ddzero`` check proves over
-Z[v, v^-1].
+Homology ranks come from the exactness certificate: where each
+phi_k below the top is triangular with a unit diagonal over
+Z[v^+-1, a^-1], W(n) is exact below the top degree over every ring in
+which v and a are units, and the boundary ranks are r_0 = 1 and
+r_i = c_(i-1) - r_(i-1), at every nonzero rational point and over Q(v)
+alike (see :func:`exactness_certificate`).  The certificate reads each
+d^i once, from :func:`right_mult_matrix`, and no point is ranked.
+
+Exact elimination at two or more rational specialization points is the
+fallback for an (n, c) the certificate does not cover, and the tests'
+oracle for the closed forms.  There :func:`homology_ranks` holds the
+package's one check that the points agree, and disagreement raises: it
+means some point is not exact below the top, never a silent wrong
+answer.  A pass is sound over Q(v), since a point exact below the top
+has the ranks of Q(v) (see :func:`homology_ranks`).  Each boundary map
+is ranked at a point from its integer columns there, each a primitive
+vector, up to sign the Laurent column evaluated at the point; the
+Laurent matrix followed by evaluation stays the tests' oracle route.
+Since d o d = 0, the rank of d^i at a point is at most
+c_(i-1) - r_(i-1), the lower degree's chain rank less its boundary rank
+at that point; the elimination stops once it reaches this bound, and no
+column past the block it stops in is built (see :func:`boundary_ranks`).
+Both routes therefore rest on d o d = 0, which the ``ddzero`` check
+proves over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -81,13 +92,15 @@ __all__ = [
     "chain_basis",
     "differential",
     "boundary_ranks",
+    "exactness_certificate",
     "euler_characteristic",
     "homology_ranks",
 ]
 
-#: Default specialization points.  Over Q every nonzero v gives a
-#: semisimple algebra; a second point guards against a rank drop of some
-#: d^i at a point that is not generic for it.
+#: Default specialization points.  Where the exactness certificate
+#: holds no point is ranked, but every call validates its points; where
+#: it fails, each point is ranked, and a second point guards against a
+#: rank drop of some d^i at a point that is not generic for it.
 DEFAULT_POINTS = (Fraction(2), Fraction(3))
 
 
@@ -271,8 +284,9 @@ def differential(n: int, i: int, c: Convention) -> PolyMatrix:
 @cache
 def boundary_ranks(n: int, c: Convention, point: Fraction) -> tuple[int, ...]:
     """Exact ranks of d^0 ... d^(n-1) at v = point, in that order, from
-    :func:`right_mult_columns_at`; cached, since homology, the Hopf
-    trace and the top Jacobsthal kernel all read them.
+    :func:`right_mult_columns_at`; cached.  :func:`homology_ranks` reads
+    them where :func:`exactness_certificate` fails, and the tests
+    compare them with the certified closed forms.
 
     Each elimination stops at the bound d o d = 0 gives.  Evaluation at
     v = point is a ring map, so d^(i-1) d^i = 0 holds at the point too:
@@ -296,6 +310,82 @@ def boundary_ranks(n: int, c: Convention, point: Fraction) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _is_unit(poly: LaurentPoly) -> bool:
+    """True when poly is +-v^e or +-v^e * a, with a = v + v^-1: a unit
+    of Z[v^+-1, a^-1] of the two shapes a diagonal of the chain homotopy
+    takes (see :func:`exactness_certificate`)."""
+    terms = sorted(poly.coefficients().items())
+    if len(terms) == 2:
+        (low, low_coeff), (high, high_coeff) = terms
+        return high - low == 2 and low_coeff == high_coeff in (1, -1)
+    return poly.is_unit_monomial()
+
+
+def _homotopy_columns(n: int, c: Convention) -> Iterator[tuple[int, int, dict[int, LaurentPoly]]]:
+    """The columns of phi_k = d^(k+1) i_k + i_(k-1) d^k for k = -1 ...
+    n-2, as (k, j, column) in that order, over Z[v, v^-1], where i_k
+    includes degree k in degree k+1.
+
+    Both bases are Dyck-lex prefixes, so column j of d^(k+1) i_k is
+    column j of d^(k+1), and i_(k-1) d^k is d^k with its rows, all below
+    c_(k-1) <= c_k, read in degree k; there is no such term at k = -1.
+    Each d^i is built once by :func:`right_mult_matrix`: its first c_k
+    columns serve phi_(i-1), and all of them phi_i.  At most two
+    boundary matrices are held at once.
+    """
+    below = None  # d^k, from degree k to degree k-1
+    for k in range(-1, n - 1):
+        basis = chain_basis(n, k)
+        above = right_mult_matrix(boundary_element(n, k + 1, c), chain_basis(n, k + 1), basis)
+        for j in range(len(basis)):
+            column = dict(above.columns[j])
+            if below is not None:
+                for row, poly in below.columns[j].items():
+                    column[row] = column[row] + poly if row in column else poly
+            yield k, j, column
+        below = above
+
+
+@cache
+def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
+    """None when every chain map phi_k = d^(k+1) i_k + i_(k-1) d^k with
+    k <= n-2 is triangular, with no entry above the diagonal, and has a
+    unit diagonal over R = Z[v^+-1, a^-1].  Otherwise the first failing
+    (k, j, entry text), the entry being the column's first nonzero one
+    above the diagonal, or else its diagonal one.  Cached, since
+    homology, the Hopf trace and the top Jacobsthal kernel all read it.
+
+    Here i_k includes degree k in degree k+1 (the bases are Dyck-lex
+    prefixes) and the columns come from :func:`_homotopy_columns`.  A
+    column j passes when it has no nonzero entry in a row < j and its
+    entry at row j is +-v^e or +-v^e * a, a unit of R.  At n <= 12, in
+    both conventions, the diagonal is 1 below c_(k-1) and at k = -1,
+    and v * a (convention A) or v^-1 * a (convention B) from c_(k-1) to
+    c_k - 1: C_n - 1 entries of that second kind per n.
+
+    What None proves.  Since d o d = 0, phi = d i + i d is a chain map:
+    d phi_k = d i_(k-1) d^k = phi_(k-1) d^k.  A triangular map with a
+    unit diagonal is invertible over R, so each phi_k with k <= n-2 is.
+    Let z be a cycle in degree k <= n-2 and w = phi_k^-1 z.  Then
+    phi_(k-1) d w = d z = 0, so d w = 0, as phi_(k-1) is invertible
+    (at k = -1, degree -2 is zero), and z = phi_k w = d^(k+1)(i_k w) is
+    a boundary.  So W(n) is exact below the top degree over R, and by
+    the same argument over any ring in which v and a are units: the
+    entries lie in Z[v, v^-1] and the diagonal stays a unit.  Over such
+    a field the boundary ranks follow, r_0 = c_(-1) = 1 and
+    r_i = c_(i-1) - r_(i-1).  Q(v) is one, and so is Q at every nonzero
+    rational v = p/q, since a = (p^2 + q^2)/(pq) != 0.  The proof rests
+    on d o d = 0, which the ``ddzero`` check proves over Z[v, v^-1];
+    the check itself is per n.
+    """
+    for k, j, column in _homotopy_columns(n, c):
+        above = [row for row, poly in column.items() if row < j and poly]
+        entry = column[min(above)] if above else column.get(j, LaurentPoly.zero())
+        if above or not _is_unit(entry):
+            return k, j, entry.to_text()
+    return None
+
+
 def euler_characteristic(n: int) -> int:
     """sum_{i=-1}^{n-1} (-1)^i rank(chain module i) of W(n), the degree -1
     term included."""
@@ -305,38 +395,52 @@ def euler_characteristic(n: int) -> int:
 def homology_ranks(
     n: int, c: Convention, points=DEFAULT_POINTS
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Exact ranks of W(n) under convention c at the given points: the
-    boundary rank out of each degree 0..n-1, and the homology rank at
-    each degree -1..n-1, as two dicts keyed by degree.
+    """Exact ranks of W(n) under convention c: the boundary rank out of
+    each degree 0..n-1, and the homology rank at each degree -1..n-1, as
+    two dicts keyed by degree.
 
-    Needs at least two distinct nonzero points (see
-    :func:`specialization_points`).  The boundary ranks must agree
-    across all of them: at the first point whose ranks differ from the
-    first point's, :class:`SpecializationMismatch` is raised and the
-    caller should retry with different points.  This is the package's
-    only agreement check.
+    The points are validated first: at least two distinct nonzero ones
+    (see :func:`specialization_points`).  Where
+    :func:`exactness_certificate` holds, the boundary ranks are its
+    closed forms, r_0 = 1 and r_i = c_(i-1) - r_(i-1), and no point is
+    ranked.  Where it fails, each point is ranked by
+    :func:`boundary_ranks`, and the ranks must agree across all of
+    them: at the first point whose ranks differ from the first point's,
+    :class:`SpecializationMismatch` is raised and the caller should
+    retry with different points.  This is the package's only agreement
+    check.
 
-    What a pass certifies.  Evaluation at v = p cannot raise a rank over
-    Q(v), and d o d = 0 over Q(v) gives r_i <= c_(i-1) - r_(i-1).  So if
-    a point is exact below the top (h_d = 0 for d < n-1), induction up
-    from r_0 shows that every r_i at the point equals r_i over Q(v),
-    with the same top rank.  Exact points therefore always agree, and a
+    What a pass certifies.  With the certificate, the ranks are those of
+    every ring in which v and a = v + v^-1 are units, Q(v) and every
+    nonzero rational point among them.  Without it, a pass is sound
+    over Q(v): evaluation at v = p cannot raise a rank over Q(v), and
+    d o d = 0 over Q(v) gives r_i <= c_(i-1) - r_(i-1).  So if a point
+    is exact below the top (h_d = 0 for d < n-1), induction up from r_0
+    shows that every r_i at the point equals r_i over Q(v), with the
+    same top rank.  Exact points therefore always agree, and a
     disagreement means that some point is not exact there.
 
-    No homology rank is negative: the elimination's limit gives
-    r_(d+1) <= c_d - r_d, the top rank is at most the column count, and
-    r_0 <= 1 = c_(-1).
+    No homology rank is negative.  The closed forms give h_d = 0 below
+    the top, and r_(n-1) <= c_(n-2) = c_(n-1) at the top.  On the
+    fallback, the elimination's limit gives r_(d+1) <= c_d - r_d, the
+    top rank is at most the column count, and r_0 <= 1 = c_(-1).
     """
     pts = specialization_points(points)
-    first = boundary_ranks(n, c, pts[0])
-    boundary = dict(enumerate(first))
-    for p in pts[1:]:
-        other = boundary_ranks(n, c, p)
-        if other != first:
-            raise SpecializationMismatch(
-                f"specialization ranks disagree between v={pts[0]} and v={p}: "
-                f"{boundary} vs {dict(enumerate(other))}"
-            )
+    if exactness_certificate(n, c) is None:
+        ranks = [1]
+        for i in range(1, n):
+            ranks.append(len(chain_basis(n, i - 1)) - ranks[-1])
+        boundary = dict(enumerate(ranks))
+    else:
+        first = boundary_ranks(n, c, pts[0])
+        boundary = dict(enumerate(first))
+        for p in pts[1:]:
+            other = boundary_ranks(n, c, p)
+            if other != first:
+                raise SpecializationMismatch(
+                    f"specialization ranks disagree between v={pts[0]} and v={p}: "
+                    f"{boundary} vs {dict(enumerate(other))}"
+                )
     # no boundary map leaves degree -1, and none enters degree n-1
     homology = {
         d: len(chain_basis(n, d)) - boundary.get(d, 0) - boundary.get(d + 1, 0) for d in range(-1, n)

@@ -183,7 +183,9 @@ def _check_homology(n: int, c: Convention, points):
 
 def _check_hopf(n: int, c: Convention, points):
     # Each h_d is c_d - r_d - r_{d+1}, so the two sums agree by
-    # telescoping: the check fails only where the points disagree.
+    # telescoping.  The ranks come from the exactness certificate, or
+    # where it fails from the points: the check fails only where the
+    # points disagree.
     chain_sum = euler_characteristic(n)
     homology_sum = sum((-1) ** (d % 2) * h for d, h in homology_ranks(n, c, points)[1].items())
     return chain_sum == homology_sum, {

@@ -22,10 +22,10 @@ both signs, and no full matrix is assembled.  The matching sign is -1
 for every n and both conventions.  The top element's kernel rank
 follows the same rule: its identity column must equal that of d^{n-1},
 and then the map is d^{n-1}, and its kernel rank is the top homology
-rank of :func:`~planartl.chains.homology_ranks`, read with that
-function's check that the points agree at every degree; a differing
-column raises, since that is a Theorem D failure, not a second map to
-rank.  Each descending product is built from the identity by the cup
+rank of :func:`~planartl.chains.homology_ranks`: read off the
+exactness certificate, or where that fails, with the check that the
+points agree at every degree; a differing column raises, since that is
+a Theorem D failure, not a second map to rank.  Each descending product is built from the identity by the cup
 rule :func:`~planartl.diagram.cup_times`, one generator at a time from
 the right, and no diagram product is walked.
 """
@@ -135,15 +135,18 @@ def verify_theorem_D(n: int, c: Convention) -> dict[int, dict[int, tuple[int, in
 
 def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     """Exact kernel rank of right multiplication by the top Jacobsthal
-    element on the full diagram algebra, at the given points.
+    element on the full diagram algebra; the points are validated, and
+    ranked only where the exactness certificate fails.
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module.  The map and
     d^{n-1} are fixed by their identity columns; where those differ
     RuntimeError is raised before anything is ranked, and where they are
     equal the kernel rank is the top homology rank that
-    :func:`~planartl.chains.homology_ranks` gives, with its check that
-    the points agree.
+    :func:`~planartl.chains.homology_ranks` gives: the closed form
+    c_(n-1) - r_(n-1) where :func:`~planartl.chains.exactness_certificate`
+    holds, and otherwise the point ranks, with its check that the points
+    agree.
     """
     jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
     boundary, got = _identity_columns(n, n - 1, c, jelt.element)

@@ -16,6 +16,7 @@ from planartl.chains import (
     chain_basis,
     differential,
     euler_characteristic,
+    exactness_certificate,
     homology_ranks,
     right_mult_columns_at,
     right_mult_matrix,
@@ -383,6 +384,122 @@ def test_boundary_rank_stops_at_the_bound_d_d_zero_gives(monkeypatch):
                     assert all(rank <= bound for rank, bound in zip(ranks, bounds))
     finally:
         boundary_ranks.cache_clear()
+
+
+def _inclusion(n, k):
+    """The matrix of i_k, degree k into degree k+1: both bases are
+    Dyck-lex prefixes, so it is the identity on the smaller one."""
+    size = len(chain_basis(n, k))
+    return PolyMatrix(len(chain_basis(n, k + 1)), size, [{j: LaurentPoly.one()} for j in range(size)])
+
+
+def _added(first, second):
+    """The sum of two columns, with cancelled entries dropped."""
+    total = dict(first)
+    for row, poly in second.items():
+        total[row] = total[row] + poly if row in total else poly
+    return {row: poly for row, poly in total.items() if poly}
+
+
+def test_homotopy_columns_are_phi_from_the_differentials():
+    # phi_k = d^(k+1) i_k + i_(k-1) d^k from the full differentials and
+    # explicit inclusions; its diagonal is 1 below c_(k-1) and at k = -1,
+    # and v a (A) or v^-1 a (B) from c_(k-1) on, C_n - 1 such entries
+    second_kind = {"A": LaurentPoly({2: 1, 0: 1}), "B": LaurentPoly({0: 1, -2: 1})}
+    for conv in CONVENTIONS:
+        for n in range(1, 8):
+            got = {}
+            for k, j, column in chains._homotopy_columns(n, conv):
+                got.setdefault(k, []).append({row: poly for row, poly in column.items() if poly})
+            assert sorted(got) == list(range(-1, n - 1))
+            seconds = 0
+            for k in range(-1, n - 1):
+                phi = differential(n, k + 1, conv).compose(_inclusion(n, k)).columns
+                if k >= 0:
+                    lower = _inclusion(n, k - 1).compose(differential(n, k, conv)).columns
+                    phi = [_added(upper, below) for upper, below in zip(phi, lower)]
+                assert got[k] == phi
+                start = len(chain_basis(n, k - 1)) if k >= 0 else 1
+                for j, column in enumerate(phi):
+                    assert all(row >= j for row in column)
+                    assert column[j] == (second_kind[conv.tag] if j >= start else 1)
+                    seconds += j >= start
+            assert seconds == len(chain_basis(n, n - 1)) - 1
+            assert exactness_certificate(n, conv) is None
+
+
+def test_unit_diagonal_shapes():
+    v = LaurentPoly.v_power
+    for unit in (LaurentPoly.one(), -v(3), v(-2) + v(0), -(v(5) + v(3)), -v(-1) - v(-3)):
+        assert chains._is_unit(unit), unit
+    for other in (LaurentPoly.zero(), LaurentPoly.constant(2), v(1) + 1, v(2) + v(0) * 2,
+                  v(2) - v(0), v(4) + v(0), v(2) + v(1) + v(0)):
+        assert not chains._is_unit(other), other
+
+
+def test_certified_ranks_equal_the_point_ranks():
+    # the closed forms r_0 = 1, r_i = c_(i-1) - r_(i-1) against the
+    # elimination at points where a = v + v^-1 is 5/2, 10/3, 2 and -2,
+    # and, at n <= 6, at the points homology_ranks ranked before the
+    # certificate, where denominators and signs enter
+    rational = tuple(Fraction(p) for p in ("5", "-7/3", "1/2", "-1/2", "3/2", "-3/2", "-2"))
+    boundary_ranks.cache_clear()
+    try:
+        for conv in CONVENTIONS:
+            for n in range(1, 9):
+                assert exactness_certificate(n, conv) is None
+                boundary, _ = homology_ranks(n, conv)
+                certified = tuple(boundary[i] for i in range(n))
+                points = (2, 3, 1, -1) + (rational if n <= 6 else ())
+                for point in points:
+                    assert boundary_ranks(n, conv, Fraction(point)) == certified, (conv.tag, n, point)
+                boundary_ranks.cache_clear()
+    finally:
+        boundary_ranks.cache_clear()
+
+
+@pytest.mark.parametrize("row, delta, text", [
+    (4, LaurentPoly.v_power(3), "v^3"),  # an entry above the diagonal
+    (9, LaurentPoly.one(), "2"),  # the diagonal 1 made 2
+    (9, LaurentPoly.v_power(1), "v^1+1"),  # the diagonal 1 made v + 1
+])
+def test_doctored_column_fails_the_certificate_and_the_points_are_ranked(monkeypatch, row, delta, text):
+    # column 9 of d^3 on 5 strands is column 9 of phi_2, whose diagonal
+    # there is 1, since 9 < c_1 = 14; the point ranks then stand in
+    n, k, j = 5, 2, 9
+    assert j < len(chain_basis(n, k - 1))
+    real = chains.right_mult_matrix
+    ranked = []
+    real_ranks = chains.boundary_ranks
+
+    def counting(n, c, point):
+        ranked.append(point)
+        return real_ranks(n, c, point)
+
+    monkeypatch.setattr(chains, "boundary_ranks", counting)
+    for conv in CONVENTIONS:
+        certified = homology_ranks(n, conv)
+        doctored = boundary_element(n, k + 1, conv)
+
+        def doctoring(elt, source, target):
+            matrix = real(elt, source, target)
+            if elt is doctored and target == chain_basis(n, k):
+                column = matrix.columns[j]
+                column[row] = column[row] + delta if row in column else delta
+            return matrix
+
+        monkeypatch.setattr(chains, "right_mult_matrix", doctoring)
+        exactness_certificate.cache_clear()
+        boundary_ranks.cache_clear()
+        ranked.clear()
+        try:
+            assert exactness_certificate(n, conv) == (k, j, text)
+            boundary, homology = homology_ranks(n, conv, (2, 3))
+        finally:
+            exactness_certificate.cache_clear()
+            boundary_ranks.cache_clear()
+        assert ranked == [Fraction(2), Fraction(3)]
+        assert (boundary, homology) == certified
 
 
 def test_differential_reads_the_weights_not_the_tag():

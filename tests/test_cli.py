@@ -543,12 +543,23 @@ def test_verify_rank_checks_at_six_points_byte_identical(conv):
 
 @pytest.fixture
 def fresh_complexes():
-    # boundary ranks are cached per (n, convention, point)
-    from planartl.chains import boundary_ranks
+    # boundary ranks are cached per (n, convention, point), and the
+    # exactness certificate per (n, convention)
+    from planartl.chains import boundary_ranks, exactness_certificate
 
     boundary_ranks.cache_clear()
+    exactness_certificate.cache_clear()
     yield
     boundary_ranks.cache_clear()
+    exactness_certificate.cache_clear()
+
+
+def _uncertified(monkeypatch):
+    """Make every exactness certificate fail, so that homology_ranks
+    ranks each point."""
+    import planartl.chains as chains
+
+    monkeypatch.setattr(chains, "exactness_certificate", lambda n, c: (-1, 0, "0"))
 
 
 def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complexes):
@@ -565,6 +576,7 @@ def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complex
         return [{} for _ in columns] if x == Fraction(3) else columns
 
     monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
+    _uncertified(monkeypatch)
     for check in ("homology", "hopf", "fineberg"):
         code, out = run_cli_capture(["verify", check, "--n-max", "3", "--format", "json"])
         assert code == 1
@@ -592,6 +604,7 @@ def test_verify_fineberg_fails_when_points_disagree_below_the_top(monkeypatch, f
         return [{} for _ in columns] if x == Fraction(3) and below_top else columns
 
     monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
+    _uncertified(monkeypatch)
     code, out = run_cli_capture(["verify", "fineberg", "--n-max", "3", "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]
@@ -603,12 +616,13 @@ def test_verify_fineberg_fails_when_points_disagree_below_the_top(monkeypatch, f
 
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
     # the top Jacobsthal map and d^{n-1} have equal identity columns, so
-    # fineberg reads the rank of d^{n-1} that homology needs anyway: each
-    # boundary map is ranked once per point, and the two identity columns
+    # fineberg reads the top rank of the complex that homology needs
+    # anyway: one exactness certificate per n, which builds each
+    # boundary map once, no point is ranked, and the two identity columns
     # are the only Jacobsthal matrices built
     import planartl.chains as chains
     import planartl.jacobsthal as jacobsthal
-    from planartl.chains import chain_basis
+    from planartl.chains import chain_basis, exactness_certificate
 
     real_rank = chains.right_mult_columns_at
     real_assemble = jacobsthal.right_mult_matrix
@@ -634,11 +648,11 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
     assert [args[1] for args in assembled] == [
         chain_basis(n, -1) for n in range(1, 7) for _ in range(2)
     ]
-    assert len(set(ranked)) == len(ranked) == sum(2 * n for n in range(1, 7))
-    for n in range(1, 7):
-        maps = {(id(chain_basis(n, i)), id(chain_basis(n, i - 1))) for i in range(n)}
-        assert len([r for r in ranked if r[:2] in maps]) == 2 * n
-    assert laurent == []  # ranked from integer columns alone
+    assert exactness_certificate.cache_info().misses == 6
+    assert [(args[1], args[2]) for args in laurent] == [
+        (chain_basis(n, i), chain_basis(n, i - 1)) for n in range(1, 7) for i in range(n)
+    ]
+    assert ranked == []  # every rank is read off the certificate
 
 
 def _perturbed_boundary(monkeypatch, n, degree, generator):
@@ -807,8 +821,10 @@ def test_traced_run_covers_every_benchmark_check():
     assert code == 0
     assert traced["exit"] == 0
     assert traced["report"] == out
-    for count in ("jacobsthal.element.terms", "chains.assemble.nnz", "linalg.eliminate.rank"):
+    for count in ("jacobsthal.element.terms", "chains.assemble.nnz"):
         assert traced["counts"].get(count, 0) > 0, count
+    # the exactness certificate gives every rank, so nothing is eliminated
+    assert "linalg.eliminate" not in {span[0] for span in traced["spans"]}
 
 
 def test_version_flag():

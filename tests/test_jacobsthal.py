@@ -17,6 +17,7 @@ from planartl.chains import (
     boundary_ranks,
     chain_basis,
     differential,
+    exactness_certificate,
     homology_ranks,
     right_mult_matrix,
 )
@@ -221,8 +222,9 @@ def test_theorem_D_builds_identity_columns_only(monkeypatch):
 
 def test_kernel_rank_equals_fine_number(monkeypatch):
     # the top element and the top boundary element have equal identity
-    # columns, so the kernel rank is read from the rank of d^{n-1}: the
-    # two identity columns are the only Laurent matrices assembled
+    # columns, so the kernel rank is the top rank of the complex: the
+    # Laurent matrices assembled are the two identity columns and the
+    # exactness certificate's boundary maps, each built once
     real = chains.right_mult_matrix
     built = []
 
@@ -233,12 +235,15 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
     monkeypatch.setattr(chains, "right_mult_matrix", counting)
     monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
     boundary_ranks.cache_clear()
+    exactness_certificate.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
             built.clear()
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
-            assert [args[1] for args in built] == [chain_basis(n, -1)] * 2
+            certificate = [chain_basis(n, i) for i in range(n)]
+            assert [args[1] for args in built] == [chain_basis(n, -1)] * 2 + certificate
     boundary_ranks.cache_clear()
+    exactness_certificate.cache_clear()
 
 
 def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
