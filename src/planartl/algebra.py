@@ -7,17 +7,19 @@ The diagram basis is the source of truth; the familiar presentation by
 the U_i and their relations is exercised by the test suite rather than
 used as a rewriting system.
 
-Two routes multiply.  :func:`elt_mul` glues diagrams with
+Two routes multiply here.  :func:`elt_mul` glues diagrams with
 :func:`planartl.diagram.multiply`, one call per pair of terms; it serves
 the one-off products (the ``mul`` command, the relation and braid
-checks) at any n, and it is the oracle the tables below are tested
-against.  :func:`generator_tables` records, once per n, left
-multiplication by each cup generator U_j as a map on Dyck-lex positions,
-together with a loop-free parent (y, j) for every diagram but the
-identity: the diagram is U_j times diagram y.  A box projection kills a
-left ideal, so the matrix column for U_j y is U_j acting on the column
-for y; that is how :func:`planartl.chains.right_mult_matrix` assembles
-every boundary and Jacobsthal matrix.  The tables come from the cup
+checks) at any n, and it is the oracle that the tables below, and the
+element products of :mod:`planartl.chains` (one braiding factor at a
+time on the right, by the right cup rule), are tested against.
+:func:`generator_tables` records, once per n, left multiplication by
+each cup generator U_j as a map on Dyck-lex positions, together with a
+loop-free parent (y, j) for every diagram but the identity: the diagram
+is U_j times diagram y.  A box projection kills a left ideal, so the
+matrix column for U_j y is U_j acting on the column for y; that is how
+:func:`planartl.chains.right_mult_matrix` assembles every boundary
+matrix.  The tables come from the cup
 rule :func:`planartl.diagram.cup_times`, not from the general product:
 (n-1) * C_n constant-time steps on pairing tuples, each followed by one
 lookup in the tuple-keyed Dyck-lex index.  The cup rule returns the
@@ -100,6 +102,13 @@ class AlgebraElement:
     def generator(cls, n: int, i: int) -> "AlgebraElement":
         return cls(n, {generator_u(n, i): _ONE})
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[tuple[int, ...], LaurentPoly]) -> "AlgebraElement":
+        """An element on terms already checked, none of them zero."""
+        out = cls.__new__(cls)
+        out.n, out.terms = n, terms
+        return out
+
     # -- linear structure ---------------------------------------------
 
     def _check(self, other: "AlgebraElement") -> None:
@@ -116,16 +125,10 @@ class AlgebraElement:
                 terms[d] = w
             elif d in terms:
                 del terms[d]
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return AlgebraElement._trusted(self.n, terms)
 
     def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.n = self.n
-        out.terms = {d: -c for d, c in self.terms.items()}
-        return out
+        return AlgebraElement._trusted(self.n, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -136,10 +139,7 @@ class AlgebraElement:
             c = LaurentPoly.constant(c)
         if not c:
             return AlgebraElement(self.n)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.n = self.n
-        out.terms = {d: c * w for d, w in self.terms.items()}
-        return out
+        return AlgebraElement._trusted(self.n, {d: c * w for d, w in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, LaurentPoly)):
@@ -203,10 +203,7 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                 terms[d] = w
             elif d in terms:
                 del terms[d]
-    out = AlgebraElement.__new__(AlgebraElement)
-    out.n = x.n
-    out.terms = terms
-    return out
+    return AlgebraElement._trusted(x.n, terms)
 
 
 class GeneratorTables:

@@ -20,17 +20,27 @@ diagonal, which gives every boundary rank in closed form; and
 :func:`boundary_ranks`, cached, ranks d^0 ... d^(n-1) at a point, in
 one loop, without building those matrices.
 
+d o d = 0 needs no module and no matrix.  The boundary element b_i on
+n strands is the image of b_i on i+1 strands under the embedding that
+adds through strands, so d^i d^(i+1) = 0 holds on every W(n) with
+n >= l = i+2 exactly when one identity holds in TL_l: every term of
+b_(l-1) b_(l-2) joins the right dots 1 and 2.
+:func:`boundary_composite_vanishes`, cached per (l, convention),
+decides it, and its docstring holds the proof.  Each b_i, and the
+product, is built by Horner over b_i's (or b_(l-2)'s) descending
+factors, one right multiplication by a braiding element at a time by
+the right cup rule :func:`planartl.diagram.times_cup`: no diagram
+product, projection, Dyck-lex index or generator table.
+
 Every right-multiplication map is assembled by one walk,
 :func:`_left_action_columns`, a stream of columns in Dyck-lex order
 built one box block at a time, so a reader builds only the blocks it
 reads.  The projection kills the diagrams with an arc between two
 right dots inside the box, and left multiplication keeps every such
 arc, so the killed span is a left ideal and the projection commutes
-with the left action.  Each chain module is a
-cyclic left module on the identity diagram, so each such map is fixed
-by its identity column: d o d = 0 and the Jacobsthal comparison read
-that one column alone.  Every other column is its parent's column acted
-on by one cup generator, read from the per-n generator tables of
+with the left action.  The identity diagram's column is the projection
+of the element itself, and every other column is its parent's column
+acted on by one cup generator, read from the per-n generator tables of
 :mod:`planartl.algebra`: assembly is integer lookups and counting, and
 no diagram is glued in the loop.  One cup generator closes at most one
 loop, and closes one exactly where it fixes the diagram, so an entry is
@@ -67,7 +77,7 @@ c_(i-1) - r_(i-1), the lower degree's chain rank less its boundary rank
 at that point; the elimination stops once it reaches this bound, and no
 column past the block it stops in is built (see :func:`boundary_ranks`).
 Both routes therefore rest on d o d = 0, which the ``ddzero`` check
-proves over Z[v, v^-1].
+proves over Z[v, v^-1], once per l as above.
 """
 
 from __future__ import annotations
@@ -76,10 +86,11 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
+from .algebra import AlgebraElement, generator_tables
 from .coeff import LOOP_FACTOR, Convention, LaurentPoly
 from .combin import first_peak_count_B
-from .indmod import black_box_basis, project
+from .diagram import times_cup
+from .indmod import black_box_basis, largest_free_box, project
 from .linalg import PolyMatrix, primitive, rank_of_int_columns, specialize_column, unit_point
 
 __all__ = [
@@ -87,6 +98,7 @@ __all__ = [
     "DEFAULT_POINTS",
     "specialization_points",
     "boundary_element",
+    "boundary_composite_vanishes",
     "right_mult_matrix",
     "right_mult_columns_at",
     "chain_basis",
@@ -128,6 +140,19 @@ def specialization_points(points) -> tuple[Fraction, ...]:
     return pts
 
 
+def _times_s(x: AlgebraElement, k: int, c: Convention) -> AlgebraElement:
+    """x s_k = lam x + mu x U_k, each term's product with U_k taken by
+    the right cup rule :func:`~planartl.diagram.times_cup`, an erased
+    loop weighing a."""
+    mu_loop = c.mu * LOOP_FACTOR
+    terms = {d: c.lam * w for d, w in x.terms.items()}
+    for d, w in x.terms.items():
+        e, loops = times_cup(d, k)
+        w = (mu_loop if loops else c.mu) * w
+        terms[e] = terms[e] + w if e in terms else w
+    return AlgebraElement._trusted(x.n, {d: w for d, w in terms.items() if w})
+
+
 @cache
 def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
     """The algebra element implementing d^i by right multiplication,
@@ -135,22 +160,74 @@ def boundary_element(n: int, i: int, c: Convention) -> AlgebraElement:
 
         sum_{j=0}^{i} (-1)^j lam^{-j} s_{n-i+j-1} ... s_{n-i}
 
-    (indices decrease left to right; the j = 0 product is empty).
-    Cached, since each rank at a point builds its columns from it.
+    (indices decrease left to right; the j = 0 product is empty), built
+    as 1 * b_i by :func:`_times_boundary`.  Cached, since each rank at a
+    point builds its columns from it.
+
+    It uses only U_{n-i} ... U_{n-1}, so it is the image of
+    ``boundary_element(i + 1, i, c)`` under the embedding of TL_(i+1) in
+    TL_n that adds n-i-1 through strands at the right dots 1 ... n-i-1
+    and sends U_k to U_(k+n-i-1) (see :func:`boundary_composite_vanishes`).
     """
     if not 0 <= i <= n - 1:
         raise ValueError(f"degree must lie in 0..{n - 1}, got {i}")
-    total = AlgebraElement.one(n)
-    partial = AlgebraElement.one(n)
-    lam_inv = c.lam.inverse()
-    weight = LaurentPoly.one()
-    for j in range(1, i + 1):
-        # s_{n-i+j-1} * (previous product) extends the descending word
-        partial = elt_mul(braiding_s(n, n - i + j - 1, c), partial)
-        weight = weight * lam_inv
-        signed = weight if j % 2 == 0 else -weight
-        total = total + partial.scale(signed)
-    return total
+    return _times_boundary(AlgebraElement.one(n), i, c)
+
+
+def _times_boundary(x: AlgebraElement, i: int, c: Convention) -> AlgebraElement:
+    """x b_i in TL_n, for the element b_i of :func:`boundary_element`,
+    by Horner over its descending factors: with w_j = (-1)^j lam^-j,
+    b_i = w_0 + (w_1 + (w_2 + ...) s_(n-i+1)) s_(n-i), so each step is
+    one right multiplication by an s_k (:func:`_times_s`), and no
+    product of two diagrams is formed.  Each bracket is w_j times
+    b_(i-j) on the same strands, since the weights are powers of one
+    ratio, so the partial sums stay as small as those elements."""
+    step = -c.lam.inverse()
+    y = x.scale(step**i)
+    for j in range(i - 1, -1, -1):
+        y = _times_s(y, x.n - i + j, c) + x.scale(step**j)
+    return y
+
+
+@cache
+def boundary_composite_vanishes(l: int, c: Convention) -> bool:
+    """Whether d^(l-2) d^(l-1) = 0 on W(n) for every n >= l: true
+    exactly when every term of e_(l-1) e_(l-2) in TL_l, with
+    e_i = ``boundary_element(l, i, c)``, joins the right dots 1 and 2,
+    that is has ``largest_free_box < 2``.  Cached, since the ``ddzero``
+    check reads it at every n >= l.
+
+    The embedding.  Sending a diagram on l strands to the one on n
+    strands with n-l through strands added at the right dots 1 ... n-l
+    (joined to the left dots 1 ... n-l), its own dots shifted up, sends
+    U_k to U_(k+n-l).  It is an algebra map: glued, the added strands
+    pass straight through the wall and close no loop, and the rest glues
+    as on l strands.  It is injective on the diagram bases, since the
+    diagram is read back off the upper strands, so an identity of
+    elements in TL_l holds for their images in TL_n.  By
+    :func:`boundary_element`, the e_i of W(n) are the images of those on
+    i+1 strands, and so of those on l strands for i <= l-1.
+
+    The composite.  On W(n), let K_j be the span the degree-j
+    projection kills: the diagrams with an arc among the right dots
+    1 ... n-j-1.  Each d^j is x -> x e_j mod K_(j-1).  Right
+    multiplication by U_k with k >= n-j leaves those dots alone and
+    keeps such an arc, so K_j e_j lies in K_j, inside K_(j-1): d^j is
+    well defined on classes, and d^i d^(i+1) sends the identity diagram
+    to e_(i+1) e_i mod K_(i-1).  The chain modules are cyclic left
+    modules on the identity diagram, and both maps are left-module maps
+    (K_j is a left ideal), so d^i d^(i+1) = 0 exactly when every term of
+    e_(i+1) e_i has an arc among the right dots 1 ... n-i.  With
+    l = i+2, that product is the image of its namesake on l strands,
+    which no term cancels in; an image has the through strands at the
+    right dots 1 ... n-i-2 and the l-strand diagram's right dots 1 and 2
+    at n-i-1 and n-i, so it has such an arc exactly when the diagram on
+    l strands joins its right dots 1 and 2.
+    """
+    if l < 2:
+        raise ValueError(f"l must be at least 2, got {l}")
+    product = _times_boundary(boundary_element(l, l - 1, c), l - 2, c)
+    return all(largest_free_box(d) < 2 for d in product.terms)
 
 
 def _left_action_columns(elt: AlgebraElement, source: range, target: range, first, act) -> Iterator:
@@ -172,11 +249,10 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
     the tables' order lists each block after the smaller ones, parents
     first.  So the identity's column is yielded first, and then each
     block up to ``len(source)`` is built in that order and yielded in
-    Dyck-lex order; a source holding the identity alone needs no tables.
-    A parent always lies in its child's box basis; one outside the
-    source basis raises RuntimeError as the stream reaches its child.  A
-    basis is a range of Dyck-lex positions, so one whose size is no
-    B_m(n) for elt's n raises ValueError on the call itself.
+    Dyck-lex order.  A parent always lies in its child's box basis; one
+    outside the source basis raises RuntimeError as the stream reaches
+    its child.  A basis is a range of Dyck-lex positions, so one whose
+    size is no B_m(n) for elt's n raises ValueError on the call itself.
     """
     sizes = sorted({first_peak_count_B(elt.n, m) for m in range(elt.n + 1)})
     count = len(source)
@@ -186,8 +262,6 @@ def _left_action_columns(elt: AlgebraElement, source: range, target: range, firs
     def walk():
         columns: list = [first(project(elt, target))]
         yield columns[0]
-        if count == 1:
-            return
         tables = generator_tables(elt.n)
         columns += [None] * (count - 1)
         for start, stop in zip(sizes, sizes[1 : sizes.index(count) + 1]):

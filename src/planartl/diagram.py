@@ -14,8 +14,9 @@ The product xy glues two diagrams into one involution on 4n points: x
 keeps its points 0..2n-1 and y's points follow as 2n..4n-1.  The wall
 between them joins point g to point 4n-1-g, x's right dot i to y's left
 dot i, and the points n..3n-1 that stay outside it become the product's.
-A cup generator on the left needs no walk: U_j's right cap meets two
-left dots of the other factor, and the cup rule rejoins their partners.
+A cup generator on either side needs no walk: its cap meets two
+adjacent dots of the other factor, and one cup rule rejoins their
+partners, on the left dots for U_j x and on the right dots for x U_k.
 
 A diagram is its pairing: the tuple whose entry p is the partner of
 point p.  Every path takes and returns these tuples: the enumeration
@@ -42,6 +43,7 @@ __all__ = [
     "generator_u",
     "multiply",
     "cup_times",
+    "times_cup",
     "from_dyck",
     "enumerate_pairings",
     "dyck_lex_index",
@@ -177,23 +179,16 @@ def multiply(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tuple(res), loops
 
 
-def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The product of U_j (drawn on the left) and the diagram with this
-    pairing, as the pair (pairing, loops) that
-    ``multiply(generator_u(n, j), d)`` gives for the diagram d, by a
-    fixed number of steps and no walk.
+def _cap(pairing: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], int]:
+    """The cup rule at two adjacent boundary points a and b that a cup
+    generator's cap meets, as the pair (pairing, loops).
 
-    U_j's right cap meets the left dots j and j+1, the points
-    a = 2n-j and b = 2n-j-1.  Where the pairing joins a to b the cap
-    closes one loop and U_j's left cup puts the same arc back, so the
-    product is the pairing itself.  Otherwise the cap joins the partners
-    of a and b to each other, and the left cup joins a to b, an arc the
-    pairing lacked: so the product is the pairing itself exactly when a
-    loop is closed.
+    Where the pairing joins a to b the cap closes one loop and the
+    generator's cup puts the same arc back, so the product is the
+    pairing itself.  Otherwise the cap joins the partners of a and b to
+    each other, and the cup joins a to b, an arc the pairing lacked: so
+    the product is the pairing itself exactly when a loop is closed.
     """
-    _check_generator_index(len(pairing) // 2, j)
-    a = len(pairing) - j
-    b = a - 1
     pa = pairing[a]
     if pa == b:
         return pairing, 1
@@ -201,6 +196,28 @@ def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     res = list(pairing)
     res[a], res[b], res[pa], res[pb] = b, a, pb, pa
     return tuple(res), 0
+
+
+def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The product of U_j (drawn on the left) and the diagram with this
+    pairing, as the pair (pairing, loops) that
+    ``multiply(generator_u(n, j), d)`` gives for the diagram d, by a
+    fixed number of steps and no walk: U_j's right cap meets the left
+    dots j and j+1, the points 2n-j and 2n-j-1 (see :func:`_cap`).
+    """
+    _check_generator_index(len(pairing) // 2, j)
+    return _cap(pairing, len(pairing) - j, len(pairing) - j - 1)
+
+
+def times_cup(pairing: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
+    """The product of the diagram with this pairing and U_k (drawn on
+    the right), as the pair (pairing, loops) that
+    ``multiply(d, generator_u(n, k))`` gives: the mirror of
+    :func:`cup_times`, where U_k's left cap meets the right dots k and
+    k+1, the points k-1 and k (see :func:`_cap`).
+    """
+    _check_generator_index(len(pairing) // 2, k)
+    return _cap(pairing, k - 1, k)
 
 
 def from_dyck(word: str) -> tuple[int, ...]:

@@ -14,37 +14,41 @@ The ratio rho is sign * mu/lam.  The two readings of the boundary maps
 differ precisely in this sign, so the comparison below records which
 sign reproduces them; the descending-product definition is the ground
 truth and the element formula is the hypothesis under test.  Both maps
-are right multiplications followed by the same projection, so both are
-left-module maps out of a cyclic left module on the identity diagram
-(see :mod:`planartl.chains`), and each is fixed by its identity column:
-the two maps are compared on that one column, at every degree and for
-both signs, and no full matrix is assembled.  The matching sign is -1
-for every n and both conventions.  The top element's kernel rank
-follows the same rule: its identity column must equal that of d^{n-1},
-and then the map is d^{n-1}, and its kernel rank is the top homology
-rank of :func:`~planartl.chains.homology_ranks`: read off the
-exactness certificate, or where that fails, with the check that the
-points agree at every degree; a differing column raises, since that is
-a Theorem D failure, not a second map to rank.  Each descending product is built from the identity by the cup
-rule :func:`~planartl.diagram.cup_times`, one generator at a time from
-the right, and no diagram product is walked.
+are right multiplications followed by the same projection, and the
+element on n strands, like the boundary element, is the image of the
+one on l strands under the embedding that adds through strands.  So
+Theorem D is decided once per l, as an identity of elements in TL_l
+(:func:`theorem_D_mismatch`), and read at every n >= l: no matrix, no
+projection and no Dyck-lex index is built.  Equal elements give equal
+maps, so this is stronger than comparing the maps.  The matching sign
+is -1 at every l checked, in both conventions.  The top element's kernel rank
+follows the same rule: where the identity holds at l = n the map is
+d^{n-1}, and its kernel rank is the top homology rank of
+:func:`~planartl.chains.homology_ranks`: read off the exactness
+certificate, or where that fails, with the check that the points agree
+at every degree; where it fails, that is a Theorem D failure, not a
+second map to rank, and it raises.  Each descending product is built
+from the identity by the cup rule :func:`~planartl.diagram.cup_times`,
+one generator at a time from the right, and no diagram product is
+walked.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .algebra import AlgebraElement
-from .chains import DEFAULT_POINTS, boundary_element, chain_basis, homology_ranks, right_mult_matrix
-from .coeff import Convention, mu_over_lambda
-from .combin import descending_opposite_parity_sequences, jacobsthal_number
-from .diagram import cup_times, identity
-from .linalg import PolyMatrix
+from .chains import DEFAULT_POINTS, boundary_element, homology_ranks
+from .coeff import Convention, LaurentPoly, mu_over_lambda
+from .combin import descending_opposite_parity_sequences, dyck_lex_key, jacobsthal_number
+from .diagram import cup_times, identity, word_of_pairing
 
 __all__ = [
     "MATCHING_RATIO_SIGN",
     "JacobsthalElement",
     "jacobsthal_element",
+    "theorem_D_mismatch",
     "verify_theorem_D",
     "jacobsthal_kernel_rank",
 ]
@@ -96,38 +100,48 @@ def jacobsthal_element(
     return JacobsthalElement(n=n, l=l, ratio_sign=ratio_sign, element=elt, term_count=count)
 
 
-def _identity_columns(
-    n: int, i: int, c: Convention, elt: AlgebraElement
-) -> tuple[PolyMatrix, PolyMatrix]:
-    """The identity columns of d^i and of x -> project(x * elt), from
-    degree i to degree i-1: each map's one-column matrix on degree -1's
-    basis, the identity diagram alone.  The maps are equal exactly when
-    these are."""
-    source, target = chain_basis(n, -1), chain_basis(n, i - 1)
-    boundary = right_mult_matrix(boundary_element(n, i, c), source, target)
-    return boundary, right_mult_matrix(elt, source, target)
+@cache
+def theorem_D_mismatch(l: int, c: Convention, ratio_sign: int) -> tuple[str, str, str] | None:
+    """None where ``boundary_element(l, l - 1, c)`` equals the l-th
+    Jacobsthal element on l strands with this ratio sign, as elements of
+    TL_l; otherwise their first differing term in Dyck-lex order, as
+    (word, boundary coefficient text, element coefficient text).  Cached,
+    since the checks read it at every n >= l.
+
+    Both elements on n >= l strands are the images of these under the
+    embedding of TL_l that adds through strands (see
+    :func:`~planartl.chains.boundary_composite_vanishes`), which is
+    injective on the diagram bases: so the elements on n strands are
+    equal exactly where these are, and then d^(l-1) of W(n) and right
+    multiplication by the Jacobsthal element, each followed by the same
+    projection, are one map.  The converse fails where the projection
+    kills the difference, so this identity is the stronger one.
+    """
+    boundary = boundary_element(l, l - 1, c)
+    element = jacobsthal_element(l, l, c, ratio_sign).element
+    if boundary == element:
+        return None
+    d = min((boundary - element).terms, key=lambda d: dyck_lex_key(word_of_pairing(d)))
+    zero = LaurentPoly.zero()
+    return word_of_pairing(d), boundary.terms.get(d, zero).to_text(), element.terms.get(d, zero).to_text()
 
 
-def verify_theorem_D(n: int, c: Convention) -> dict[int, dict[int, tuple[int, int, str, str]]]:
+def verify_theorem_D(n: int, c: Convention) -> dict[int, dict[int, tuple[str, str, str]]]:
     """Compare each boundary map d^i of W(n) with right multiplication by
-    the (i+1)-st Jacobsthal element, for both ratio signs, on their
-    identity columns.
+    the (i+1)-st Jacobsthal element, for both ratio signs, as the element
+    identities :func:`theorem_D_mismatch` decides on i+1 strands.
 
     Returns ``{sign: {degree: mismatch}}`` for the signs +1 and -1, in
-    that order, where a mismatch is the first differing row of the
-    identity column as ``(row, 0, boundary text, element text)``; a sign
-    whose dict is empty matches in every degree.  Mismatches are
-    recorded, never raised.  The opposite sign stops at its first
-    mismatch."""
-    mismatches: dict[int, dict[int, tuple[int, int, str, str]]] = {}
+    that order, where a mismatch is the first differing term as
+    ``(word, boundary text, element text)``; a sign whose dict is empty
+    matches in every degree.  Mismatches are recorded, never raised.
+    The opposite sign stops at its first mismatch."""
+    mismatches: dict[int, dict[int, tuple[str, str, str]]] = {}
     for sign in (1, -1):
         found = mismatches[sign] = {}
-        for i in range(n):
-            jelt = jacobsthal_element(n, i + 1, c, sign)
-            boundary, got = _identity_columns(n, i, c, jelt.element)
-            diff = boundary.first_difference(got)
-            if diff is not None:
-                found[i] = (diff[0], diff[1], diff[2].to_text(), diff[3].to_text())
+        for l in range(1, n + 1):
+            if (mismatch := theorem_D_mismatch(l, c, sign)) is not None:
+                found[l - 1] = mismatch
                 if sign != MATCHING_RATIO_SIGN:
                     break
     return mismatches
@@ -139,17 +153,16 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     ranked only where the exactness certificate fails.
 
     This is the top boundary map under the standard identifications, so
-    the kernel rank is the rank of the top homology module.  The map and
-    d^{n-1} are fixed by their identity columns; where those differ
-    RuntimeError is raised before anything is ranked, and where they are
-    equal the kernel rank is the top homology rank that
+    the kernel rank is the rank of the top homology module.  Where the
+    top Jacobsthal element and ``boundary_element(n, n - 1, c)`` differ
+    (:func:`theorem_D_mismatch` at l = n) RuntimeError is raised before
+    anything is ranked.  Where they are equal the map is d^(n-1), and
+    its kernel rank is the top homology rank that
     :func:`~planartl.chains.homology_ranks` gives: the closed form
     c_(n-1) - r_(n-1) where :func:`~planartl.chains.exactness_certificate`
     holds, and otherwise the point ranks, with its check that the points
     agree.
     """
-    jelt = jacobsthal_element(n, n, c, MATCHING_RATIO_SIGN)
-    boundary, got = _identity_columns(n, n - 1, c, jelt.element)
-    if boundary != got:
+    if theorem_D_mismatch(n, c, MATCHING_RATIO_SIGN) is not None:
         raise RuntimeError("the top Jacobsthal map and d^{n-1} differ")
     return homology_ranks(n, c, points)[1][n - 1]

@@ -67,15 +67,14 @@ class PolyMatrix:
     def entry(self, r: int, c: int) -> LaurentPoly:
         return self.columns[c].get(r, LaurentPoly.zero())
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
-
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix product self * other (apply other first)."""
+        """Matrix product self * other (apply other first).  No library
+        path composes: it stays as the tests' oracle for d o d = 0 and
+        the chain homotopy, and under this name the tracing harness in
+        ``perfbench/traced.py`` wraps."""
         if self.ncols != other.nrows:
             raise ValueError(
                 f"dimension mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
@@ -103,7 +102,9 @@ class PolyMatrix:
 
     def first_difference(self, other: "PolyMatrix"):
         """The smallest (row, col) where the two matrices differ, with
-        both entries, or None when equal.  Dimensions must agree."""
+        both entries, or None when equal.  Dimensions must agree.  No
+        library path calls it: it stays for the tests, and under this
+        name the tracing harness in ``perfbench/traced.py`` wraps."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("dimension mismatch")
         best = None

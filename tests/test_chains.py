@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import planartl.chains as chains
 from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tables
 from planartl.chains import (
+    boundary_composite_vanishes,
     boundary_element,
     boundary_ranks,
     chain_basis,
@@ -291,7 +292,83 @@ def test_dd_zero_symbolically():
     for conv in CONVENTIONS:
         for n in range(1, 7):
             for i in range(n - 1):
-                assert differential(n, i, conv).compose(differential(n, i + 1, conv)).is_zero
+                assert differential(n, i, conv).compose(differential(n, i + 1, conv)).nnz() == 0
+
+
+def _boundary_by_products(n, i, conv):
+    """The definition of b_i, on the independent product path: each
+    descending product extended by elt_mul with a braiding element."""
+    step = -conv.lam.inverse()
+    total = partial = AlgebraElement.one(n)
+    for j in range(1, i + 1):
+        partial = elt_mul(braiding_s(n, n - i + j - 1, conv), partial)
+        total = total + partial.scale(step**j)
+    return total
+
+
+def _add_through_strands(elt, n):
+    """The image of elt under the embedding TL_l -> TL_n that adds n-l
+    through strands at the right dots 1 ... n-l (joined to the left dots
+    1 ... n-l) and shifts the diagram's own dots up by n-l."""
+    shift = n - elt.n
+    terms = {}
+    for d, w in elt.terms.items():
+        # the left dot facing right dot x sits at 2l-1-x, and its image
+        # at 2n-1-(x+shift): every point of d moves up by shift
+        image = list(identity(n))
+        image[shift : shift + len(d)] = [q + shift for q in d]
+        terms[tuple(image)] = w
+    return AlgebraElement(n, terms)
+
+
+def test_boundary_element_matches_its_definition():
+    for conv in CONVENTIONS:
+        for n in range(1, 8):
+            for i in range(n):
+                assert boundary_element(n, i, conv) == _boundary_by_products(n, i, conv), (conv.tag, n, i)
+
+
+def test_boundary_element_is_stable_under_added_strands():
+    # b_i on n strands is the image of b_i on i + 1 strands, and so is
+    # the (i+1)-st Jacobsthal element of either sign
+    for conv in CONVENTIONS:
+        for n in range(1, 9):
+            for i in range(n):
+                assert boundary_element(n, i, conv) == _add_through_strands(boundary_element(i + 1, i, conv), n)
+                for sign in (1, -1):
+                    image = _add_through_strands(jacobsthal_element(i + 1, i + 1, conv, sign).element, n)
+                    assert jacobsthal_element(n, i + 1, conv, sign).element == image
+
+
+def test_embedding_is_an_algebra_map_on_the_bases():
+    # products and loop counts survive the added strands, and distinct
+    # diagrams stay distinct
+    for l in range(1, 5):
+        for n in range(l, l + 3):
+            images = {}
+            for x in enumerate_pairings(l):
+                ex = _add_through_strands(AlgebraElement.from_diagram(x), n)
+                images[next(iter(ex.terms))] = x
+                for y in enumerate_pairings(l):
+                    ey = _add_through_strands(AlgebraElement.from_diagram(y), n)
+                    product = elt_mul(AlgebraElement.from_diagram(x), AlgebraElement.from_diagram(y))
+                    assert elt_mul(ex, ey) == _add_through_strands(product, n)
+            assert len(images) == len(enumerate_pairings(l))
+
+
+def test_horner_product_matches_elt_mul():
+    # x b_i by Horner over b_i's factors, against the general product
+    for conv in CONVENTIONS:
+        for n in range(2, 8):
+            for x in (boundary_element(n, n - 1, conv), AlgebraElement.generator(n, 1)):
+                for i in range(n):
+                    expected = elt_mul(x, _boundary_by_products(n, i, conv))
+                    assert chains._times_boundary(x, i, conv) == expected, (conv.tag, n, i)
+
+
+def test_composite_verdict_rejects_fewer_than_two_strands():
+    with pytest.raises(ValueError):
+        boundary_composite_vanishes(1, CONVENTION_A)
 
 
 def test_euler_characteristic_small():

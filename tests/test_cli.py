@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,22 @@ def test_verify_thmD_byte_identical_past_n7(conv):
     assert hashlib.sha256(out.encode()).hexdigest() == THMD_DIGESTS[conv]
 
 
+# sha256 of the element-identity checks and fineberg at n <= 10
+ELEMENT_DIGESTS = {
+    "A": "04b362618dda71c4f81c517fbb32c15c5c5e075d2bc3f3af5a822ab4023493c7",
+    "B": "58243c2b5f7395adc4d6a88594f015459396b20b2d304534347483828c03bb13",
+}
+
+
+@pytest.mark.parametrize("conv", sorted(ELEMENT_DIGESTS))
+def test_verify_ddzero_thmD_fineberg_byte_identical_at_n10(conv):
+    code, out = run_cli_capture(
+        ["verify", "ddzero", "thmD", "fineberg", "--n-max", "10", "--convention", conv, "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ELEMENT_DIGESTS[conv]
+
+
 # sha256 of the rank checks at the benchmark's six points, n <= 7
 SIX_POINT_DIGESTS = {
     "A": "bc4a09b45a0d5d8e0627514da0421f935be8c8b4b86540892d40c53cf1006b95",
@@ -615,39 +632,30 @@ def test_verify_fineberg_fails_when_points_disagree_below_the_top(monkeypatch, f
 
 
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
-    # the top Jacobsthal map and d^{n-1} have equal identity columns, so
+    # the top Jacobsthal element equals the top boundary element, so
     # fineberg reads the top rank of the complex that homology needs
     # anyway: one exactness certificate per n, which builds each
-    # boundary map once, no point is ranked, and the two identity columns
-    # are the only Jacobsthal matrices built
+    # boundary map once, no point is ranked, and no Jacobsthal matrix is
+    # built
     import planartl.chains as chains
-    import planartl.jacobsthal as jacobsthal
     from planartl.chains import chain_basis, exactness_certificate
 
     real_rank = chains.right_mult_columns_at
-    real_assemble = jacobsthal.right_mult_matrix
-    ranked, assembled, laurent = [], [], []
+    real_laurent = chains.right_mult_matrix
+    ranked, laurent = [], []
 
     def counting_rank(elt, source, target, x):
         ranked.append((id(source), id(target), x))
         return real_rank(elt, source, target, x)
 
-    def counting_assemble(*args):
-        assembled.append(args)
-        return real_assemble(*args)
-
     def counting_laurent(*args):
         laurent.append(args)
-        return real_assemble(*args)
+        return real_laurent(*args)
 
     monkeypatch.setattr(chains, "right_mult_columns_at", counting_rank)
     monkeypatch.setattr(chains, "right_mult_matrix", counting_laurent)
-    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting_assemble)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
     assert code == 0
-    assert [args[1] for args in assembled] == [
-        chain_basis(n, -1) for n in range(1, 7) for _ in range(2)
-    ]
     assert exactness_certificate.cache_info().misses == 6
     assert [(args[1], args[2]) for args in laurent] == [
         (chain_basis(n, i), chain_basis(n, i - 1)) for n in range(1, 7) for i in range(n)
@@ -656,12 +664,13 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
 
 
 def _perturbed_boundary(monkeypatch, n, degree, generator):
-    """Make the CLI's boundary element b_degree on n strands gain a
-    U_generator term; the complex's own matrices keep the real one."""
-    import planartl.cli as cli
+    """Make the boundary element b_degree on n strands gain a
+    U_generator term, with empty verdict caches that are dropped
+    afterwards; every other (strands, degree) keeps the real element."""
+    import planartl.chains as chains
     from planartl.algebra import AlgebraElement
 
-    real = cli.boundary_element
+    real = chains.boundary_element
 
     def patched(m, i, c):
         elt = real(m, i, c)
@@ -669,32 +678,42 @@ def _perturbed_boundary(monkeypatch, n, degree, generator):
             return elt + AlgebraElement.generator(n, generator)
         return elt
 
-    monkeypatch.setattr(cli, "boundary_element", patched)
+    monkeypatch.setattr(chains, "boundary_element", patched)
+    _fresh_verdicts(monkeypatch)
     return patched
 
 
 def test_ddzero_on_the_generator_agrees_with_the_full_composite(monkeypatch):
-    # the check composes d^i with d^{i+1}'s identity column; the full
-    # composite is the oracle, for b_{i+1} and for b_{i+1} + U_j
+    # the check reads one element identity per l; the full composite on
+    # n strands is the oracle, for b_{i+1} at every degree, and for
+    # b_{n-1} + U_j on n = l strands, where the identity reads it
     import planartl.cli as cli
-    from planartl.chains import DEFAULT_POINTS, chain_basis, differential, right_mult_matrix
+    from planartl.chains import (
+        DEFAULT_POINTS,
+        boundary_composite_vanishes,
+        chain_basis,
+        differential,
+        right_mult_matrix,
+    )
     from planartl.coeff import CONVENTION_A, CONVENTION_B
 
     verdicts = set()
     for conv in (CONVENTION_A, CONVENTION_B):
-        for n in range(1, 7):
+        for n in range(1, 8):
             assert cli._check_ddzero(n, conv, DEFAULT_POINTS) == (True, {"degrees_checked": n - 1})
             for i in range(n - 1):
-                for j in range(1, n):
-                    with monkeypatch.context() as m:
-                        patched = _perturbed_boundary(m, n, i + 1, j)
-                        passed, details = cli._check_ddzero(n, conv, DEFAULT_POINTS)
-                    full = right_mult_matrix(patched(n, i + 1, conv), chain_basis(n, i + 1), chain_basis(n, i))
-                    expected = differential(n, i, conv).compose(full).is_zero
-                    assert passed == expected, (conv.tag, n, i, j)
-                    if not passed:
-                        assert details == {"failed": f"d^{i} o d^{i + 1} != 0"}
-                    verdicts.add(passed)
+                full = differential(n, i, conv).compose(differential(n, i + 1, conv))
+                assert boundary_composite_vanishes(i + 2, conv) == (full.nnz() == 0)
+            for j in range(1, n):
+                with monkeypatch.context() as m:
+                    patched = _perturbed_boundary(m, n, n - 1, j)
+                    passed, details = cli._check_ddzero(n, conv, DEFAULT_POINTS)
+                    top = right_mult_matrix(patched(n, n - 1, conv), chain_basis(n, n - 1), chain_basis(n, n - 2))
+                expected = differential(n, n - 2, conv).compose(top).nnz() == 0
+                assert passed == expected, (conv.tag, n, j)
+                if not passed:
+                    assert details == {"failed": f"d^{n - 2} o d^{n - 1} != 0"}
+                verdicts.add(passed)
     assert verdicts == {True, False}
 
 
@@ -713,9 +732,11 @@ def test_verify_ddzero_fails_on_a_surviving_extra_term(monkeypatch):
 
 
 def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
-    # the sign -1 element at n = 3, l = 2 gains U_2, which survives the
-    # projection into degree 0: the report names the first differing row
-    # of the identity columns of d^1 and its Jacobsthal map, as text
+    # the sign -1 element on l = 2 strands gains U_1 (on three strands its
+    # image is U_2, which survives the projection into degree 0): the
+    # report names the first differing term of the two elements in
+    # Dyck-lex order, as its word and both coefficients' text, at every
+    # n >= 2
     import planartl.jacobsthal as jacobsthal
     from planartl.algebra import AlgebraElement
 
@@ -723,44 +744,64 @@ def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
 
     def patched(n, l, c, ratio_sign=jacobsthal.MATCHING_RATIO_SIGN):
         jelt = real(n, l, c, ratio_sign)
-        if (n, l, ratio_sign) == (3, 2, -1):
-            return jelt._replace(element=jelt.element + AlgebraElement.generator(3, 2))
+        if (n, l, ratio_sign) == (2, 2, -1):
+            return jelt._replace(element=jelt.element + AlgebraElement.generator(2, 1))
         return jelt
 
     monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
+    monkeypatch.setattr(jacobsthal, "theorem_D_mismatch", cache(jacobsthal.theorem_D_mismatch.__wrapped__))
     code, out = run_cli_capture(["verify", "thmD", "--n-max", "3", "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]
-    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
-    assert checks[2]["details"]["mismatches"] == [
-        {"degree": 1, "ratio_sign": -1, "first_mismatch": [1, 0, "v^1", "v^1+1"]}
-    ]
+    assert [c["status"] for c in checks] == ["pass", "fail", "fail"]
+    for check in checks[1:]:
+        assert check["details"]["mismatches"] == [
+            {"degree": 1, "ratio_sign": -1, "first_mismatch": ["udud", "v^1", "v^1+1"]}
+        ]
 
 
-def test_verify_ddzero_never_assembles_the_top_map(monkeypatch, fresh_complexes):
-    # d^0 ... d^{n-2} are built once each, after d^{i+1}'s identity column
-    # from degree -1; the largest map, out of degree n-1, is never built
-    import planartl.chains as chains
+def _fresh_verdicts(monkeypatch):
+    """Give the ddzero and thmD checks empty verdict caches for this
+    test, so that they decide every l again."""
     import planartl.cli as cli
-    from planartl.chains import chain_basis
+    import planartl.jacobsthal as jacobsthal
 
-    real = chains.right_mult_matrix
+    fresh = cache(cli.boundary_composite_vanishes.__wrapped__)
+    monkeypatch.setattr(cli, "boundary_composite_vanishes", fresh)
+    monkeypatch.setattr(jacobsthal, "theorem_D_mismatch", cache(jacobsthal.theorem_D_mismatch.__wrapped__))
+
+
+def test_verify_ddzero_never_assembles_the_top_map(monkeypatch):
+    # each d^i o d^{i+1} is an element identity on i + 2 strands: no
+    # boundary matrix and no identity column is built
+    import planartl.chains as chains
+
     sources = []
-
-    def counting(elt, source, target):
-        sources.append(id(source))
-        return real(elt, source, target)
-
-    monkeypatch.setattr(chains, "right_mult_matrix", counting)
-    monkeypatch.setattr(cli, "right_mult_matrix", counting)
+    monkeypatch.setattr(chains, "right_mult_matrix", lambda elt, source, target: sources.append(source))
+    _fresh_verdicts(monkeypatch)
     code, _ = run_cli_capture(["verify", "ddzero", "--n-max", "6"])
     assert code == 0
-    expected = []
-    for n in range(1, 7):
-        assert id(chain_basis(n, n - 1)) not in sources
-        for i in range(n - 1):
-            expected += [id(chain_basis(n, -1)), id(chain_basis(n, i))]
-    assert sources == expected
+    assert sources == []
+
+
+def test_verify_ddzero_thmD_builds_no_index_tables_or_matrix(monkeypatch):
+    # both checks read element identities in TL_l: no Dyck-lex index, no
+    # generator table and no right-multiplication matrix
+    import planartl.chains as chains
+    from planartl.algebra import generator_tables
+    from planartl.diagram import dyck_lex_index
+
+    built = []
+    monkeypatch.setattr(chains, "right_mult_matrix", lambda *args: built.append(args))
+    _fresh_verdicts(monkeypatch)
+    dyck_lex_index.cache_clear()
+    generator_tables.cache_clear()
+    for conv in ("A", "B"):
+        code, _ = run_cli_capture(["verify", "ddzero", "thmD", "--n-max", "9", "--convention", conv])
+        assert code == 0
+    assert dyck_lex_index.cache_info().currsize == 0
+    assert generator_tables.cache_info().currsize == 0
+    assert built == []
 
 
 def test_verify_reports_a_raising_check_as_failed(monkeypatch):
@@ -806,7 +847,9 @@ def test_traced_run_reports_the_cli_output():
     assert traced["exit"] == 0
     assert traced["report"] == out
     layers = {span[0] for span in traced["spans"]}
-    assert {"chains.assemble", "jacobsthal.assemble", "jacobsthal.compare", "linalg.compose"} <= layers
+    assert {"algebra.boundary_element", "chains.assemble", "indmod.basis", "jacobsthal.element"} <= layers
+    # ddzero and thmD are element identities: nothing is composed or compared as a matrix
+    assert not {"jacobsthal.assemble", "jacobsthal.compare", "linalg.compose"} & layers
 
 
 def test_traced_run_covers_every_benchmark_check():

@@ -20,6 +20,7 @@ from planartl.diagram import (
     is_planar_pairing,
     multiply,
     pairing_of_word,
+    times_cup,
     word_of_pairing,
 )
 
@@ -236,12 +237,22 @@ def test_cup_rule_matches_the_product():
                 assert cup_times(j, d) == (product, loops), (j, d)
 
 
+def test_right_cup_rule_matches_the_product():
+    for n in range(8):
+        for k in range(1, n):
+            u = generator_u(n, k)
+            for d in enumerate_pairings(n):
+                assert times_cup(d, k) == multiply(d, u), (k, d)
+
+
 def test_cup_rule_rejects_a_generator_index_out_of_range():
     for n in range(1, 5):
         d = identity(n)
         for j in (0, n):
             with pytest.raises(ValueError, match="generator index"):
                 cup_times(j, d)
+            with pytest.raises(ValueError, match="generator index"):
+                times_cup(d, j)
 
 
 def test_bijection_round_trip_exhaustive():

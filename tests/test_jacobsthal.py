@@ -4,6 +4,7 @@ with its sign bookkeeping, and the kernel rank of the top element."""
 import json
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -23,6 +24,7 @@ from planartl.chains import (
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, mu_over_lambda
 from planartl.combin import descending_opposite_parity_sequences, fine, jacobsthal_number
+from planartl.diagram import generator_u, word_of_pairing
 from planartl.cli import _check_thmD
 from planartl.jacobsthal import (
     MATCHING_RATIO_SIGN,
@@ -115,7 +117,8 @@ def test_theorem_D_small():
 def test_theorem_D_records_mismatch_entries():
     wrong = verify_theorem_D(3, CONVENTION_A)[-MATCHING_RATIO_SIGN]
     assert wrong, "the opposite sign must fail somewhere for n >= 2"
-    for row, col, left, right in wrong.values():
+    for degree, (word, left, right) in wrong.items():
+        assert len(word) == 2 * (degree + 1)
         assert left != right
 
 
@@ -132,99 +135,100 @@ def test_element_route_agrees_with_matrix_route():
                     assert (jelt == expected) == (got == differential(n, i, conv)), (conv.tag, n, i, sign)
 
 
-def test_identity_column_decides_the_map():
-    # both maps are left-module maps out of a cyclic module on the
-    # identity, so they are equal exactly where their identity columns
-    # are: checked against the full matrices for the Jacobsthal elements
-    # and for b_i + U_j, which differs from d^i at some degrees only
+def test_element_identity_implies_the_map_identity():
+    # equal elements give equal maps; the converse fails where the
+    # projection kills the difference, as for b_i + U_j with U_j inside
+    # the target box, so the element identity is the stronger check
     verdicts = set()
     for conv in CONVENTIONS:
         for n in range(2, 7):
             for i in range(n):
                 source, target = chain_basis(n, i), chain_basis(n, i - 1)
                 full = differential(n, i, conv)
+                expected = boundary_element(n, i, conv)
                 elements = [jacobsthal_element(n, i + 1, conv, sign).element for sign in (1, -1)]
-                elements += [
-                    boundary_element(n, i, conv) + AlgebraElement.generator(n, j) for j in range(1, n)
-                ]
+                elements += [expected + AlgebraElement.generator(n, j) for j in range(1, n)]
                 for elt in elements:
-                    boundary, got = jacobsthal._identity_columns(n, i, conv, elt)
-                    assert (boundary.ncols, got.ncols) == (1, 1)
-                    equal = boundary == got
-                    assert equal == (right_mult_matrix(elt, source, target) == full), (conv.tag, n, i)
-                    verdicts.add(equal)
-    assert verdicts == {True, False}
+                    same_map = right_mult_matrix(elt, source, target) == full
+                    assert same_map or elt != expected, (conv.tag, n, i)
+                    verdicts.add((elt == expected, same_map))
+    assert verdicts == {(True, True), (False, False), (False, True)}
 
 
-def _with_extra_term(monkeypatch, generator, strands=3, index=2):
-    """Make the sign -1 element with n = strands, l = index gain a
-    U_generator term."""
+def _with_extra_term(monkeypatch, generator, index=2):
+    """Make the sign -1 element with n = l = index gain a U_generator
+    term, with an empty verdict cache that is dropped afterwards."""
     real = jacobsthal.jacobsthal_element
 
     def patched(n, l, c, ratio_sign=MATCHING_RATIO_SIGN):
         jelt = real(n, l, c, ratio_sign)
-        if (n, l, ratio_sign) == (strands, index, -1):
-            extra = AlgebraElement.generator(strands, generator)
+        if (n, l, ratio_sign) == (index, index, -1):
+            extra = AlgebraElement.generator(index, generator)
             return jelt._replace(element=jelt.element + extra)
         return jelt
 
     monkeypatch.setattr(jacobsthal, "jacobsthal_element", patched)
+    monkeypatch.setattr(jacobsthal, "theorem_D_mismatch", cache(jacobsthal.theorem_D_mismatch.__wrapped__))
 
 
-def test_theorem_D_decides_on_the_identity_column(monkeypatch):
-    # U_1 lands in the degree-0 box, so the projection kills it and the
-    # degree-1 matrices still agree
-    _with_extra_term(monkeypatch, 1)
-    assert thmD_passes(3, CONVENTION_A)
-    assert matching_signs(verify_theorem_D(3, CONVENTION_A)) == (-1,)
-    # U_2 survives the projection: a matrix-level mismatch at degree 1
-    _with_extra_term(monkeypatch, 2)
-    assert not thmD_passes(3, CONVENTION_A)
-    mismatches = verify_theorem_D(3, CONVENTION_A)
-    assert matching_signs(mismatches) == ()
-    wrong = mismatches[-1]
-    assert list(wrong) == [1]
-    row, col, left, right = wrong[1]
-    assert 0 <= row < len(chain_basis(3, 0))
-    assert col == 0
-    assert left != right
+def test_theorem_D_decides_on_the_elements(monkeypatch):
+    # U_1 added to the second element: on three strands it lands in the
+    # degree-0 box, and the projection kills it, so the maps of d^1 still
+    # agree there; the element identity on two strands, which every
+    # n >= 2 reads, is stricter and catches it
+    killed = jacobsthal_element(3, 2, CONVENTION_A).element + AlgebraElement.generator(3, 1)
+    assert right_mult_matrix(killed, chain_basis(3, 1), chain_basis(3, 0)) == differential(3, 1, CONVENTION_A)
+    with monkeypatch.context() as m:
+        _with_extra_term(m, 1)
+        assert [thmD_passes(n, CONVENTION_A) for n in (1, 2, 3)] == [True, False, False]
+        mismatches = verify_theorem_D(3, CONVENTION_A)
+        assert matching_signs(mismatches) == ()
+        assert mismatches[-1] == {1: ("udud", "v^1", "v^1+1")}
+    # U_2 added to the third element: a mismatch at degree 2 alone
+    with monkeypatch.context() as m:
+        _with_extra_term(m, 2, index=3)
+        assert not thmD_passes(3, CONVENTION_A)
+        mismatches = verify_theorem_D(3, CONVENTION_A)
+        assert matching_signs(mismatches) == ()
+        wrong = mismatches[-1]
+        assert list(wrong) == [2]
+        word, left, right = wrong[2]
+        assert word == word_of_pairing(generator_u(3, 2))
+        assert left != right
 
 
-def test_theorem_D_builds_identity_columns_only(monkeypatch):
-    # every degree of both signs is decided on two identity columns, built
-    # through jacobsthal's own binding: 2n for the matching sign, and 4 for
-    # the +1 control, which stops at degree 1; no generator table is built
-    real = jacobsthal.right_mult_matrix
-    sources, boundary_sources = [], []
+def test_theorem_D_builds_no_matrix(monkeypatch):
+    # every degree of both signs is an element identity on l strands,
+    # each (l, sign) built once: l = 1 ... 9 for the matching sign, and
+    # l = 1, 2 for the +1 control, which stops at degree 1; no matrix and
+    # no generator table is built
+    real = jacobsthal.jacobsthal_element
+    built, elements = [], []
 
-    def counting(elt, source, target):
-        sources.append(source)
-        return real(elt, source, target)
+    def counting(n, l, c, ratio_sign=MATCHING_RATIO_SIGN):
+        elements.append((n, l, ratio_sign))
+        return real(n, l, c, ratio_sign)
 
-    def counting_boundary(elt, source, target):
-        boundary_sources.append(source)
-        return real(elt, source, target)
-
-    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
-    monkeypatch.setattr(chains, "right_mult_matrix", counting_boundary)
+    monkeypatch.setattr(jacobsthal, "jacobsthal_element", counting)
+    monkeypatch.setattr(jacobsthal, "theorem_D_mismatch", cache(jacobsthal.theorem_D_mismatch.__wrapped__))
+    monkeypatch.setattr(chains, "right_mult_matrix", lambda *args: built.append(args))
     generator_tables.cache_clear()
     for conv in CONVENTIONS:
+        elements.clear()
         for n in range(2, 10):
-            sources.clear()
             mismatches = verify_theorem_D(n, conv)
-            # 2n of the sources are the matching sign's n degrees
-            assert sources == [chain_basis(n, -1)] * (2 * n + 4)
             wrong = [(sign, degree) for sign, found in mismatches.items() for degree in found]
             assert wrong == [(1, 1)]
-    assert boundary_sources == []
+        assert elements == [(1, 1, 1), (2, 2, 1)] + [(l, l, -1) for l in range(1, 10)]
+    assert built == []
     assert generator_tables.cache_info().currsize == 0
 
 
 def test_kernel_rank_equals_fine_number(monkeypatch):
-    # the top element and the top boundary element have equal identity
-    # columns, so the kernel rank is the top rank of the complex: the
-    # Laurent matrices assembled are the two identity columns and the
-    # exactness certificate's boundary maps, each built once
+    # the top element equals the top boundary element, so the kernel
+    # rank is the top rank of the complex: the only Laurent matrices
+    # assembled are the exactness certificate's boundary maps, each
+    # built once
     real = chains.right_mult_matrix
     built = []
 
@@ -233,7 +237,6 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(chains, "right_mult_matrix", counting)
-    monkeypatch.setattr(jacobsthal, "right_mult_matrix", counting)
     boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
     for conv in CONVENTIONS:
@@ -241,18 +244,18 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
             built.clear()
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
             certificate = [chain_basis(n, i) for i in range(n)]
-            assert [args[1] for args in built] == [chain_basis(n, -1)] * 2 + certificate
+            assert [args[1] for args in built] == certificate
     boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
 
 
 def test_kernel_rank_raises_where_the_top_maps_differ(monkeypatch, capsys):
-    # a top element whose identity column differs from that of d^{n-1}
-    # is a Theorem D failure: the fineberg check fails on it, and no rank
-    # is taken for it
+    # a top element that differs from the top boundary element is a
+    # Theorem D failure: the fineberg check fails on it, and no rank is
+    # taken for it
     from planartl.cli import main
 
-    _with_extra_term(monkeypatch, 2, strands=3, index=3)
+    _with_extra_term(monkeypatch, 2, index=3)
     real = jacobsthal.homology_ranks
     ranked = []
 
