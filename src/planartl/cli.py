@@ -43,7 +43,7 @@ from .combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from .diagram import enumerate_pairings, from_dyck, from_pairs, pairing_of_word, word_of_pairing
+from .diagram import enumerate_pairings, from_dyck, from_pairs, pairings_of_words, word_of_pairing
 from .indmod import largest_free_box
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
@@ -105,13 +105,16 @@ def _check_bijection(n: int, c: Convention, points):
     pairings = enumerate_pairings(n)
     if len(words) != len(pairings):
         return False, {"failed": "word and diagram counts differ"}
-    for word, pairing in zip(words, pairings):
-        # The pairing walk and the word enumeration are independent
-        # routes.  One LIFO sweep of the oracle's word gives its unique
-        # noncrossing pairing, which must be the walk's pairing at that
-        # position: so a crossing, a broken involution or a wrong order
-        # fails here, even where the pairing's own word reads right.
-        if pairing_of_word(word) != pairing:
+    # The pairing walk and the word enumeration are independent routes.
+    # One LIFO sweep of each oracle word gives its unique noncrossing
+    # pairing, which must be the walk's pairing at that position: so a
+    # crossing, a broken involution or a wrong order fails here, even
+    # where the pairing's own word reads right.  Each sweep resumes where
+    # the word first differs from the previous one, a few letters from
+    # its end in Dyck-lex order, and gives what a fresh sweep of the word
+    # alone gives.
+    for word, parsed, pairing in zip(words, pairings_of_words(words), pairings):
+        if parsed != pairing:
             return False, {"failed": f"round trip broke at {word}"}
     details = {"diagrams": len(pairings)}
     if n == 4:

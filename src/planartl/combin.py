@@ -97,12 +97,7 @@ def first_peak_height(word: str) -> int:
 
     For a nonempty Dyck word this is just the number of leading u steps.
     """
-    count = 0
-    for ch in word:
-        if ch != "u":
-            break
-        count += 1
-    return count
+    return len(word) - len(word.lstrip("u"))
 
 
 # ---------------------------------------------------------------------------

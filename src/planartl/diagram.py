@@ -24,9 +24,11 @@ walks pairings directly, building and parsing no word, the Dyck-lex
 index is keyed by them (hashed in C), the cup rule and the general
 product act on them, and an algebra element keys its terms by them.
 The Dyck word is read off a pairing by one function,
-:func:`word_of_pairing`, and parsed back by one stack walk,
-:func:`pairing_of_word`; :func:`is_planar_pairing` decides whether a
-tuple is a diagram at all.
+:func:`word_of_pairing`, and parsed back by one LIFO sweep,
+:func:`pairings_of_words`, which resumes each word's sweep where the
+word first differs from the previous one (:func:`pairing_of_word` is
+its one-word case); :func:`is_planar_pairing` decides whether a tuple
+is a diagram at all.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "is_planar_pairing",
     "word_of_pairing",
     "pairing_of_word",
+    "pairings_of_words",
     "from_pairs",
     "identity",
     "generator_u",
@@ -59,23 +62,61 @@ def word_of_pairing(pairing: tuple[int, ...]) -> str:
     return bytes(map(gt, pairing, range(len(pairing)))).translate(_WORD_LETTERS).decode()
 
 
+def pairings_of_words(words):
+    """Yield :func:`pairing_of_word` of each word in turn, by one LIFO
+    sweep per word that resumes where the word first differs from the
+    previous one.
+
+    ``tops[p]`` is the stack of points still open before position p,
+    held as shared cons cells ``(point, rest)``, so resuming costs one
+    lookup and no copy.  The first difference is read off the words as
+    big-endian integers: the top set bit of their XOR.  The prefix
+    before it pairs as it did, and each point open there is paired
+    again by the rest of the sweep.  A rejected word or a change of
+    length sends the next sweep back to position 0."""
+    size = -1            # the length of the last word swept, -1 for none
+    previous = 0         # that word's ASCII bytes as a big-endian integer
+    pairing: list[int] = []
+    tops: list = []
+    for word in words:
+        try:
+            key = int.from_bytes(word.encode("ascii"), "big")
+        except UnicodeEncodeError:
+            size = -1
+            yield None
+            continue
+        if len(word) == size:
+            start = size - ((key ^ previous).bit_length() + 7) // 8
+        else:
+            size = len(word)
+            start = 0
+            pairing = [0] * size
+            tops = [None] * (size + 1)
+        previous = key
+        stack = tops[start]
+        for p, ch in enumerate(word[start:], start):
+            tops[p] = stack
+            if ch == "u":
+                stack = (p, stack)
+            elif ch == "d" and stack is not None:
+                q, stack = stack
+                pairing[p] = q
+                pairing[q] = p
+            else:
+                break
+        else:
+            if stack is None:
+                yield tuple(pairing)
+                continue
+        size = -1
+        yield None
+
+
 def pairing_of_word(word: str) -> tuple[int, ...] | None:
     """The pairing that matches each d with the last unmatched u, by one
     LIFO sweep; None unless ``word`` is a Dyck word over {u, d}.  This
     is the unique noncrossing pairing whose word is ``word``."""
-    pairing = [0] * len(word)
-    stack: list[int] = []
-    push, pop = stack.append, stack.pop
-    for p, ch in enumerate(word):
-        if ch == "u":
-            push(p)
-        elif ch == "d" and stack:
-            q = pop()
-            pairing[p] = q
-            pairing[q] = p
-        else:
-            return None
-    return None if stack else tuple(pairing)
+    return next(pairings_of_words((word,)))
 
 
 def is_planar_pairing(pairing: tuple[int, ...]) -> bool:

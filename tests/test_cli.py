@@ -343,6 +343,26 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
     assert "FAIL bijection n=2  round trip broke at uudd" in out
 
 
+def test_verify_bijection_fails_on_a_repeated_oracle_word(monkeypatch):
+    # word 0 (uuuddd) repeated at position 1: the second sweep finds no
+    # letter that differs and gives uuuddd's pairing again, which is not
+    # the walk's pairing at position 1
+    import planartl.cli as cli
+    from planartl.combin import dyck_words
+
+    def repeated(n):
+        words = list(dyck_words(n))
+        if n == 3:
+            words[1] = words[0]
+        return tuple(words)
+
+    monkeypatch.setattr(cli, "dyck_words", repeated)
+    code, out = run_cli_capture(["verify", "bijection", "--n-max", "3"])
+    assert code == 1
+    assert "PASS bijection n=2" in out
+    assert "FAIL bijection n=3  round trip broke at uuuddd" in out
+
+
 # Each case replaces one pairing of the walk at n = 3, or swaps two; the
 # first broken position names the word.
 _BROKEN_WALKS = {

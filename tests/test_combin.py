@@ -74,6 +74,8 @@ def test_first_peak_height():
     assert first_peak_height("") == 0
     assert first_peak_height("ud") == 1
     assert first_peak_height("uuuddudd") == 3
+    assert first_peak_height("ddud") == 0
+    assert first_peak_height("uuu") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from planartl.diagram import (
     is_planar_pairing,
     multiply,
     pairing_of_word,
+    pairings_of_words,
     times_cup,
     word_of_pairing,
 )
@@ -273,6 +274,63 @@ def test_word_and_pairing_invert_each_other():
             assert index[pairing] == k
     for bad in ("d", "du", "uudu", "uu", "uxud", "udd"):
         assert pairing_of_word(bad) is None
+
+
+def _assert_sweeps_match_fresh_parses(words):
+    words = list(words)
+    swept = list(pairings_of_words(words))
+    assert len(swept) == len(words)
+    for word, pairing in zip(words, swept):
+        assert pairing == pairing_of_word(word), word
+
+
+def test_resumed_sweeps_match_fresh_parses():
+    for n in range(11):
+        words = dyck_words(n)
+        _assert_sweeps_match_fresh_parses(words)
+        assert tuple(pairings_of_words(words)) == enumerate_pairings(n)
+    shuffled = list(dyck_words(6))
+    random.Random(0).shuffle(shuffled)
+    _assert_sweeps_match_fresh_parses(shuffled)
+
+
+def test_resumed_sweeps_survive_rejected_and_mixed_words():
+    words = [
+        "uudd", "uudd",          # a repeated word: no letter differs
+        "", "ud", "du", "du",    # a rejected word, then repeated
+        "udud", "uudu", "uudd",  # rejected at the end, then its prefix
+        "uxud", "uudd",          # rejected at x, then its prefix u
+        "uüdd", "uudd",          # not ASCII: None, not an error
+        "uuuddd", "uududd", "ud", "uduudd", "uddu", "uduudd",
+    ]
+    _assert_sweeps_match_fresh_parses(words)
+    rejected = [w for w, p in zip(words, pairings_of_words(words)) if p is None]
+    assert rejected == ["du", "du", "uudu", "uxud", "uüdd", "uddu"]
+
+
+class _CountingWord(str):
+    """A word that counts the letters read out of it in Python."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        letters = str.__getitem__(self, key)
+        _CountingWord.read += len(letters)
+        return letters
+
+    def __iter__(self):
+        _CountingWord.read += len(self)
+        return str.__iter__(self)
+
+
+def test_sweeps_resume_where_consecutive_words_differ():
+    # in Dyck-lex order consecutive words share all but a few letters at
+    # the end, so a sweep from position 0 (20 letters a word) reads far
+    # more than one that resumes where the words differ
+    words = [_CountingWord(w) for w in dyck_words(10)]
+    _CountingWord.read = 0
+    assert tuple(pairings_of_words(words)) == enumerate_pairings(10)
+    assert _CountingWord.read <= 8 * len(words)
 
 
 def test_from_dyck_rejects_non_dyck():
