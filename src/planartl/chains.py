@@ -47,10 +47,14 @@ loop, and closes one exactly where it fixes the diagram, so an entry is
 weighted by a where its row stays put and by 1 where it moves.  Two
 kernels share the walk and differ only in that arithmetic:
 :func:`right_mult_matrix` keeps :class:`~planartl.coeff.LaurentPoly`
-entries, which are immutable, so a child column shares every entry the
-move leaves unchanged with its parent; :func:`right_mult_columns_at`
-works in the integers at one rational point v = p/q, where
-pq * a = p^2 + q^2.  The tables are built
+entries, each :func:`~planartl.coeff.interned`: a boundary map has a
+few dozen distinct entries, so the act takes a loop product or a sum
+from a memo keyed by the operands' ids, and each distinct result is
+computed once by the real arithmetic.  A child column shares every
+entry the move leaves unchanged with its parent, only a sum can cancel,
+and a cancelled entry is the interned zero, found by identity.
+:func:`right_mult_columns_at` works in the integers at one rational
+point v = p/q, where pq * a = p^2 + q^2.  The tables are built
 by the constant-time cup rule, and the general diagram product stays
 the test suite's oracle for them.
 
@@ -60,7 +64,8 @@ Z[v^+-1, a^-1], W(n) is exact below the top degree over every ring in
 which v and a are units, and the boundary ranks are r_0 = 1 and
 r_i = c_(i-1) - r_(i-1), at every nonzero rational point and over Q(v)
 alike (see :func:`exactness_certificate`).  The certificate reads each
-d^i once, from :func:`right_mult_matrix`, and no point is ranked.
+d^i once, from :func:`right_mult_matrix`, forms only the rows on and
+above the diagonal of each column of phi, and ranks no point.
 
 Exact elimination at two or more rational specialization points is the
 fallback for an (n, c) the certificate does not cover, and the tests'
@@ -87,7 +92,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraElement, generator_tables
-from .coeff import LOOP_FACTOR, Convention, LaurentPoly
+from .coeff import INTERNED_LOOP, INTERNED_SUM, LOOP_FACTOR, Convention, InternedMemo, LaurentPoly, interned
 from .combin import first_peak_count_B
 from .diagram import times_cup
 from .indmod import black_box_basis, largest_free_box, project
@@ -279,23 +284,35 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
     """Matrix of x -> project(x * elt) from the source basis to the
     target basis (the projection kills arcs inside the target box),
     over Z[v, v^-1]; assembled by the left action of
-    :func:`_left_action_columns`.  An entry moved without a loop or a
-    sum is the parent's own :class:`LaurentPoly`, not a copy.
+    :func:`_left_action_columns`.  Every entry is :func:`interned`, and
+    the act takes its loop products and sums from the memos
+    :data:`INTERNED_LOOP` and :data:`INTERNED_SUM`, so each distinct
+    result is computed once.  An entry moved without a loop or a sum is
+    the parent's own :class:`LaurentPoly`, not a copy.
     """
     size = len(target)
+    zero, loops, sums = LaurentPoly.zero(), INTERNED_LOOP, INTERNED_SUM
 
     def act(parent: dict, left) -> dict:
         column: dict[int, LaurentPoly] = {}
+        summed = False
         for r, poly in parent.items():
             row = left[r]
             if row < size:
                 if row == r:
-                    poly = poly * LOOP_FACTOR
-                column[row] = column[row] + poly if row in column else poly
-        # Cancelled entries are dropped here, before any child inherits them.
-        return {row: poly for row, poly in column.items() if poly}
+                    poly = loops[id(poly)]
+                if row in column:
+                    poly = sums[id(column[row]), id(poly)]
+                    summed = True
+                column[row] = poly
+        # Only a sum can cancel, and the zero it leaves is the interned
+        # one; it is dropped here, before any child inherits it.
+        if summed:
+            return {row: poly for row, poly in column.items() if poly is not zero}
+        return column
 
-    columns = _left_action_columns(elt, source, target, lambda column: column, act)
+    first = lambda column: {row: interned(poly) for row, poly in column.items()}
+    columns = _left_action_columns(elt, source, target, first, act)
     return PolyMatrix(size, len(source), columns)
 
 
@@ -395,29 +412,8 @@ def _is_unit(poly: LaurentPoly) -> bool:
     return poly.is_unit_monomial()
 
 
-def _homotopy_columns(n: int, c: Convention) -> Iterator[tuple[int, int, dict[int, LaurentPoly]]]:
-    """The columns of phi_k = d^(k+1) i_k + i_(k-1) d^k for k = -1 ...
-    n-2, as (k, j, column) in that order, over Z[v, v^-1], where i_k
-    includes degree k in degree k+1.
-
-    Both bases are Dyck-lex prefixes, so column j of d^(k+1) i_k is
-    column j of d^(k+1), and i_(k-1) d^k is d^k with its rows, all below
-    c_(k-1) <= c_k, read in degree k; there is no such term at k = -1.
-    Each d^i is built once by :func:`right_mult_matrix`: its first c_k
-    columns serve phi_(i-1), and all of them phi_i.  At most two
-    boundary matrices are held at once.
-    """
-    below = None  # d^k, from degree k to degree k-1
-    for k in range(-1, n - 1):
-        basis = chain_basis(n, k)
-        above = right_mult_matrix(boundary_element(n, k + 1, c), chain_basis(n, k + 1), basis)
-        for j in range(len(basis)):
-            column = dict(above.columns[j])
-            if below is not None:
-                for row, poly in below.columns[j].items():
-                    column[row] = column[row] + poly if row in column else poly
-            yield k, j, column
-        below = above
+#: _is_unit of an interned entry, keyed by its id.
+_UNITS = InternedMemo(_is_unit)
 
 
 @cache
@@ -429,13 +425,26 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     above the diagonal, or else its diagonal one.  Cached, since
     homology, the Hopf trace and the top Jacobsthal kernel all read it.
 
-    Here i_k includes degree k in degree k+1 (the bases are Dyck-lex
-    prefixes) and the columns come from :func:`_homotopy_columns`.  A
-    column j passes when it has no nonzero entry in a row < j and its
-    entry at row j is +-v^e or +-v^e * a, a unit of R.  At n <= 12, in
-    both conventions, the diagonal is 1 below c_(k-1) and at k = -1,
-    and v * a (convention A) or v^-1 * a (convention B) from c_(k-1) to
-    c_k - 1: C_n - 1 entries of that second kind per n.
+    Here i_k includes degree k in degree k+1.  Both bases are Dyck-lex
+    prefixes, so column j of d^(k+1) i_k is column j of d^(k+1), and
+    i_(k-1) d^k is d^k with its rows, all below c_(k-1) <= c_k, read in
+    degree k; there is no such term at k = -1.  Each d^i is built once
+    by :func:`right_mult_matrix`: its first c_k columns serve phi_(i-1),
+    and all of them phi_i.  At most two boundary matrices are held at
+    once.  A column j passes when it has no nonzero entry in a row < j
+    and its entry at row j is +-v^e or +-v^e * a, a unit of R.  At
+    n <= 12, in both conventions, the diagonal is 1 below c_(k-1) and at
+    k = -1, and v * a (convention A) or v^-1 * a (convention B) from
+    c_(k-1) to c_k - 1: C_n - 1 entries of that second kind per n.
+
+    Only rows <= j of column j are formed.  A matrix with no entry above
+    the diagonal and a unit diagonal is invertible whatever lies below
+    the diagonal, so the rows > j never enter the verdict, and the
+    column is the sum of the two terms' entries at rows <= j alone.
+    Each entry is :func:`interned` first, as a caller may hand in any
+    equal object; the sums come from :data:`INTERNED_SUM`, a cancelled
+    one is the interned zero, and the unit test is memoized per distinct
+    entry.
 
     What None proves.  Since d o d = 0, phi = d i + i d is a chain map:
     d phi_k = d i_(k-1) d^k = phi_(k-1) d^k.  A triangular map with a
@@ -452,11 +461,23 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     on d o d = 0, which the ``ddzero`` check proves over Z[v, v^-1];
     the check itself is per n.
     """
-    for k, j, column in _homotopy_columns(n, c):
-        above = [row for row, poly in column.items() if row < j and poly]
-        entry = column[min(above)] if above else column.get(j, LaurentPoly.zero())
-        if above or not _is_unit(entry):
-            return k, j, entry.to_text()
+    zero, sums, units = LaurentPoly.zero(), INTERNED_SUM, _UNITS
+    below = None  # the columns of d^k, from degree k to degree k-1
+    for k in range(-1, n - 1):
+        basis = chain_basis(n, k)
+        above = right_mult_matrix(boundary_element(n, k + 1, c), chain_basis(n, k + 1), basis).columns
+        for j in range(len(basis)):
+            column = {row: interned(poly) for row, poly in above[j].items() if row <= j}
+            if below is not None:
+                for row, poly in below[j].items():
+                    if row <= j:
+                        poly = interned(poly)
+                        column[row] = sums[id(column[row]), id(poly)] if row in column else poly
+            rows = [row for row, poly in column.items() if row < j and poly is not zero]
+            entry = column[min(rows)] if rows else column.get(j, zero)
+            if rows or not units[id(entry)]:
+                return k, j, entry.to_text()
+        below = above
     return None
 
 

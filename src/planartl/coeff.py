@@ -7,6 +7,13 @@ alike, so this class holds the package's only Laurent multiply, add and
 cancel loops.  Rank computations evaluate the entries at a nonzero
 rational v = p/q in integers, so no floating point is ever involved.
 
+A boundary matrix has only a few dozen distinct entries.
+:func:`interned` maps each value to one canonical object, and an
+:class:`InternedMemo` keyed by interned operands' ids computes each
+distinct sum (:data:`INTERNED_SUM`) or loop product
+(:data:`INTERNED_LOOP`) once, by the class's own arithmetic, so a
+repeated one is a dict lookup and stays exact.
+
 The two weight conventions for the braiding elements s_i = lam + mu*U_i
 are packaged as :class:`Convention`:
 
@@ -29,6 +36,10 @@ __all__ = [
     "mu_over_lambda",
     "LOOP_FACTOR",
     "loop_factor_power",
+    "interned",
+    "InternedMemo",
+    "INTERNED_SUM",
+    "INTERNED_LOOP",
 ]
 
 
@@ -215,6 +226,56 @@ _ONE = LaurentPoly({0: 1})
 
 #: The weight of an erased closed loop: a = v + v^-1.
 LOOP_FACTOR = LaurentPoly({1: 1, -1: 1})
+
+# The interning table: each canonical object under its sorted terms, and
+# under its id.  The table holds every object it hands out for as long as
+# the process runs, so no other object can take such an id.
+_canonical: dict[tuple, LaurentPoly] = {(): _ZERO, ((0, 1),): _ONE}
+_held: dict[int, LaurentPoly] = {id(_ZERO): _ZERO, id(_ONE): _ONE}
+
+
+def interned(poly: LaurentPoly) -> LaurentPoly:
+    """The one canonical object equal to poly: poly itself the first
+    time its value is seen, and ``LaurentPoly.zero()`` for any zero.  An
+    object the table does not hold is looked up by its terms, never by
+    its id, so equal values from distinct objects share one object and
+    two interned values are equal exactly when they are identical."""
+    if _held.get(id(poly)) is poly:
+        return poly
+    canon = _canonical.setdefault(tuple(sorted(poly._terms.items())), poly)
+    _held[id(canon)] = canon
+    return canon
+
+
+class InternedMemo(dict):
+    """The results of one function of interned polynomials, keyed by the
+    operands' ids: ``memo[id(a)]`` or ``memo[id(a), id(b)]``.  A miss
+    computes the result by the real arithmetic, once per distinct key,
+    so a hit is one dict lookup and the results stay exact.
+
+    Every stored key is made of ids the interning table holds, so a key
+    never outlives its operand and no id is reused under it.  The id of
+    a live object the table does not hold is no held id, so such a key
+    misses and raises KeyError on the lookup of its operand: intern an
+    operand first.  The memo is bounded by the number of distinct
+    interned values (their pairs, for two operands)."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        operands = key if isinstance(key, tuple) else (key,)
+        value = self[key] = self.function(*(_held[k] for k in operands))
+        return value
+
+
+#: interned(a + b), keyed by (id(a), id(b)) of interned a and b.
+INTERNED_SUM = InternedMemo(lambda a, b: interned(a + b))
+#: interned(a * LOOP_FACTOR), keyed by id(a) of an interned a.
+INTERNED_LOOP = InternedMemo(lambda a: interned(a * LOOP_FACTOR))
 
 _loop_powers: list[LaurentPoly] = [_ONE]
 

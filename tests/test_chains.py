@@ -199,6 +199,21 @@ def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
         assert shared > 0
 
 
+def test_right_mult_matrix_drops_a_cancelling_sum(monkeypatch):
+    # On 3 strands U_1 U_2 U_1 = U_1, so x = U_1 sends U_2 U_1 - 1 to 0:
+    # U_1 moves the identity column's two entries onto one row, their
+    # memoized sum is the interned zero, and the act's column drops it
+    n = 3
+    elt = elt_mul(AlgebraElement.generator(n, 2), AlgebraElement.generator(n, 1)) - AlgebraElement.one(n)
+    full = black_box_basis(n, 0)
+    monkeypatch.setattr(chains, "PolyMatrix", lambda nrows, ncols, columns: list(columns))
+    columns = right_mult_matrix(elt, full, full)
+    u1 = enumerate_pairings(n).index(next(iter(AlgebraElement.generator(n, 1).terms)))
+    assert columns[u1] == {}
+    assert len(columns[0]) == 2
+    assert PolyMatrix(len(full), len(full), columns) == reference_right_mult_matrix(elt, full, full)
+
+
 # generic points, points with a denominator, and the non-semisimple v = +-1
 KERNEL_POINTS = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
 
@@ -470,6 +485,25 @@ def _inclusion(n, k):
     return PolyMatrix(len(chain_basis(n, k + 1)), size, [{j: LaurentPoly.one()} for j in range(size)])
 
 
+def _homotopy_columns(n, c):
+    """The columns of phi_k = d^(k+1) i_k + i_(k-1) d^k for k = -1 ...
+    n-2, as (k, j, column) in that order, in full, over Z[v, v^-1]: the
+    phi oracle.  Column j of d^(k+1) i_k is column j of d^(k+1), and
+    i_(k-1) d^k is d^k with its rows read in degree k; there is no such
+    term at k = -1.  Each d^i is built once by ``right_mult_matrix``."""
+    below = None  # d^k, from degree k to degree k-1
+    for k in range(-1, n - 1):
+        basis = chain_basis(n, k)
+        above = right_mult_matrix(boundary_element(n, k + 1, c), chain_basis(n, k + 1), basis)
+        for j in range(len(basis)):
+            column = dict(above.columns[j])
+            if below is not None:
+                for row, poly in below.columns[j].items():
+                    column[row] = column[row] + poly if row in column else poly
+            yield k, j, column
+        below = above
+
+
 def _added(first, second):
     """The sum of two columns, with cancelled entries dropped."""
     total = dict(first)
@@ -486,7 +520,7 @@ def test_homotopy_columns_are_phi_from_the_differentials():
     for conv in CONVENTIONS:
         for n in range(1, 8):
             got = {}
-            for k, j, column in chains._homotopy_columns(n, conv):
+            for k, j, column in _homotopy_columns(n, conv):
                 got.setdefault(k, []).append({row: poly for row, poly in column.items() if poly})
             assert sorted(got) == list(range(-1, n - 1))
             seconds = 0
@@ -577,6 +611,46 @@ def test_doctored_column_fails_the_certificate_and_the_points_are_ranked(monkeyp
             boundary_ranks.cache_clear()
         assert ranked == [Fraction(2), Fraction(3)]
         assert (boundary, homology) == certified
+
+
+class _Unreadable:
+    """An entry that raises on any use: reading it at all fails."""
+
+    def _read(self, *args):
+        raise AssertionError("an entry below the diagonal was read")
+
+    __getattr__ = __bool__ = __add__ = __radd__ = __eq__ = __hash__ = _read
+
+
+@pytest.mark.parametrize("delta", [LaurentPoly({7: 3}), _Unreadable()], ids=["nonzero", "unreadable"])
+def test_certificate_reads_no_row_below_the_diagonal(monkeypatch, delta):
+    # in every column j of every d^(k+1), each entry at a row > j is
+    # replaced, and one is added at the last row c_k - 1 > j: rows below
+    # the diagonal of phi_k and of phi_(k+1) alike.  A nonzero entry
+    # changes no verdict, and one that raises on any use shows that
+    # those rows are never formed, though both terms of phi have some
+    real = chains.right_mult_matrix
+    doctored = []
+
+    def doctoring(elt, source, target):
+        matrix = real(elt, source, target)
+        last = len(target) - 1
+        for j, column in enumerate(matrix.columns[:last]):
+            for row in [*column, last]:
+                if row > j:
+                    column[row] = delta
+                    doctored.append(row)
+        return matrix
+
+    monkeypatch.setattr(chains, "right_mult_matrix", doctoring)
+    exactness_certificate.cache_clear()
+    try:
+        for conv in CONVENTIONS:
+            for n in range(1, 7):
+                assert exactness_certificate(n, conv) is None
+    finally:
+        exactness_certificate.cache_clear()
+    assert len(doctored) > 1000
 
 
 def test_differential_reads_the_weights_not_the_tag():

@@ -1,5 +1,7 @@
 """Coefficient ring tests: ring axioms, specialization, text round trip."""
 
+import gc
+import random
 import re
 from fractions import Fraction
 
@@ -7,11 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planartl.coeff as coeff
 from planartl.coeff import (
     CONVENTION_A,
     CONVENTION_B,
+    INTERNED_LOOP,
+    INTERNED_SUM,
+    LOOP_FACTOR,
     LaurentPoly,
     convention,
+    interned,
     loop_factor_power,
     mu_over_lambda,
 )
@@ -200,3 +207,71 @@ def test_text_round_trip(p):
 def test_hash_consistency(p, q):
     if p == q:
         assert hash(p) == hash(q)
+
+
+def small_poly(rng: random.Random) -> LaurentPoly:
+    """A fresh object: up to three terms, coefficients in -2..2 and
+    exponents in -3..3, so that sums often cancel."""
+    return LaurentPoly({rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))})
+
+
+def test_interned_arithmetic_equals_the_real_one():
+    rng = random.Random(2024)
+    for _ in range(400):
+        p, q = small_poly(rng), small_poly(rng)
+        a, b = interned(p), interned(q)
+        assert a == p and b == q
+        assert INTERNED_SUM[id(a), id(b)] == p + q
+        assert INTERNED_LOOP[id(a)] == p * LOOP_FACTOR
+        # results are interned too, so they key the memos in turn
+        total = INTERNED_SUM[id(a), id(b)]
+        assert interned(total) is total
+        assert INTERNED_LOOP[id(total)] == (p + q) * LOOP_FACTOR
+        # a cancelling pair gives the one interned zero
+        assert INTERNED_SUM[id(a), id(interned(-p))] is ZERO
+
+
+def test_equal_values_share_one_interned_object():
+    rng = random.Random(5)
+    for _ in range(200):
+        p = small_poly(rng)
+        twin = LaurentPoly(p.coefficients())
+        assert twin is not p
+        assert interned(twin) is interned(p)
+        assert interned(interned(p)) is interned(p)
+    assert interned(LaurentPoly()) is ZERO
+    assert interned(LaurentPoly({3: 0})) is ZERO
+    assert interned(LaurentPoly.constant(1)) is ONE
+
+
+def test_interning_tables_grow_with_distinct_values_only():
+    rng = random.Random(11)
+    polys = [small_poly(rng) for _ in range(300)]
+    distinct = {tuple(sorted(p.coefficients().items())) for p in polys}
+    before, loops = len(coeff._canonical), len(INTERNED_LOOP)
+    for p in polys + [LaurentPoly(p.coefficients()) for p in polys]:
+        INTERNED_LOOP[id(interned(p))]
+    assert len(coeff._canonical) - before <= len(distinct)
+    assert len(INTERNED_LOOP) - loops <= len(distinct)
+
+
+def test_memo_keys_survive_dropped_objects():
+    # Fresh objects are made, interned and dropped between calls, so
+    # later ones may reuse their ids; every later result stays right,
+    # and the id of an object the table does not hold never hits a memo.
+    rng = random.Random(3)
+    for _ in range(300):
+        values = [small_poly(rng).coefficients() for _ in range(2)]
+        fresh = [LaurentPoly(v) for v in values]
+        a, b = (interned(p) for p in fresh)
+        del fresh
+        gc.collect()
+        again = [LaurentPoly(v) for v in values]
+        assert INTERNED_SUM[id(a), id(b)] == again[0] + again[1]
+        assert INTERNED_LOOP[id(interned(again[1]))] == again[1] * LOOP_FACTOR
+        for p in again:
+            if interned(p) is not p:
+                with pytest.raises(KeyError):
+                    INTERNED_LOOP[id(p)]
+                with pytest.raises(KeyError):
+                    INTERNED_SUM[id(p), id(a)]

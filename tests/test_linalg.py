@@ -279,6 +279,24 @@ def test_constructor_drops_zero_entries_from_a_generator():
         PolyMatrix(2, 1, [{2: ONE}])
 
 
+@pytest.mark.parametrize("row", [-1, -5, 3, 4])
+def test_constructor_names_a_row_out_of_range(row):
+    # 3 rows: a negative row and a row at or past nrows raise, naming it,
+    # beside in-range entries and a zero one, in any position
+    for column in ({row: ONE}, {0: V, row: ONE, 2: ONE}, {2: ONE, 1: LaurentPoly.zero(), row: V}):
+        with pytest.raises(ValueError, match=rf"^row index {row} out of range$"):
+            PolyMatrix(3, 2, [{0: ONE}, column])
+
+
+def test_constructor_keeps_empty_columns():
+    mat = PolyMatrix(3, 3, [{}, {0: ONE, 2: V}, {}])
+    assert mat.columns == [{}, {0: ONE, 2: V}, {}]
+    assert mat.nnz() == 2
+    assert PolyMatrix(0, 2, [{}, {}]).columns == [{}, {}]
+    with pytest.raises(ValueError, match="row index 0 out of range"):
+        PolyMatrix(0, 1, [{0: ONE}])
+
+
 def test_first_difference():
     a = poly_matrix_from_lists([[ONE, V], [ONE, ONE]])
     b = poly_matrix_from_lists([[ONE, V], [ONE, V]])
