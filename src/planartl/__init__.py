@@ -10,8 +10,7 @@ standard Young tableaux, and Jacobsthal numbers and elements.
 All arithmetic is exact.  Boundary ranks are read off a chain-homotopy
 certificate: where it holds, the complex is exact below the top degree
 and every rank is a closed form, with no elimination.  Where it fails,
-ranks are computed by fraction-free elimination at two or more rational
-specialization points, which must agree.
+the homology checks fail with it; no rank is taken in its place.
 """
 
 __version__ = "0.1.0"

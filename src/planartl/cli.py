@@ -17,18 +17,17 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from itertools import accumulate
 
 from . import __version__
 from .algebra import AlgebraElement, augment, braiding_s, braiding_s_inv, elt_mul
 from .chains import (
-    DEFAULT_POINTS,
     boundary_composite_vanishes,
     chain_basis,
     differential,
     euler_characteristic,
     homology_ranks,
-    specialization_points,
 )
 from .coeff import LOOP_FACTOR, Convention, convention
 from .combin import (
@@ -48,13 +47,39 @@ from .indmod import largest_free_box
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
 
+#: The default ``--points``.  They are validated and echoed in the JSON
+#: report, but no check reads them: every rank is read off the
+#: exactness certificate of :mod:`planartl.chains`.
+DEFAULT_POINTS = (Fraction(2), Fraction(3))
+
+
+def specialization_points(points) -> tuple[Fraction, ...]:
+    """The points as exact rationals (anything ``Fraction`` accepts).
+
+    Raises ValueError unless every point is a finite nonzero rational
+    (v must be a unit), the points are distinct, and there are at least
+    two of them.
+    """
+    try:
+        pts = tuple(Fraction(p) for p in points)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"specialization point with zero denominator: {exc}") from None
+    if any(p == 0 for p in pts):
+        raise ValueError("specialization points must be nonzero")
+    if len(set(pts)) < len(pts):
+        raise ValueError("specialization points must be distinct")
+    if len(pts) < 2:
+        raise ValueError("need at least two specialization points")
+    return pts
+
+
 # ---------------------------------------------------------------------------
-# individual checks: each takes (n, convention, points) and returns
+# individual checks: each takes (n, convention) and returns
 # (passed, details)
 # ---------------------------------------------------------------------------
 
 
-def _check_relations(n: int, c: Convention, points):
+def _check_relations(n: int, c: Convention):
     a = LOOP_FACTOR
     checked = 0
     for i in range(1, n):
@@ -75,7 +100,7 @@ def _check_relations(n: int, c: Convention, points):
     return True, {"relations_checked": checked}
 
 
-def _check_braid(n: int, c: Convention, points):
+def _check_braid(n: int, c: Convention):
     one = AlgebraElement.one(n)
     checked = 0
     for i in range(1, n):
@@ -100,7 +125,7 @@ def _check_braid(n: int, c: Convention, points):
     return True, {"relations_checked": checked}
 
 
-def _check_bijection(n: int, c: Convention, points):
+def _check_bijection(n: int, c: Convention):
     words = dyck_words(n)
     pairings = enumerate_pairings(n)
     if len(words) != len(pairings):
@@ -126,7 +151,7 @@ def _check_bijection(n: int, c: Convention, points):
     return True, details
 
 
-def _check_bcounts(n: int, c: Convention, points):
+def _check_bcounts(n: int, c: Convention):
     pairings = enumerate_pairings(n)
     if len(pairings) != catalan(n):
         return False, {"failed": "diagram count differs from Catalan number"}
@@ -152,7 +177,7 @@ def _check_bcounts(n: int, c: Convention, points):
     return True, {"catalan": catalan(n), "box_sizes": sizes}
 
 
-def _check_ddzero(n: int, c: Convention, points):
+def _check_ddzero(n: int, c: Convention):
     # d^i o d^{i+1} on W(n) is decided once, on l = i + 2 strands, as an
     # element identity in TL_l (see boundary_composite_vanishes), and
     # read here for every n >= l.
@@ -162,14 +187,14 @@ def _check_ddzero(n: int, c: Convention, points):
     return True, {"degrees_checked": n - 1}
 
 
-def _check_euler(n: int, c: Convention, points):
+def _check_euler(n: int, c: Convention):
     chi = euler_characteristic(n)
     f = fine(n)
     return chi == (-1) ** (n - 1) * f, {"chi": chi, "fine": f}
 
 
-def _check_homology(n: int, c: Convention, points):
-    boundary, homology = homology_ranks(n, c, points)
+def _check_homology(n: int, c: Convention):
+    boundary, homology = homology_ranks(n, c)
     fineberg_rank = homology[n - 1]
     low_degrees_vanish = all(homology[d] == 0 for d in range(-1, n - 1))
     return low_degrees_vanish and fineberg_rank == fine(n), {
@@ -180,26 +205,25 @@ def _check_homology(n: int, c: Convention, points):
     }
 
 
-def _check_hopf(n: int, c: Convention, points):
+def _check_hopf(n: int, c: Convention):
     # Each h_d is c_d - r_d - r_{d+1}, so the two sums agree by
-    # telescoping.  The ranks come from the exactness certificate, or
-    # where it fails from the points: the check fails only where the
-    # points disagree.
+    # telescoping.  The ranks come from the exactness certificate, and
+    # where it fails the check fails with it.
     chain_sum = euler_characteristic(n)
-    homology_sum = sum((-1) ** (d % 2) * h for d, h in homology_ranks(n, c, points)[1].items())
+    homology_sum = sum((-1) ** (d % 2) * h for d, h in homology_ranks(n, c)[1].items())
     return chain_sum == homology_sum, {
         "chain_alternating_sum": chain_sum,
         "homology_alternating_sum": homology_sum,
     }
 
 
-def _check_thmB(n: int, c: Convention, points):
+def _check_thmB(n: int, c: Convention):
     alternating = sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
     f = fine(n)
     return alternating == f, {"alternating_sum": alternating, "fine": f}
 
 
-def _check_thmC(n: int, c: Convention, points):
+def _check_thmC(n: int, c: Convention):
     total = 0
     multiplicities = {}
     for shape in two_column_partitions(n):
@@ -214,7 +238,7 @@ def _check_thmC(n: int, c: Convention, points):
     }
 
 
-def _check_thmD(n: int, c: Convention, points):
+def _check_thmD(n: int, c: Convention):
     # every element on l <= n strands is built here (once, and cached),
     # and a term count other than J_l or a collision of two monomials
     # raises
@@ -232,8 +256,8 @@ def _check_thmD(n: int, c: Convention, points):
     return passed, details
 
 
-def _check_fineberg(n: int, c: Convention, points):
-    kernel_rank = jacobsthal_kernel_rank(n, c, points)
+def _check_fineberg(n: int, c: Convention):
+    kernel_rank = jacobsthal_kernel_rank(n, c)
     ok = kernel_rank == fine(n)
     return ok, {"kernel_rank": kernel_rank, "fine": fine(n)}
 
@@ -386,10 +410,10 @@ def cmd_verify(args, out) -> int:
     with dump:
         for n in range(1, args.n_max + 1):
             for name in names:
-                # A check raises RuntimeError where its routes disagree
-                # (SpecializationMismatch among them): that check fails.
+                # A check raises RuntimeError where its routes disagree or
+                # its certificate fails: that check fails.
                 try:
-                    passed, details = _CHECKS[name](n, c, points)
+                    passed, details = _CHECKS[name](n, c)
                 except RuntimeError as exc:
                     passed, details = False, {"failed": str(exc)}
                 results.append({"name": name, "n": n, "status": "pass" if passed else "fail", "details": details})
@@ -449,7 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("checks", nargs="+", choices=CHECK_NAMES, metavar="check")
     verify.add_argument("--n-max", type=int, required=True, dest="n_max")
     verify.add_argument("--convention", choices=("A", "B"), default="A")
-    verify.add_argument("--points", default=",".join(map(str, DEFAULT_POINTS)))
+    verify.add_argument(
+        "--points",
+        default=",".join(map(str, DEFAULT_POINTS)),
+        help="comma-separated rational values of v, at least two, distinct and nonzero "
+        "(default: %(default)s); validated and echoed in the JSON report, but no check "
+        "reads them: every rank is certified",
+    )
     verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     verify.add_argument("--emit-matrices", default=None, metavar="PATH")
     verify.set_defaults(func=cmd_verify)

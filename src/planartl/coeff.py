@@ -4,8 +4,9 @@ Everything symbolic in this package is linear algebra over the ring of
 integer Laurent polynomials Z[v, v^-1], held as :class:`LaurentPoly`:
 algebra coefficients and matrix entries (see :mod:`planartl.linalg`)
 alike, so this class holds the package's only Laurent multiply, add and
-cancel loops.  Rank computations evaluate the entries at a nonzero
-rational v = p/q in integers, so no floating point is ever involved.
+cancel loops.  The tests' rank oracle evaluates the entries at a
+nonzero rational v = p/q in integers, so no floating point is ever
+involved.
 
 A boundary matrix has only a few dozen distinct entries.
 :func:`interned` maps each value to one canonical object, and an

@@ -24,10 +24,9 @@ maps, so this is stronger than comparing the maps.  The matching sign
 is -1 at every l checked, in both conventions.  The top element's kernel rank
 follows the same rule: where the identity holds at l = n the map is
 d^{n-1}, and its kernel rank is the top homology rank of
-:func:`~planartl.chains.homology_ranks`: read off the exactness
-certificate, or where that fails, with the check that the points agree
-at every degree; where it fails, that is a Theorem D failure, not a
-second map to rank, and it raises.  Each descending product is built
+:func:`~planartl.chains.homology_ranks`, read off the exactness
+certificate; where the identity fails, that is a Theorem D failure, not
+a second map to rank, and it raises.  Each descending product is built
 from the identity by the cup rule :func:`~planartl.diagram.cup_times`,
 one generator at a time from the right, and no diagram product is
 walked.
@@ -39,7 +38,7 @@ from collections import namedtuple
 from functools import cache
 
 from .algebra import AlgebraElement
-from .chains import DEFAULT_POINTS, boundary_element, homology_ranks
+from .chains import boundary_element, homology_ranks
 from .coeff import Convention, LaurentPoly, mu_over_lambda
 from .combin import descending_opposite_parity_sequences, dyck_lex_key, jacobsthal_number
 from .diagram import cup_times, identity, word_of_pairing
@@ -147,10 +146,9 @@ def verify_theorem_D(n: int, c: Convention) -> dict[int, dict[int, tuple[str, st
     return mismatches
 
 
-def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
+def jacobsthal_kernel_rank(n: int, c: Convention) -> int:
     """Exact kernel rank of right multiplication by the top Jacobsthal
-    element on the full diagram algebra; the points are validated, and
-    ranked only where the exactness certificate fails.
+    element on the full diagram algebra.
 
     This is the top boundary map under the standard identifications, so
     the kernel rank is the rank of the top homology module.  Where the
@@ -158,11 +156,10 @@ def jacobsthal_kernel_rank(n: int, c: Convention, points=DEFAULT_POINTS) -> int:
     (:func:`theorem_D_mismatch` at l = n) RuntimeError is raised before
     anything is ranked.  Where they are equal the map is d^(n-1), and
     its kernel rank is the top homology rank that
-    :func:`~planartl.chains.homology_ranks` gives: the closed form
-    c_(n-1) - r_(n-1) where :func:`~planartl.chains.exactness_certificate`
-    holds, and otherwise the point ranks, with its check that the points
-    agree.
+    :func:`~planartl.chains.homology_ranks` reads off the exactness
+    certificate, c_(n-1) - r_(n-1); where the certificate fails, that
+    raises RuntimeError too.
     """
     if theorem_D_mismatch(n, c, MATCHING_RATIO_SIGN) is not None:
         raise RuntimeError("the top Jacobsthal map and d^{n-1} differ")
-    return homology_ranks(n, c, points)[1][n - 1]
+    return homology_ranks(n, c)[1][n - 1]

@@ -3,21 +3,20 @@
 Matrices are stored column-major as dicts, which matches how boundary
 matrices are built (one column per basis diagram); an entry is an
 immutable :class:`~planartl.coeff.LaurentPoly`, so composition is that
-class's arithmetic.  Rank is computed on integer columns, each a
-primitive vector at v = p/q (:func:`specialize_column` evaluates a
-Laurent column; the boundary maps build theirs at the point directly),
-inserted one at a time into an echelon form keyed by leading
-row: a column is combined with a stored one by cross-multiplication
-only, with a gcd content reduction after each step, so no division ever
-leaves the integers.  The columns may come as a stream, read one at a
-time.  A caller that knows a bound on the rank passes it as a limit,
-and the insertion stops once that many pivots are stored, reading no
-further column.  :func:`rank_at`, a Laurent matrix evaluated and then
-eliminated with no limit, is the test suite's oracle route for those
-ranks.
+class's arithmetic.
 
-A dense Bareiss elimination is provided as an independent cross-check;
-the test suite keeps the two routes in agreement.
+No library path ranks a matrix: every boundary rank is read off the
+exactness certificate of :mod:`planartl.chains`.  The rank functions
+stay as the tests' rank oracle, and under these names the tracing
+harness in ``perfbench/traced.py`` wraps them.  :func:`rank_at` ranks a
+Laurent matrix at v = p/q: :meth:`PolyMatrix.specialize_int_columns`
+turns each column into a primitive integer vector, and
+:func:`rank_of_int_columns` inserts them one at a time into an echelon
+form keyed by leading row.  A column is combined with a stored one by
+cross-multiplication only, with a gcd content reduction after each
+step, so no division ever leaves the integers.  A dense Bareiss
+elimination, :func:`rank_dense_bareiss`, is provided as an independent
+cross-check; the test suite keeps the two routes in agreement.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from .coeff import LaurentPoly
 __all__ = [
     "PolyMatrix",
     "rank_at",
-    "unit_point",
-    "specialize_column",
-    "primitive",
     "rank_of_int_columns",
     "rank_dense_bareiss",
 ]
@@ -118,10 +114,35 @@ class PolyMatrix:
 
     def specialize_int_columns(self, x: Fraction) -> list[dict[int, int]]:
         """Evaluate at v = x, each column scaled to a primitive integer
-        vector by :func:`specialize_column`.  Column scaling by a nonzero
-        rational preserves rank."""
-        p, q = unit_point(x)
-        return [specialize_column(col, p, q) for col in self.columns]
+        vector; column scaling by a nonzero rational preserves rank.
+        Raises ValueError at x = 0.  No library path calls it: it stays
+        for the tests' rank oracle :func:`rank_at`, and under this name
+        the tracing harness in ``perfbench/traced.py`` wraps.
+
+        With x = p/q, and lo and hi a column's extreme exponents, an
+        entry sum c_e v^e becomes sum c_e p^(e-lo) q^(hi-e), its value
+        times p^-lo q^hi; the column's nonzero values are then divided
+        by their gcd.
+        """
+        x = Fraction(x)
+        if x == 0:
+            raise ValueError("v must be a unit")
+        p, q = x.numerator, x.denominator
+        out = []
+        for col in self.columns:
+            terms = {r: poly.coefficients() for r, poly in col.items()}
+            lo = min((min(t) for t in terms.values()), default=0)
+            hi = max((max(t) for t in terms.values()), default=0)
+            p_pow = [p**k for k in range(hi - lo + 1)]
+            q_pow = [q**k for k in range(hi - lo + 1)]
+            values = {
+                r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in t.items())
+                for r, t in terms.items()
+            }
+            values = {r: val for r, val in values.items() if val}
+            content = gcd(*values.values())
+            out.append({r: val // content for r, val in values.items()} if content > 1 else values)
+        return out
 
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
@@ -134,54 +155,11 @@ class PolyMatrix:
         return items
 
 
-def unit_point(x) -> tuple[int, int]:
-    """Numerator and denominator of v = x; raises ValueError at x = 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("v must be a unit")
-    return x.numerator, x.denominator
-
-
-def specialize_column(column: dict[int, LaurentPoly], p: int, q: int) -> dict[int, int]:
-    """One column of Laurent entries evaluated at v = p/q, scaled to a
-    primitive integer vector.
-
-    Each entry's coefficients are read once.  With lo and hi the
-    column's extreme exponents, an entry sum c_e v^e becomes
-    sum c_e p^(e-lo) q^(hi-e), its value times p^-lo q^hi; the column is
-    then made :func:`primitive`.
-    """
-    terms = {r: poly.coefficients() for r, poly in column.items()}
-    lo = min((min(t) for t in terms.values()), default=0)
-    hi = max((max(t) for t in terms.values()), default=0)
-    p_pow = [p**k for k in range(hi - lo + 1)]
-    q_pow = [q**k for k in range(hi - lo + 1)]
-    return primitive(
-        {
-            r: sum(c * p_pow[e - lo] * q_pow[hi - e] for e, c in t.items())
-            for r, t in terms.items()
-        }
-    )
-
-
-def primitive(column: dict[int, int]) -> dict[int, int]:
-    """The column without its zero entries, divided by their gcd.  The
-    caller's dict is reused when nothing changes."""
-    if not all(column.values()):
-        column = {r: val for r, val in column.items() if val}
-    content = gcd(*column.values())
-    if content > 1:
-        column = {r: val // content for r, val in column.items()}
-    return column
-
-
-def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = None) -> int:
+def rank_of_int_columns(columns: Iterable[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse columns, by inserting
-    the columns one at a time into a column echelon form.
-
-    With a ``limit``, no further column is read once ``limit`` pivots
-    are stored, so the result is ``min(rank, limit)``: the exact rank
-    whenever the caller knows that ``rank <= limit``.
+    the columns one at a time into a column echelon form.  No library
+    path calls it: it is the tests' rank oracle, and under this name the
+    tracing harness in ``perfbench/traced.py`` wraps.
 
     ``pivots`` maps a leading (smallest) row to the one stored column
     that leads there.  While a new column leads at a taken row it becomes
@@ -193,8 +171,7 @@ def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = N
     dict: where a == 1 it is updated in place rather than rebuilt.
     """
     pivots: dict[int, dict[int, int]] = {}
-    columns = iter(columns)
-    while len(pivots) != limit and (col := next(columns, None)) is not None:
+    for col in columns:
         col = {i: x for i, x in col.items() if x}
         while col and (lead := min(col)) in pivots:
             pivot = pivots[lead]
@@ -217,7 +194,9 @@ def rank_of_int_columns(columns: Iterable[dict[int, int]], limit: int | None = N
 
 
 def rank_at(matrix: PolyMatrix, x: Fraction) -> int:
-    """Exact rank of the matrix specialized at v = x (x nonzero)."""
+    """Exact rank of the matrix specialized at v = x (x nonzero).  No
+    library path calls it: it is the tests' rank oracle, and under this
+    name the tracing harness in ``perfbench/traced.py`` wraps."""
     return rank_of_int_columns(matrix.specialize_int_columns(x))
 
 

@@ -2,6 +2,9 @@
 
 from functools import cache
 
+from planartl.chains import differential
+from planartl.linalg import rank_at
+
 
 @cache
 def compositions_ending_odd(n: int) -> tuple[tuple[int, ...], ...]:
@@ -21,3 +24,10 @@ def compositions_ending_odd(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec((), n)
     return tuple(out)
+
+
+def point_ranks(n: int, c, x) -> tuple[int, ...]:
+    """The ranks of d^0 ... d^(n-1) of W(n) at v = x, by elimination of
+    each Laurent matrix specialized there: the oracle the certified
+    closed forms are checked against."""
+    return tuple(rank_at(differential(n, i, c), x) for i in range(n))

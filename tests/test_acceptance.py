@@ -10,7 +10,6 @@ from functools import cache
 
 from planartl.algebra import AlgebraElement, augment, braiding_s, braiding_s_inv, elt_mul
 from planartl.chains import (
-    boundary_ranks,
     chain_basis,
     differential,
     euler_characteristic,
@@ -40,7 +39,7 @@ from planartl.jacobsthal import (
     jacobsthal_kernel_rank,
     verify_theorem_D,
 )
-from oracles import compositions_ending_odd
+from oracles import compositions_ending_odd, point_ranks
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 POINTS = (Fraction(2), Fraction(3))
@@ -55,7 +54,7 @@ def report(number: int, description: str, passed: bool) -> None:
 @cache
 def cached_ranks(n: int, tag: str):
     conv = CONVENTION_A if tag == "A" else CONVENTION_B
-    return homology_ranks(n, conv, POINTS)
+    return homology_ranks(n, conv)
 
 
 def test_criterion_01_relations_suite():
@@ -134,7 +133,7 @@ def test_criterion_06_vanishing_and_fineberg_rank():
             _, homology = cached_ranks(n, tag)
             ok &= all(homology[d] == 0 for d in range(-1, n - 1))
             ok &= homology[n - 1] == fine(n)
-    report(6, "homology vanishes below the top and the top rank is the Fine number, n <= 8, v in {2,3}", ok)
+    report(6, "homology vanishes below the top and the top rank is the Fine number, certified, n <= 8", ok)
 
 
 def test_criterion_07_hopf_trace():
@@ -146,7 +145,7 @@ def test_criterion_07_hopf_trace():
                 (-1 if i % 2 else 1) * len(chain_basis(n, i)) for i in range(-1, n)
             )
             for point in POINTS:
-                ranks = dict(enumerate(boundary_ranks(n, conv, point)))
+                ranks = dict(enumerate(point_ranks(n, conv, point)))
                 homology_sum = 0
                 for d in range(-1, n):
                     h = len(chain_basis(n, d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -233,7 +232,7 @@ def test_criterion_13_kernel_rank_of_top_element():
     ok = True
     for conv in CONVENTIONS:
         for n in range(1, 9):
-            kernel_rank = jacobsthal_kernel_rank(n, conv, POINTS)
+            kernel_rank = jacobsthal_kernel_rank(n, conv)
             ok &= kernel_rank == fine(n)
             ok &= kernel_rank == cached_ranks(n, conv.tag)[1][n - 1]
     report(13, "kernel rank of the top element equals the Fine number and the top homology rank, n <= 8", ok)

@@ -1,6 +1,8 @@
 """Chain complex tests: basis ranks, the boundary maps, d o d = 0, the
-Euler characteristic, and homology ranks at specializations."""
+Euler characteristic, and the certified homology ranks against the ranks
+at specializations."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,13 +15,11 @@ from planartl.algebra import AlgebraElement, braiding_s, elt_mul, generator_tabl
 from planartl.chains import (
     boundary_composite_vanishes,
     boundary_element,
-    boundary_ranks,
     chain_basis,
     differential,
     euler_characteristic,
     exactness_certificate,
     homology_ranks,
-    right_mult_columns_at,
     right_mult_matrix,
 )
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
@@ -28,6 +28,7 @@ from planartl.diagram import enumerate_pairings, identity
 from planartl.indmod import black_box_basis, project
 from planartl.jacobsthal import jacobsthal_element
 from planartl.linalg import PolyMatrix
+from oracles import point_ranks
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -162,7 +163,6 @@ def test_right_mult_matrix_on_random_elements(case):
 
 
 def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
-    # both kernels share the walk, and so its check
     import planartl.chains as chains_module
 
     n = 4
@@ -173,10 +173,8 @@ def test_right_mult_matrix_raises_on_a_parent_outside_the_source(monkeypatch):
     parent[k] = (len(source), parent[k][1])
     tampered = SimpleNamespace(left=real.left, order=real.order, parent=parent)
     monkeypatch.setattr(chains_module, "generator_tables", lambda n: tampered)
-    # the columns come as a stream, so the error comes as it is read
-    for kernel in (right_mult_matrix, lambda *bases: list(right_mult_columns_at(*bases, Fraction(2)))):
-        with pytest.raises(RuntimeError, match="outside the source basis"):
-            kernel(AlgebraElement.one(n), source, source)
+    with pytest.raises(RuntimeError, match="outside the source basis"):
+        right_mult_matrix(AlgebraElement.one(n), source, source)
 
 
 def test_right_mult_matrix_columns_share_entries_and_hold_no_zero(monkeypatch):
@@ -214,80 +212,15 @@ def test_right_mult_matrix_drops_a_cancelling_sum(monkeypatch):
     assert PolyMatrix(len(full), len(full), columns) == reference_right_mult_matrix(elt, full, full)
 
 
-# generic points, points with a denominator, and the non-semisimple v = +-1
-KERNEL_POINTS = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
-
-
-def assert_equal_up_to_sign(columns, expected):
-    assert len(columns) == len(expected)
-    for col, ref in zip(columns, expected):
-        assert col == ref or col == {r: -x for r, x in ref.items()}
-
-
-def test_columns_at_a_point_match_the_specialized_matrix():
-    for conv in CONVENTIONS:
-        for n in range(1, 6):
-            elements = [boundary_element(n, i, conv) for i in range(n)] + [
-                jacobsthal_element(n, n, conv, sign).element for sign in (1, -1)
-            ]
-            for m in range(n + 1):
-                for m2 in range(n + 1):
-                    source, target = black_box_basis(n, m), black_box_basis(n, m2)
-                    for elt in elements:
-                        matrix = right_mult_matrix(elt, source, target)
-                        for x in KERNEL_POINTS:
-                            assert_equal_up_to_sign(
-                                list(right_mult_columns_at(elt, source, target, x)),
-                                matrix.specialize_int_columns(x),
-                            )
-
-
-@settings(deadline=None, max_examples=100)
-@given(kernel_cases(), st.sampled_from(KERNEL_POINTS))
-def test_columns_at_a_point_on_random_elements(case, x):
-    elt, source, target = case
-    assert_equal_up_to_sign(
-        list(right_mult_columns_at(elt, source, target, x)),
-        right_mult_matrix(elt, source, target).specialize_int_columns(x),
-    )
-
-
-def test_column_stream_builds_no_column_past_the_box_block_it_reads(monkeypatch):
-    # after k columns are read, only the box block holding column k - 1
-    # and the smaller ones are built; chains.primitive sees every built
-    # column but the identity's
-    built = []
-    real = chains.primitive
-
-    def counting(column):
-        built.append(column)
-        return real(column)
-
-    monkeypatch.setattr(chains, "primitive", counting)
-    for n in range(1, 8):
-        boxes = sorted({first_peak_count_B(n, m) for m in range(n + 1)})
-        for conv in CONVENTIONS:
-            for i in range(n):
-                elt = boundary_element(n, i, conv)
-                source, target = chain_basis(n, i), chain_basis(n, i - 1)
-                for x in (Fraction(2), Fraction(-1, 2)):
-                    built.clear()
-                    stream = right_mult_columns_at(elt, source, target, x)
-                    assert not built
-                    for k in range(1, len(source) + 1):
-                        next(stream)
-                        assert len(built) <= min(b for b in boxes if b >= k)
-                    assert next(stream, None) is None
-                    assert len(built) == len(source) - 1
-
-
 def test_columns_at_zero_raise():
+    # the rank oracle's columns at v = 0 raise rather than rank a
+    # matrix at a point where v is no unit
     n = 3
     basis = black_box_basis(n, 0)
     with pytest.raises(ValueError, match="v must be a unit"):
-        right_mult_columns_at(AlgebraElement.one(n), basis, basis, 0)
+        right_mult_matrix(AlgebraElement.one(n), basis, basis).specialize_int_columns(0)
     with pytest.raises(ValueError, match="v must be a unit"):
-        boundary_ranks(n, CONVENTION_A, Fraction(0))
+        point_ranks(n, CONVENTION_A, Fraction(0))
 
 
 def test_degree_zero_boundary_is_identity_coefficient():
@@ -404,78 +337,63 @@ def test_homology_ranks_small():
 
 
 def test_homology_pinned_n3():
-    boundary, homology = homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(3)))
+    boundary, homology = homology_ranks(3, CONVENTION_A)
     assert boundary == {0: 1, 1: 2, 2: 3}
     assert homology == {-1: 0, 0: 0, 1: 0, 2: 2}
     assert homology[2] == 2 == fine_by_enumeration(3)
 
 
 def test_homology_alternative_points():
-    _, homology = homology_ranks(4, CONVENTION_B, (Fraction(5), Fraction(-7, 3)))
-    assert all(homology[d] == 0 for d in range(-1, 3))
-    assert homology[3] == fine(4) == 6
-    # the rational points of the rank benchmark, where denominators and
-    # signs enter the integer specialization
-    points = tuple(Fraction(p) for p in ("1/2", "-1/2", "3/2", "-3/2", "-2"))
+    # at the rational points of the rank benchmark, where denominators
+    # and signs enter the integer specialization, and at 5 and -7/3,
+    # the oracle's ranks are the certified ones, so homology vanishes
+    # below the top there and the top rank is the Fine number
+    points = tuple(Fraction(p) for p in ("5", "-7/3", "1/2", "-1/2", "3/2", "-3/2", "-2"))
     for conv in CONVENTIONS:
         for n in range(1, 7):
-            _, homology = homology_ranks(n, conv, points)
+            boundary, homology = homology_ranks(n, conv)
             assert all(homology[d] == 0 for d in range(-1, n - 1))
             assert homology[n - 1] == fine(n)
+            for point in points:
+                assert point_ranks(n, conv, point) == tuple(boundary[i] for i in range(n)), (conv.tag, n, point)
 
 
-def test_homology_requires_two_nonzero_points():
-    with pytest.raises(ValueError):
-        homology_ranks(3, CONVENTION_A, (Fraction(2),))
-    with pytest.raises(ValueError, match="must be distinct"):
-        homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(2)))
-    with pytest.raises(ValueError, match="must be distinct"):
-        homology_ranks(3, CONVENTION_A, (Fraction(2), Fraction(2), Fraction(3)))
-    with pytest.raises(ValueError):
-        homology_ranks(3, CONVENTION_A, (Fraction(0), Fraction(2)))
+def test_homology_requires_two_nonzero_points(capsys):
+    # the command line validates the points before any check runs,
+    # though no check reads them
+    from planartl.cli import main
+
+    for points, message in (
+        ("2", "need at least two specialization points"),
+        ("2,2", "specialization points must be distinct"),
+        ("2,2,3", "specialization points must be distinct"),
+        ("0,2", "specialization points must be nonzero"),
+    ):
+        assert main(["verify", "homology", "--n-max", "3", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_complex_functions_reject_n_0_and_cache_ranks():
+    exactness_certificate.cache_clear()
     for call in (
         lambda: chain_basis(0, -1),
         lambda: euler_characteristic(0),
         lambda: homology_ranks(0, CONVENTION_A),
+        lambda: exactness_certificate(0, CONVENTION_A),
+        lambda: exactness_certificate(-3, CONVENTION_A),
     ):
         with pytest.raises(ValueError, match="n must be positive"):
             call()
-    # an integer point and its Fraction are one cache entry
-    boundary_ranks.cache_clear()
-    first = boundary_ranks(3, CONVENTION_A, Fraction(2))
-    assert boundary_ranks(3, CONVENTION_A, 2) == first
-    info = boundary_ranks.cache_info()
-    # one call ranks every degree at the point
-    assert (info.hits, info.misses) == (1, 1)
-
-
-def test_boundary_rank_stops_at_the_bound_d_d_zero_gives(monkeypatch):
-    # each elimination is handed c_(i-1) - r_(i-1), the bound that
-    # d^(i-1) d^i = 0 puts on the rank of d^i at the same point
-    limits = []
-    real = chains.rank_of_int_columns
-
-    def recording(columns, limit=None):
-        limits.append(limit)
-        return real(columns, limit)
-
-    monkeypatch.setattr(chains, "rank_of_int_columns", recording)
-    boundary_ranks.cache_clear()
-    try:
-        for conv in CONVENTIONS:
-            for n in range(1, 7):
-                for point in (Fraction(2), Fraction(-3, 2)):
-                    limits.clear()
-                    ranks = boundary_ranks(n, conv, point)
-                    bounds = [len(chain_basis(n, i - 1)) - (ranks[i - 1] if i else 0) for i in range(n)]
-                    assert bounds[0] == 1
-                    assert limits == bounds
-                    assert all(rank <= bound for rank, bound in zip(ranks, bounds))
-    finally:
-        boundary_ranks.cache_clear()
+    # a rejected n leaves no verdict in the cache; a real one is taken
+    # once and read back
+    before = exactness_certificate.cache_info()
+    assert before.currsize == 0
+    assert exactness_certificate(3, CONVENTION_A) is None
+    assert exactness_certificate(3, CONVENTION_A) is None
+    after = exactness_certificate.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (1, 1, 1)
+    exactness_certificate.cache_clear()
 
 
 def _inclusion(n, k):
@@ -550,23 +468,18 @@ def test_unit_diagonal_shapes():
 
 def test_certified_ranks_equal_the_point_ranks():
     # the closed forms r_0 = 1, r_i = c_(i-1) - r_(i-1) against the
-    # elimination at points where a = v + v^-1 is 5/2, 10/3, 2 and -2,
-    # and, at n <= 6, at the points homology_ranks ranked before the
-    # certificate, where denominators and signs enter
+    # oracle's elimination at points where a = v + v^-1 is 5/2, 10/3, 2
+    # and -2, and, at n <= 6, at points where denominators and signs
+    # enter
     rational = tuple(Fraction(p) for p in ("5", "-7/3", "1/2", "-1/2", "3/2", "-3/2", "-2"))
-    boundary_ranks.cache_clear()
-    try:
-        for conv in CONVENTIONS:
-            for n in range(1, 9):
-                assert exactness_certificate(n, conv) is None
-                boundary, _ = homology_ranks(n, conv)
-                certified = tuple(boundary[i] for i in range(n))
-                points = (2, 3, 1, -1) + (rational if n <= 6 else ())
-                for point in points:
-                    assert boundary_ranks(n, conv, Fraction(point)) == certified, (conv.tag, n, point)
-                boundary_ranks.cache_clear()
-    finally:
-        boundary_ranks.cache_clear()
+    for conv in CONVENTIONS:
+        for n in range(1, 9):
+            assert exactness_certificate(n, conv) is None
+            boundary, _ = homology_ranks(n, conv)
+            certified = tuple(boundary[i] for i in range(n))
+            points = (2, 3, 1, -1) + (rational if n <= 6 else ())
+            for point in points:
+                assert point_ranks(n, conv, Fraction(point)) == certified, (conv.tag, n, point)
 
 
 @pytest.mark.parametrize("row, delta, text", [
@@ -576,20 +489,15 @@ def test_certified_ranks_equal_the_point_ranks():
 ])
 def test_doctored_column_fails_the_certificate_and_the_points_are_ranked(monkeypatch, row, delta, text):
     # column 9 of d^3 on 5 strands is column 9 of phi_2, whose diagonal
-    # there is 1, since 9 < c_1 = 14; the point ranks then stand in
+    # there is 1, since 9 < c_1 = 14.  No rank stands in: homology and
+    # the top kernel rank raise, naming phi_2, the column and the entry
+    from planartl.jacobsthal import jacobsthal_kernel_rank
+
     n, k, j = 5, 2, 9
     assert j < len(chain_basis(n, k - 1))
     real = chains.right_mult_matrix
-    ranked = []
-    real_ranks = chains.boundary_ranks
-
-    def counting(n, c, point):
-        ranked.append(point)
-        return real_ranks(n, c, point)
-
-    monkeypatch.setattr(chains, "boundary_ranks", counting)
+    message = f"exactness certificate fails at phi_{k}, column {j}: entry {text}"
     for conv in CONVENTIONS:
-        certified = homology_ranks(n, conv)
         doctored = boundary_element(n, k + 1, conv)
 
         def doctoring(elt, source, target):
@@ -601,16 +509,15 @@ def test_doctored_column_fails_the_certificate_and_the_points_are_ranked(monkeyp
 
         monkeypatch.setattr(chains, "right_mult_matrix", doctoring)
         exactness_certificate.cache_clear()
-        boundary_ranks.cache_clear()
-        ranked.clear()
         try:
             assert exactness_certificate(n, conv) == (k, j, text)
-            boundary, homology = homology_ranks(n, conv, (2, 3))
+            with pytest.raises(RuntimeError) as raised:
+                homology_ranks(n, conv)
+            assert str(raised.value) == message
+            with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+                jacobsthal_kernel_rank(n, conv)
         finally:
             exactness_certificate.cache_clear()
-            boundary_ranks.cache_clear()
-        assert ranked == [Fraction(2), Fraction(3)]
-        assert (boundary, homology) == certified
 
 
 class _Unreadable:

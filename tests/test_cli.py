@@ -182,8 +182,8 @@ def test_verify_homology_and_hopf_fail_on_a_wrong_rank(monkeypatch):
 
     real = cli.homology_ranks
     for degree in (0, 2):
-        def raised(n, c, points, degree=degree):
-            boundary, homology = real(n, c, points)
+        def raised(n, c, degree=degree):
+            boundary, homology = real(n, c)
             if n == 3:
                 homology = {**homology, degree: homology[degree] + 1}
             return boundary, homology
@@ -254,7 +254,7 @@ def test_usage_errors_carry_the_error_prefix(capsys):
 def test_verify_failure_exits_one(monkeypatch):
     import planartl.cli as cli
 
-    def broken(n, c, points):
+    def broken(n, c):
         return n != 2, {"failed": "forced"} if n == 2 else {}
 
     monkeypatch.setitem(cli._CHECKS, "euler", broken)
@@ -465,7 +465,7 @@ def test_verify_emit_matrices(tmp_path):
 def test_verify_emit_matrices_to_an_unwritable_path_exits_2(tmp_path, monkeypatch, capsys):
     import planartl.cli as cli
 
-    def never(n, c, points):
+    def never(n, c):
         raise AssertionError("a check ran")
 
     monkeypatch.setitem(cli._CHECKS, "euler", never)
@@ -580,75 +580,75 @@ def test_verify_rank_checks_at_six_points_byte_identical(conv):
 
 @pytest.fixture
 def fresh_complexes():
-    # boundary ranks are cached per (n, convention, point), and the
-    # exactness certificate per (n, convention)
-    from planartl.chains import boundary_ranks, exactness_certificate
+    # the exactness certificate is cached per (n, convention)
+    from planartl.chains import exactness_certificate
 
-    boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
     yield
-    boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
 
 
-def _uncertified(monkeypatch):
-    """Make every exactness certificate fail, so that homology_ranks
-    ranks each point."""
+def _no_rank_taken(monkeypatch):
+    """Make every rank function of the library raise AssertionError,
+    which the command line does not catch: a test that passes took no
+    rank."""
+    import planartl.linalg as linalg
+
+    def never(*args):
+        raise AssertionError("a rank was taken")
+
+    for name in ("rank_at", "rank_of_int_columns", "rank_dense_bareiss"):
+        monkeypatch.setattr(linalg, name, never)
+    monkeypatch.setattr(linalg.PolyMatrix, "specialize_int_columns", never)
+
+
+def test_verify_rank_checks_fail_when_the_certificate_fails(monkeypatch, fresh_complexes):
+    # a failing certificate fails homology, hopf and fineberg at every n,
+    # with its (k, j, entry) in the report, and nothing is ranked in its
+    # place, at any points
     import planartl.chains as chains
 
-    monkeypatch.setattr(chains, "exactness_certificate", lambda n, c: (-1, 0, "0"))
-
-
-def test_verify_rank_checks_fail_when_points_disagree(monkeypatch, fresh_complexes):
-    from fractions import Fraction
-
-    import planartl.chains as chains
-
-    real = chains.right_mult_columns_at
-
-    def skewed(elt, source, target, x):
-        # every column zeroed at v = 3: the rank drop a non-generic point
-        # would show (a raised rank could not pass the bound d o d = 0 sets)
-        columns = real(elt, source, target, x)
-        return [{} for _ in columns] if x == Fraction(3) else columns
-
-    monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
-    _uncertified(monkeypatch)
+    monkeypatch.setattr(chains, "exactness_certificate", lambda n, c: (n - 2, 1, "v^3"))
+    _no_rank_taken(monkeypatch)
     for check in ("homology", "hopf", "fineberg"):
-        code, out = run_cli_capture(["verify", check, "--n-max", "3", "--format", "json"])
-        assert code == 1
-        checks = json.loads(out)["checks"]
-        assert [c["status"] for c in checks] == ["fail"] * 3
-        for c in checks:
-            assert c["details"]["failed"].startswith(
-                "specialization ranks disagree between v=2 and v=3: "
-            )
+        for points in ("2,3", "2,3,5,-2,1/2,3/2"):
+            code, out = run_cli_capture(["verify", check, "--n-max", "3", "--points", points, "--format", "json"])
+            assert code == 1
+            checks = json.loads(out)["checks"]
+            assert [c["status"] for c in checks] == ["fail"] * 3
+            for c in checks:
+                assert c["details"] == {
+                    "failed": f"exactness certificate fails at phi_{c['n'] - 2}, column 1: entry v^3"
+                }
+    code, out = run_cli_capture(["verify", "homology", "hopf", "fineberg", "--n-max", "2"])
+    assert code == 1
+    assert "FAIL fineberg n=2  exactness certificate fails at phi_0, column 1: entry v^3" in out
 
 
-def test_verify_fineberg_fails_when_points_disagree_below_the_top(monkeypatch, fresh_complexes):
-    # ranks dropped at v = 3 below the top degree only: the top rank
-    # still agrees, but the point is not exact, so fineberg fails there
-    from fractions import Fraction
-
+def test_verify_fineberg_fails_when_the_certificate_fails_below_the_top(monkeypatch, fresh_complexes):
+    # an entry added above the diagonal of phi_0 on 3 strands, in a
+    # column of d^1: fineberg reads only the top rank, yet fails at
+    # n = 3, with the real certificate's failing column
     import planartl.chains as chains
-    from planartl.chains import chain_basis
+    from planartl.chains import chain_basis, exactness_certificate
+    from planartl.coeff import CONVENTION_A, LaurentPoly
 
-    real = chains.right_mult_columns_at
+    real = chains.right_mult_matrix
 
-    def skewed(elt, source, target, x):
-        columns = real(elt, source, target, x)
-        below_top = source is not chain_basis(elt.n, elt.n - 1)
-        return [{} for _ in columns] if x == Fraction(3) and below_top else columns
+    def doctoring(elt, source, target):
+        matrix = real(elt, source, target)
+        if elt.n == 3 and target == chain_basis(3, 0):
+            matrix.columns[1][0] = LaurentPoly.v_power(3)
+        return matrix
 
-    monkeypatch.setattr(chains, "right_mult_columns_at", skewed)
-    _uncertified(monkeypatch)
+    monkeypatch.setattr(chains, "right_mult_matrix", doctoring)
+    _no_rank_taken(monkeypatch)
     code, out = run_cli_capture(["verify", "fineberg", "--n-max", "3", "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]
-    assert [c["status"] for c in checks] == ["pass", "fail", "fail"]
-    assert checks[1]["details"] == {
-        "failed": "specialization ranks disagree between v=2 and v=3: {0: 1, 1: 1} vs {0: 0, 1: 1}"
-    }
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+    assert exactness_certificate(3, CONVENTION_A) == (0, 1, "v^3")
+    assert checks[2]["details"] == {"failed": "exactness certificate fails at phi_0, column 1: entry v^3"}
 
 
 def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_complexes):
@@ -660,27 +660,21 @@ def test_verify_fineberg_reads_the_top_rank_of_the_complex(monkeypatch, fresh_co
     import planartl.chains as chains
     from planartl.chains import chain_basis, exactness_certificate
 
-    real_rank = chains.right_mult_columns_at
     real_laurent = chains.right_mult_matrix
-    ranked, laurent = [], []
-
-    def counting_rank(elt, source, target, x):
-        ranked.append((id(source), id(target), x))
-        return real_rank(elt, source, target, x)
+    laurent = []
 
     def counting_laurent(*args):
         laurent.append(args)
         return real_laurent(*args)
 
-    monkeypatch.setattr(chains, "right_mult_columns_at", counting_rank)
     monkeypatch.setattr(chains, "right_mult_matrix", counting_laurent)
+    _no_rank_taken(monkeypatch)
     code, _ = run_cli_capture(["verify", "homology", "fineberg", "--n-max", "6", "--points", "2,3"])
     assert code == 0
     assert exactness_certificate.cache_info().misses == 6
     assert [(args[1], args[2]) for args in laurent] == [
         (chain_basis(n, i), chain_basis(n, i - 1)) for n in range(1, 7) for i in range(n)
     ]
-    assert ranked == []  # every rank is read off the certificate
 
 
 def _perturbed_boundary(monkeypatch, n, degree, generator):
@@ -708,26 +702,20 @@ def test_ddzero_on_the_generator_agrees_with_the_full_composite(monkeypatch):
     # n strands is the oracle, for b_{i+1} at every degree, and for
     # b_{n-1} + U_j on n = l strands, where the identity reads it
     import planartl.cli as cli
-    from planartl.chains import (
-        DEFAULT_POINTS,
-        boundary_composite_vanishes,
-        chain_basis,
-        differential,
-        right_mult_matrix,
-    )
+    from planartl.chains import boundary_composite_vanishes, chain_basis, differential, right_mult_matrix
     from planartl.coeff import CONVENTION_A, CONVENTION_B
 
     verdicts = set()
     for conv in (CONVENTION_A, CONVENTION_B):
         for n in range(1, 8):
-            assert cli._check_ddzero(n, conv, DEFAULT_POINTS) == (True, {"degrees_checked": n - 1})
+            assert cli._check_ddzero(n, conv) == (True, {"degrees_checked": n - 1})
             for i in range(n - 1):
                 full = differential(n, i, conv).compose(differential(n, i + 1, conv))
                 assert boundary_composite_vanishes(i + 2, conv) == (full.nnz() == 0)
             for j in range(1, n):
                 with monkeypatch.context() as m:
                     patched = _perturbed_boundary(m, n, n - 1, j)
-                    passed, details = cli._check_ddzero(n, conv, DEFAULT_POINTS)
+                    passed, details = cli._check_ddzero(n, conv)
                     top = right_mult_matrix(patched(n, n - 1, conv), chain_basis(n, n - 1), chain_basis(n, n - 2))
                 expected = differential(n, n - 2, conv).compose(top).nnz() == 0
                 assert passed == expected, (conv.tag, n, j)

@@ -1,6 +1,5 @@
 """Coefficient ring tests: ring axioms, specialization, text round trip."""
 
-import gc
 import random
 import re
 from fractions import Fraction
@@ -259,19 +258,24 @@ def test_memo_keys_survive_dropped_objects():
     # Fresh objects are made, interned and dropped between calls, so
     # later ones may reuse their ids; every later result stays right,
     # and the id of an object the table does not hold never hits a memo.
+    # A LaurentPoly has slots and makes no cycle, so ``del`` frees it at
+    # once, and the reuse of a dropped object's id is seen, not assumed.
     rng = random.Random(3)
+    reused = 0
     for _ in range(300):
         values = [small_poly(rng).coefficients() for _ in range(2)]
         fresh = [LaurentPoly(v) for v in values]
         a, b = (interned(p) for p in fresh)
+        dropped = {id(p) for p, kept in zip(fresh, (a, b)) if p is not kept}
         del fresh
-        gc.collect()
         again = [LaurentPoly(v) for v in values]
         assert INTERNED_SUM[id(a), id(b)] == again[0] + again[1]
         assert INTERNED_LOOP[id(interned(again[1]))] == again[1] * LOOP_FACTOR
         for p in again:
             if interned(p) is not p:
+                reused += id(p) in dropped
                 with pytest.raises(KeyError):
                     INTERNED_LOOP[id(p)]
                 with pytest.raises(KeyError):
                     INTERNED_SUM[id(p), id(a)]
+    assert reused

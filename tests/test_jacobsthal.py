@@ -3,7 +3,6 @@ with its sign bookkeeping, and the kernel rank of the top element."""
 
 import json
 import re
-from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -13,9 +12,7 @@ import planartl.jacobsthal as jacobsthal
 from planartl.algebra import AlgebraElement
 from planartl.algebra import generator_tables
 from planartl.chains import (
-    DEFAULT_POINTS,
     boundary_element,
-    boundary_ranks,
     chain_basis,
     differential,
     exactness_certificate,
@@ -42,7 +39,7 @@ def matching_signs(mismatches):
 
 
 def thmD_passes(n, conv):
-    return _check_thmD(n, conv, DEFAULT_POINTS)[0]
+    return _check_thmD(n, conv)[0]
 
 
 def test_descending_sequences_counts():
@@ -237,7 +234,6 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(chains, "right_mult_matrix", counting)
-    boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
     for conv in CONVENTIONS:
         for n in range(1, 7):
@@ -245,7 +241,6 @@ def test_kernel_rank_equals_fine_number(monkeypatch):
             assert jacobsthal_kernel_rank(n, conv) == fine(n)
             certificate = [chain_basis(n, i) for i in range(n)]
             assert [args[1] for args in built] == certificate
-    boundary_ranks.cache_clear()
     exactness_certificate.cache_clear()
 
 
@@ -282,6 +277,11 @@ def test_kernel_rank_matches_top_homology():
             assert jacobsthal_kernel_rank(n, conv) == homology[n - 1]
 
 
-def test_kernel_rank_point_validation():
-    with pytest.raises(ValueError):
-        jacobsthal_kernel_rank(3, CONVENTION_A, (Fraction(2),))
+def test_kernel_rank_point_validation(capsys):
+    # the kernel rank takes no points; the fineberg check's points are
+    # still validated, before any check runs
+    from planartl.cli import main
+
+    assert main(["verify", "fineberg", "--n-max", "3", "--points", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least two specialization points\n")

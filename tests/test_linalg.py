@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planartl.chains import boundary_ranks, differential, right_mult_matrix
+from planartl.chains import differential, homology_ranks, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_element
@@ -20,6 +20,7 @@ from planartl.linalg import (
     rank_dense_bareiss,
     rank_of_int_columns,
 )
+from oracles import point_ranks
 
 
 def rank_fraction_gauss(rows: list[list[int]]) -> int:
@@ -91,18 +92,6 @@ def test_rank_leaves_the_callers_columns_unchanged():
     before = [dict(col) for col in cols]
     assert rank_of_int_columns(cols) == 3
     assert cols == before
-    assert rank_of_int_columns(cols, limit=2) == 2
-    assert cols == before
-
-
-def test_rank_with_a_limit_reads_no_column_past_it():
-    def columns(*given):
-        yield from given
-        raise AssertionError("a column past the limit was read")
-
-    # the dependent column is read; the limit is reached at the third
-    assert rank_of_int_columns(columns({0: 1}, {0: 2}, {1: 3}), limit=2) == 2
-    assert rank_of_int_columns(columns(), limit=0) == 0
 
 
 def test_rank_routes_agree_on_random_matrices():
@@ -117,8 +106,6 @@ def test_rank_routes_agree_on_random_matrices():
         assert cols == before  # zeros included: the caller's columns are not changed
         assert sparse_rank == rank_dense_bareiss(dense)
         assert sparse_rank == rank_fraction_gauss(dense)
-        for limit in range(sparse_rank + 2):
-            assert rank_of_int_columns(cols, limit) == min(sparse_rank, limit)
 
 
 def test_rank_routes_agree_on_boundary_and_jacobsthal_matrices():
@@ -138,16 +125,15 @@ def test_rank_routes_agree_on_boundary_and_jacobsthal_matrices():
 
 
 def test_boundary_rank_equals_the_rank_of_the_specialized_matrix():
-    # the integer columns built at the point against the oracle route:
-    # the Laurent matrix, specialized, then eliminated
-    points = tuple(Fraction(p) for p in ("2", "-2", "3", "1/2", "-3/2", "1", "-1"))
-    boundary_ranks.cache_clear()
+    # the certified closed forms against the oracle route, each Laurent
+    # matrix specialized and then eliminated, at n = 7 and points with a
+    # denominator or a sign, where the other tests rank integer points
+    points = tuple(Fraction(p) for p in ("-2", "1/2", "-3/2"))
     for conv in (CONVENTION_A, CONVENTION_B):
-        for n in range(1, 8):
-            for i in range(n):
-                mat = differential(n, i, conv)
-                for point in points:
-                    assert boundary_ranks(n, conv, point)[i] == rank_at(mat, point)
+        n = 7
+        boundary, _ = homology_ranks(n, conv)
+        for point in points:
+            assert point_ranks(n, conv, point) == tuple(boundary[i] for i in range(n)), (conv.tag, point)
 
 
 def test_rank_routes_agree_on_low_rank_products():
