@@ -32,6 +32,7 @@ about 2.3 million of those steps for what is often a single product.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from functools import cache
 
 from .coeff import Convention, LaurentPoly, loop_factor_power
@@ -206,9 +207,10 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._trusted(x.n, terms)
 
 
-class GeneratorTables:
+class GeneratorTables(namedtuple("GeneratorTables", "left parent order")):
     """Left multiplication by the cup generators on n strands, over the
-    Dyck-lex positions of :func:`planartl.diagram.enumerate_pairings`.
+    Dyck-lex positions of :func:`planartl.diagram.enumerate_pairings`,
+    as :func:`generator_tables` builds it.
 
     ``left[j - 1][k]`` is the position of U_j times diagram k, up to the
     loop it may close: U_j closes one loop exactly where
@@ -228,36 +230,31 @@ class GeneratorTables:
     :func:`planartl.diagram.multiply` is only the tests' oracle here.
     """
 
-    __slots__ = ("left", "parent", "order")
-
-    def __init__(self, n: int):
-        pairings = enumerate_pairings(n)
-        index = dyck_lex_index(n)
-        lefts = [tuple(index[cup_times(j, p)[0]] for p in pairings) for j in range(1, n)]
-        # Breadth first out of the identity.  No product U_j y is the
-        # identity, so a parent of None means unseen; a product that
-        # closes a loop is y itself, already seen.
-        parent: list[tuple[int, int] | None] = [None] * len(pairings)
-        order = [index[identity(n)]]
-        for y in order:
-            for j in range(1, n):
-                k = lefts[j - 1][y]
-                if parent[k] is None:
-                    parent[k] = (y, j)
-                    order.append(k)
-        if len(order) != len(pairings):
-            raise RuntimeError("some diagram has no loop-free parent")
-        sizes = sorted({first_peak_count_B(n, m) for m in range(n + 1)})
-        order.sort(key=lambda k: bisect_right(sizes, k))
-        self.left = tuple(lefts)
-        self.parent = tuple(parent)
-        self.order = tuple(order)
+    __slots__ = ()
 
 
 @cache
 def generator_tables(n: int) -> GeneratorTables:
     """The generator tables on n strands, built on first use."""
-    return GeneratorTables(n)
+    pairings = enumerate_pairings(n)
+    index = dyck_lex_index(n)
+    lefts = [tuple(index[cup_times(j, p)[0]] for p in pairings) for j in range(1, n)]
+    # Breadth first out of the identity.  No product U_j y is the
+    # identity, so a parent of None means unseen; a product that closes
+    # a loop is y itself, already seen.
+    parent: list[tuple[int, int] | None] = [None] * len(pairings)
+    order = [index[identity(n)]]
+    for y in order:
+        for j in range(1, n):
+            k = lefts[j - 1][y]
+            if parent[k] is None:
+                parent[k] = (y, j)
+                order.append(k)
+    if len(order) != len(pairings):
+        raise RuntimeError("some diagram has no loop-free parent")
+    sizes = sorted({first_peak_count_B(n, m) for m in range(n + 1)})
+    order.sort(key=lambda k: bisect_right(sizes, k))
+    return GeneratorTables(tuple(lefts), tuple(parent), tuple(order))
 
 
 def augment(x: AlgebraElement) -> LaurentPoly:

@@ -48,7 +48,10 @@ distinct entries, so the walk takes a loop product or a sum from a memo
 keyed by the operands' ids, and each distinct result is computed once
 by the real arithmetic.  A child column shares every entry the move
 leaves unchanged with its parent, only a sum can cancel, and a
-cancelled entry is the interned zero, found by identity.  The tables
+cancelled entry is the interned zero, found by identity and dropped.
+So the walk owns its columns' invariants: no zero entry, every entry
+interned, every row in range.  The certificate checks none of them
+again, and :class:`PolyMatrix` only the rows.  The tables
 are built by the constant-time cup rule, and the general diagram
 product stays the test suite's oracle for them.
 
@@ -58,11 +61,11 @@ Z[v^+-1, a^-1], W(n) is exact below the top degree over every ring in
 which v and a are units, and the boundary ranks are r_0 = 1 and
 r_i = c_(i-1) - r_(i-1), at every nonzero rational point and over Q(v)
 alike (see :func:`exactness_certificate`).  The certificate reads each
-d^i once, from :func:`right_mult_matrix`, forms only the rows on and
-above the diagonal of each column of phi, and ranks no point.  Where it
-fails, :func:`homology_ranks` raises and names the failing column:
-nothing is ranked in its place.  The proof rests on d o d = 0, which
-the ``ddzero`` check proves over Z[v, v^-1], once per l as above.
+d^i once, from :func:`differential`, forms only the rows on and above
+the diagonal of each column of phi, and ranks no point.  Where it fails,
+:func:`homology_ranks` raises and names the failing column: nothing is
+ranked in its place.  The proof rests on d o d = 0, which the
+``ddzero`` check proves over Z[v, v^-1], once per l as above.
 """
 
 from __future__ import annotations
@@ -204,6 +207,9 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
     from the memos :data:`INTERNED_LOOP` and :data:`INTERNED_SUM`, so
     each distinct result is computed once.  An entry moved without a
     loop or a sum is the parent's own :class:`LaurentPoly`, not a copy.
+    No entry is zero and every row lies in the target.
+    :func:`exactness_certificate` relies on all three, and
+    :class:`PolyMatrix` checks only the rows.
     """
     sizes = {first_peak_count_B(elt.n, m) for m in range(elt.n + 1)}
     count, size = len(source), len(target)
@@ -281,7 +287,7 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     prefixes, so column j of d^(k+1) i_k is column j of d^(k+1), and
     i_(k-1) d^k is d^k with its rows, all below c_(k-1) <= c_k, read in
     degree k; there is no such term at k = -1.  Each d^i is built once
-    by :func:`right_mult_matrix`: its first c_k columns serve phi_(i-1),
+    by :func:`differential`: its first c_k columns serve phi_(i-1),
     and all of them phi_i.  At most two boundary matrices are held at
     once.  A column j passes when it has no nonzero entry in a row < j
     and its entry at row j is +-v^e or +-v^e * a, a unit of R.  At
@@ -293,10 +299,9 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     the diagonal and a unit diagonal is invertible whatever lies below
     the diagonal, so the rows > j never enter the verdict, and the
     column is the sum of the two terms' entries at rows <= j alone.
-    Each entry is :func:`interned` first, as a caller may hand in any
-    equal object; the sums come from :data:`INTERNED_SUM`, a cancelled
-    one is the interned zero, and the unit test is memoized per distinct
-    entry.
+    Every entry is :func:`interned` as :func:`right_mult_matrix` leaves
+    it; the sums come from :data:`INTERNED_SUM`, a cancelled one is the
+    interned zero, and the unit test is memoized per distinct entry.
 
     What None proves.  Since d o d = 0, phi = d i + i d is a chain map:
     d phi_k = d i_(k-1) d^k = phi_(k-1) d^k.  A triangular map with a
@@ -318,14 +323,12 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     zero, sums, units = LaurentPoly.zero(), INTERNED_SUM, _UNITS
     below = None  # the columns of d^k, from degree k to degree k-1
     for k in range(-1, n - 1):
-        basis = chain_basis(n, k)
-        above = right_mult_matrix(boundary_element(n, k + 1, c), chain_basis(n, k + 1), basis).columns
-        for j in range(len(basis)):
-            column = {row: interned(poly) for row, poly in above[j].items() if row <= j}
+        above = differential(n, k + 1, c).columns
+        for j in range(len(chain_basis(n, k))):
+            column = {row: poly for row, poly in above[j].items() if row <= j}
             if below is not None:
                 for row, poly in below[j].items():
                     if row <= j:
-                        poly = interned(poly)
                         column[row] = sums[id(column[row]), id(poly)] if row in column else poly
             rows = [row for row, poly in column.items() if row < j and poly is not zero]
             entry = column[min(rows)] if rows else column.get(j, zero)

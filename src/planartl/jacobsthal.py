@@ -92,7 +92,9 @@ def jacobsthal_element(
         if d in terms:
             raise RuntimeError("distinct descending sequences collided")
         terms[d] = coeff
-    elt = AlgebraElement(n, terms)
+    # Each term is a cup_times product of the identity, its coefficient
+    # +-rho^r is no zero, and the check above keeps the keys distinct.
+    elt = AlgebraElement._trusted(n, terms)
     count = len(seqs)
     if l >= 1 and count != jacobsthal_number(l):
         raise RuntimeError(f"term count {count} differs from J_{l}")

@@ -3,7 +3,8 @@
 Matrices are stored column-major as dicts, which matches how boundary
 matrices are built (one column per basis diagram); an entry is an
 immutable :class:`~planartl.coeff.LaurentPoly`, so composition is that
-class's arithmetic.
+class's arithmetic.  The builder leaves no zero entry, so
+:class:`PolyMatrix` checks only the shape.
 
 No library path ranks a matrix: every boundary rank is read off the
 exactness certificate of :mod:`planartl.chains`.  The rank functions
@@ -21,6 +22,7 @@ cross-check; the test suite keeps the two routes in agreement.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
@@ -35,30 +37,28 @@ __all__ = [
 ]
 
 
-class PolyMatrix:
+class PolyMatrix(namedtuple("PolyMatrix", "nrows ncols columns")):
     """A rows x cols matrix over Z[v, v^-1], column-major sparse: each
-    column maps a row to its nonzero :class:`LaurentPoly` entry."""
+    column maps a row to its nonzero :class:`LaurentPoly` entry.
 
-    __slots__ = ("nrows", "ncols", "columns")
+    The builder leaves no zero entry:
+    :func:`planartl.chains.right_mult_matrix` drops its cancelled sums,
+    and :meth:`compose` its own.  The constructor checks only the
+    shape."""
 
-    def __init__(self, nrows: int, ncols: int, columns: Iterable[dict] | None = None):
-        """Takes ownership of the column dicts.  Zero entries are dropped;
-        a column holding none is kept as it is.  ``columns`` is read
-        once, so a generator can hand the columns over one at a time."""
-        if columns is None:
-            columns = [{} for _ in range(ncols)]
-        self.nrows = nrows
-        self.ncols = ncols
-        self.columns = []
+    __slots__ = ()
+
+    def __new__(cls, nrows: int, ncols: int, columns: Iterable[dict]):
+        """Keeps the column dicts it is handed, reading ``columns`` once,
+        so a generator can hand them over one at a time."""
+        columns = list(columns)
         for col in columns:
-            if not all(col.values()):
-                col = {r: poly for r, poly in col.items() if poly}
             for r in col:
                 if not 0 <= r < nrows:
                     raise ValueError(f"row index {r} out of range")
-            self.columns.append(col)
-        if len(self.columns) != ncols:
+        if len(columns) != ncols:
             raise ValueError("column count mismatch")
+        return super().__new__(cls, nrows, ncols, columns)
 
     def entry(self, r: int, c: int) -> LaurentPoly:
         return self.columns[c].get(r, LaurentPoly.zero())
@@ -76,25 +76,16 @@ class PolyMatrix:
                 f"dimension mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
         mycols = self.columns
-        # One column at a time; the constructor drops cancelled entries.
+        # One column at a time; a cancelled sum is dropped.
         def columns():
             for bcol in other.columns:
                 acc: dict[int, LaurentPoly] = {}
                 for j, b in bcol.items():
                     for r, a in mycols[j].items():
                         acc[r] = acc[r] + a * b if r in acc else a * b
-                yield acc
+                yield {r: poly for r, poly in acc.items() if poly}
 
         return PolyMatrix(self.nrows, other.ncols, columns())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.columns == other.columns
-        )
 
     def first_difference(self, other: "PolyMatrix"):
         """The smallest (row, col) where the two matrices differ, with

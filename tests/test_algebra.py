@@ -9,7 +9,6 @@ import pytest
 
 from planartl.algebra import (
     AlgebraElement,
-    GeneratorTables,
     augment,
     braiding_s,
     braiding_s_inv,
@@ -259,8 +258,9 @@ def test_tables_never_glue_a_product(monkeypatch):
 
     monkeypatch.setattr(algebra_module, "multiply", counted)
     monkeypatch.setattr(diagram_module, "multiply", counted)
+    generator_tables.cache_clear()
     for n in range(8):
-        GeneratorTables(n)
+        generator_tables(n)
     assert calls == []
     # the counter does count: the product route still goes through it
     elt_mul(AlgebraElement.generator(3, 1), AlgebraElement.generator(3, 2))

@@ -22,7 +22,7 @@ from planartl.chains import (
     homology_ranks,
     right_mult_matrix,
 )
-from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, mu_over_lambda
+from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, interned, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
 from planartl.diagram import enumerate_pairings, identity
 from planartl.indmod import black_box_basis, project
@@ -157,8 +157,12 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_right_mult_matrix_on_random_elements(case):
     elt, source, target = case
-    assert right_mult_matrix(elt, source, target) == reference_right_mult_matrix(
-        elt, source, target
+    matrix = right_mult_matrix(elt, source, target)
+    assert matrix == reference_right_mult_matrix(elt, source, target)
+    # the kernel's contract, which the certificate trusts: every entry
+    # interned and nonzero, every row in the target
+    assert all(
+        interned(p) is p and p and 0 <= r < len(target) for col in matrix.columns for r, p in col.items()
     )
 
 
@@ -504,7 +508,8 @@ def test_doctored_column_fails_the_certificate_and_the_points_are_ranked(monkeyp
             matrix = real(elt, source, target)
             if elt is doctored and target == chain_basis(n, k):
                 column = matrix.columns[j]
-                column[row] = column[row] + delta if row in column else delta
+                # the kernel's entries are interned, so a doctored one is too
+                column[row] = interned(column[row] + delta if row in column else delta)
             return matrix
 
         monkeypatch.setattr(chains, "right_mult_matrix", doctoring)

@@ -195,8 +195,8 @@ def test_rank_at_clears_denominators():
 
 NROWS = 4
 # entries with negative exponents, built from maps holding zero
-# coefficients, and zero entries
-entry_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly)
+# coefficients; no entry is zero, as the builder leaves none
+entry_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly).filter(bool)
 int_columns = st.lists(st.dictionaries(st.integers(0, NROWS - 1), entry_polys), max_size=4)
 # v = p/q with p < 0 and q > 1 in lowest terms
 fraction_points = st.tuples(st.integers(-12, -1), st.integers(2, 12)).filter(
@@ -244,21 +244,24 @@ def test_compose_matches_naive_product():
 
 
 def test_compose_dimension_mismatch():
-    a = PolyMatrix(2, 3)
-    b = PolyMatrix(2, 2)
+    a = PolyMatrix(2, 3, [{}, {}, {}])
+    b = PolyMatrix(2, 2, [{}, {}])
     with pytest.raises(ValueError):
         a.compose(b)
 
 
 def test_constructor_drops_zero_entries_from_a_generator():
+    # the constructor keeps the columns it is handed, read once from a
+    # generator: the builder leaves no zero, so none is looked for
+    handed = [{0: V}, {1: ONE}, {}]
+    mat = PolyMatrix(2, 3, (col for col in handed))
+    assert mat.columns == handed
+    assert all(got is col for got, col in zip(mat.columns, handed))
     zero = LaurentPoly.zero()
-    kept = {0: V}
-    # a zero entry beside a nonzero one
-    holding_zeros = {0: zero, 1: ONE}
-    mat = PolyMatrix(2, 3, (col for col in [kept, holding_zeros, {}]))
-    assert mat.columns == [{0: V}, {1: ONE}, {}]
-    assert mat.columns[0] is kept  # a column without zeros is kept, not copied
     assert mat == poly_matrix_from_lists([[V, zero, zero], [zero, ONE, zero]])
+    # compose drops the sums that cancel: [1 1] [1; -1] = [0]
+    cancelled = PolyMatrix(1, 2, [{0: ONE}, {0: ONE}]).compose(PolyMatrix(2, 1, [{0: ONE, 1: -ONE}]))
+    assert cancelled.columns == [{}]
     with pytest.raises(ValueError, match="column count mismatch"):
         PolyMatrix(2, 3, ({} for _ in range(2)))
     with pytest.raises(ValueError, match="out of range"):
