@@ -51,6 +51,7 @@ def binom(a: int, b: int) -> int:
 
 
 _DYCK_ORDER = str.maketrans("ud", "ab")
+_MIRROR = str.maketrans("ud", "du")
 
 
 def dyck_lex_key(word: str):
@@ -69,27 +70,26 @@ def dyck_words(n: int) -> tuple[str, ...]:
     """All Dyck words of length 2n over {u, d}, in lex order with u < d:
     the oracle enumeration that the ``bijection`` check compares against
     :func:`planartl.diagram.enumerate_pairings`, and the first-peak
-    oracles scan."""
+    oracles scan.
+
+    Built by halves: the length-n words that never go below height 0,
+    grown a letter at a time in lex order, are the first halves; those
+    ending at height h, mirrored (reversed, u and d swapped), are the
+    second halves falling from h to 0.  Each first half is joined to the
+    sorted second halves of its height.  All words have length 2n, so
+    lex order on them is lex order on (first half, second half).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[str] = []
-    word: list[str] = []
-
-    def rec(opens: int, closes: int) -> None:
-        if opens == n and closes == n:
-            out.append("".join(word))
-            return
-        if opens < n:
-            word.append("u")
-            rec(opens + 1, closes)
-            word.pop()
-        if closes < opens:
-            word.append("d")
-            rec(opens, closes + 1)
-            word.pop()
-
-    rec(0, 0)
-    return tuple(out)
+    firsts = [("", 0)]
+    for _ in range(n):
+        firsts = [(f + c, h + step) for f, h in firsts for c, step in (("u", 1), ("d", -1)) if h + step >= 0]
+    seconds: dict[int, list[str]] = {}
+    for f, h in firsts:
+        seconds.setdefault(h, []).append(f[::-1].translate(_MIRROR))
+    for group in seconds.values():
+        group.sort(key=dyck_lex_key)
+    return tuple([f + s for f, h in firsts for s in seconds[h]])
 
 
 def first_peak_height(word: str) -> int:

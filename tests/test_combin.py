@@ -2,6 +2,7 @@
 enumeration oracle."""
 
 import re
+from itertools import product
 from math import factorial
 
 import pytest
@@ -68,6 +69,30 @@ def test_dyck_words_order_and_validity():
     assert list(words) == sorted(words, key=dyck_lex_key)  # u < d
     assert all(is_dyck_word(w) for w in words)
     assert len(set(words)) == 5
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_dyck_words_equal_the_sorted_brute_force(n):
+    # every word over {u, d} of length 2n, filtered and sorted u < d
+    brute = (w for w in map("".join, product("ud", repeat=2 * n)) if is_dyck_word(w))
+    assert dyck_words(n) == tuple(sorted(brute, key=dyck_lex_key))
+
+
+def test_dyck_words_rejects_negative_n():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        dyck_words(-1)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_dyck_words_in_strict_order_at_benchmark_sizes(n):
+    # neighbours compared pairwise, so a misordered join of the halves
+    # shows even where the brute-force oracle is out of reach
+    words = dyck_words(n)
+    assert len(words) == catalan(n)
+    keys = [dyck_lex_key(w) for w in words]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert words[0] == "u" * n + "d" * n
+    assert words[-1] == "ud" * n
 
 
 def test_first_peak_height():

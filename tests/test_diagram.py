@@ -1,11 +1,14 @@
 """Diagram calculus tests: the fixed boundary numbering, the gluing
 product with loop counting, the cup rule, and the Dyck bijection."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from planartl import combin
 from planartl.algebra import AlgebraElement
 from planartl.combin import catalan, dyck_words
 from planartl.diagram import (
@@ -365,6 +368,24 @@ def test_enumeration_walks_pairings_not_words():
         enumerate_diagrams(-1)
     # the name the tracing harness wraps is the pairing walk itself
     assert enumerate_diagrams(8) is enumerate_pairings(8)
+
+
+def test_dyck_word_oracle_builds_no_pairing():
+    # the oracle the bijection check compares against stays independent
+    # of the pairing walk
+    dyck_words.cache_clear()
+    enumerate_pairings.cache_clear()
+    dyck_words(8)
+    assert enumerate_pairings.cache_info().currsize == 0
+    source = Path(combin.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["planartl" if node.level else "", node.module]))
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if name.startswith("planartl.diagram")]
 
 
 def test_multiplication_associative_with_loops():
