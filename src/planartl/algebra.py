@@ -7,6 +7,10 @@ The diagram basis is the source of truth; the familiar presentation by
 the U_i and their relations is exercised by the test suite rather than
 used as a rewriting system.
 
+Every element sum and product accumulates by one rule,
+:meth:`AlgebraElement._sum`; only :func:`planartl.chains.right_mult_matrix`
+stays apart, as it moves matrix rows through memos of interned entries.
+
 Two routes multiply here.  :func:`elt_mul` glues diagrams with
 :func:`planartl.diagram.multiply`, one call per pair of terms; it serves
 the one-off products (the ``mul`` command, the relation and braid
@@ -67,9 +71,9 @@ class AlgebraElement:
     keyed by their pairing tuples.
 
     Canonical form: no zero coefficients are stored.  Elements are
-    immutable values; arithmetic returns new elements.  The constructor
-    raises ValueError on a term that is no planar pairing on n strands;
-    the operations below build their results from terms already checked.
+    immutable, unhashable values.  The constructor raises ValueError on
+    a term that is no planar pairing on n strands; every other result is
+    built from terms already checked, by :meth:`_trusted` or :meth:`_sum`.
     """
 
     __slots__ = ("n", "terms")
@@ -88,16 +92,12 @@ class AlgebraElement:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "AlgebraElement":
-        return cls(n)
-
-    @classmethod
     def one(cls, n: int) -> "AlgebraElement":
         return cls(n, {identity(n): _ONE})
 
     @classmethod
-    def from_diagram(cls, d: tuple[int, ...], coeff: LaurentPoly = _ONE) -> "AlgebraElement":
-        return cls(len(d) // 2, {d: coeff})
+    def from_diagram(cls, d: tuple[int, ...]) -> "AlgebraElement":
+        return cls(len(d) // 2, {d: _ONE})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "AlgebraElement":
@@ -110,6 +110,22 @@ class AlgebraElement:
         out.n, out.terms = n, terms
         return out
 
+    @classmethod
+    def _sum(cls, n: int, terms: dict[tuple[int, ...], LaurentPoly], moves) -> "AlgebraElement":
+        """The element on terms plus every (diagram, coefficient) pair of
+        moves, all checked and nonzero.  Each move is added in place into
+        terms, a dict the call owns, and a cancelled sum is deleted where
+        it cancels: no zero is stored and no second dict is built."""
+        for d, c in moves:
+            w = terms.get(d)
+            if w is None:
+                terms[d] = c
+            elif w := w + c:
+                terms[d] = w
+            else:
+                del terms[d]
+        return cls._trusted(n, terms)
+
     # -- linear structure ---------------------------------------------
 
     def _check(self, other: "AlgebraElement") -> None:
@@ -118,15 +134,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            w = terms.get(d)
-            w = c if w is None else w + c
-            if w:
-                terms[d] = w
-            elif d in terms:
-                del terms[d]
-        return AlgebraElement._trusted(self.n, terms)
+        return AlgebraElement._sum(self.n, dict(self.terms), other.terms.items())
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._trusted(self.n, {d: -c for d, c in self.terms.items()})
@@ -134,27 +142,11 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
-    def scale(self, c) -> "AlgebraElement":
-        """Multiply every coefficient by the scalar c (LaurentPoly or int)."""
-        if isinstance(c, int):
-            c = LaurentPoly.constant(c)
+    def scale(self, c: LaurentPoly) -> "AlgebraElement":
+        """Multiply every coefficient by the scalar c."""
         if not c:
             return AlgebraElement(self.n)
         return AlgebraElement._trusted(self.n, {d: c * w for d, w in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, LaurentPoly)):
-            return self.scale(c)
-        return NotImplemented
-
-    # -- multiplication ------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return elt_mul(self, other)
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- comparisons and inspection -------------------------------------
 
@@ -165,9 +157,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def to_text(self) -> str:
         """Terms as '(coeff) * dyckword', in Dyck-lex order of the word;
@@ -191,20 +180,10 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product; every erased loop
     contributes a factor v + v^-1."""
     x._check(y)
-    terms: dict[tuple[int, ...], LaurentPoly] = {}
-    for dx, cx in x.terms.items():
-        for dy, cy in y.terms.items():
-            d, loops = multiply(dx, dy)
-            c = cx * cy
-            if loops:
-                c = c * loop_factor_power(loops)
-            w = terms.get(d)
-            w = c if w is None else w + c
-            if w:
-                terms[d] = w
-            elif d in terms:
-                del terms[d]
-    return AlgebraElement._trusted(x.n, terms)
+    products = (
+        (multiply(dx, dy), cx * cy) for dx, cx in x.terms.items() for dy, cy in y.terms.items()
+    )
+    return AlgebraElement._sum(x.n, {}, ((d, c * loop_factor_power(loops)) for (d, loops), c in products))
 
 
 class GeneratorTables(namedtuple("GeneratorTables", "left parent order")):

@@ -27,8 +27,9 @@ b_(l-1) b_(l-2) joins the right dots 1 and 2.
 decides it, and its docstring holds the proof.  Each b_i, and the
 product, is built by Horner over b_i's (or b_(l-2)'s) descending
 factors, one right multiplication by a braiding element at a time by
-the right cup rule :func:`planartl.diagram.times_cup`: no diagram
-product, projection, Dyck-lex index or generator table.
+the right cup rule :func:`planartl.diagram.times_cup` and summed by
+:meth:`~planartl.algebra.AlgebraElement._sum`: no diagram product,
+projection, Dyck-lex index or generator table.
 
 Every right-multiplication map is assembled by one walk in
 :func:`right_mult_matrix`, over the source positions in the generator
@@ -64,8 +65,9 @@ alike (see :func:`exactness_certificate`).  The certificate reads each
 d^i once, from :func:`differential`, forms only the rows on and above
 the diagonal of each column of phi, and ranks no point.  Where it fails,
 :func:`homology_ranks` raises and names the failing column: nothing is
-ranked in its place.  The proof rests on d o d = 0, which the
-``ddzero`` check proves over Z[v, v^-1], once per l as above.
+ranked in its place.  The proof rests on d o d = 0, so
+:func:`homology_ranks` first decides it over Z[v, v^-1], once per l as
+above, and raises where it fails.
 """
 
 from __future__ import annotations
@@ -96,12 +98,9 @@ def _times_s(x: AlgebraElement, k: int, c: Convention) -> AlgebraElement:
     the right cup rule :func:`~planartl.diagram.times_cup`, an erased
     loop weighing a."""
     mu_loop = c.mu * LOOP_FACTOR
-    terms = {d: c.lam * w for d, w in x.terms.items()}
-    for d, w in x.terms.items():
-        e, loops = times_cup(d, k)
-        w = (mu_loop if loops else c.mu) * w
-        terms[e] = terms[e] + w if e in terms else w
-    return AlgebraElement._trusted(x.n, {d: w for d, w in terms.items() if w})
+    products = ((times_cup(d, k), w) for d, w in x.terms.items())
+    moves = ((e, (mu_loop if loops else c.mu) * w) for (e, loops), w in products)
+    return AlgebraElement._sum(x.n, {d: c.lam * w for d, w in x.terms.items()}, moves)
 
 
 @cache
@@ -138,7 +137,9 @@ def _times_boundary(x: AlgebraElement, i: int, c: Convention) -> AlgebraElement:
     step = -c.lam.inverse()
     y = x.scale(step**i)
     for j in range(i - 1, -1, -1):
-        y = _times_s(y, x.n - i + j, c) + x.scale(step**j)
+        # + copies its left operand: the scaled x is compact, and the
+        # product's dict keeps the room its cancelled terms took
+        y = x.scale(step**j) + _times_s(y, x.n - i + j, c)
     return y
 
 
@@ -315,8 +316,8 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     a field the boundary ranks follow, r_0 = c_(-1) = 1 and
     r_i = c_(i-1) - r_(i-1).  Q(v) is one, and so is Q at every nonzero
     rational v = p/q, since a = (p^2 + q^2)/(pq) != 0.  The proof rests
-    on d o d = 0, which the ``ddzero`` check proves over Z[v, v^-1];
-    the check itself is per n.  Raises ValueError for n < 1.
+    on d o d = 0, which :func:`homology_ranks` checks before it reads
+    this verdict.  Raises ValueError for n < 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -353,12 +354,18 @@ def homology_ranks(n: int, c: Convention) -> tuple[dict[int, int], dict[int, int
     :func:`exactness_certificate`, r_0 = 1 and r_i = c_(i-1) - r_(i-1),
     the ranks of every ring in which v and a = v + v^-1 are units, Q(v)
     and every nonzero rational point among them; no point is ranked.
-    Where the certificate fails, RuntimeError is raised, naming phi_k,
-    the column j and its entry: the verdict is certified or it fails.
+    The certificate's premise d o d = 0 is checked first, by
+    :func:`boundary_composite_vanishes` at every 2 <= l <= n.  Where it
+    or the certificate fails, RuntimeError is raised, naming the
+    composite or phi_k, the column j and its entry: the verdict is
+    certified or it fails.
 
     No homology rank is negative: the closed forms give h_d = 0 below
     the top, and r_(n-1) <= c_(n-2) = c_(n-1) at the top.
     """
+    for l in range(2, n + 1):
+        if not boundary_composite_vanishes(l, c):
+            raise RuntimeError(f"d^{l - 2} o d^{l - 1} != 0, so phi is no chain map")
     failure = exactness_certificate(n, c)
     if failure is not None:
         k, j, text = failure

@@ -405,6 +405,7 @@ def cmd_verify(args, out) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     c = convention(args.convention)
+    # n is the outer loop and names are sorted, so results come in (n, name) order
     names = sorted(set(args.checks))
     results = []
     with dump:
@@ -419,7 +420,6 @@ def cmd_verify(args, out) -> int:
                 results.append({"name": name, "n": n, "status": "pass" if passed else "fail", "details": details})
         if args.emit_matrices:
             _emit_matrices(dump, args.n_max, c)
-    results.sort(key=lambda r: (r["n"], r["name"]))
     all_pass = all(r["status"] == "pass" for r in results)
     if args.format == "json":
         payload = {

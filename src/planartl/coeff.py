@@ -4,9 +4,9 @@ Everything symbolic in this package is linear algebra over the ring of
 integer Laurent polynomials Z[v, v^-1], held as :class:`LaurentPoly`:
 algebra coefficients and matrix entries (see :mod:`planartl.linalg`)
 alike, so this class holds the package's only Laurent multiply, add and
-cancel loops.  The tests' rank oracle evaluates the entries at a
-nonzero rational v = p/q in integers, so no floating point is ever
-involved.
+cancel loops, on LaurentPoly operands alone.  The tests' rank oracle
+evaluates the entries at a nonzero rational v = p/q in integers, so no
+floating point is ever involved.
 
 A boundary matrix has only a few dozen distinct entries.
 :func:`interned` maps each value to one canonical object, and an
@@ -49,7 +49,8 @@ class LaurentPoly:
 
     Instances are immutable, hashable and kept in canonical form: the
     internal exponent-to-coefficient map never stores a zero.  The zero
-    polynomial has empty support.
+    polynomial has empty support.  The operators take LaurentPoly
+    operands only: an int neither equals nor combines with one.
     """
 
     __slots__ = ("_terms",)
@@ -99,20 +100,11 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
-        return None
-
     def __add__(self, other) -> "LaurentPoly":
-        q = self._coerce(other)
-        if q is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         terms = dict(self._terms)
-        for e, c in q._terms.items():
+        for e, c in other._terms.items():
             w = terms.get(e, 0) + c
             if w:
                 terms[e] = w
@@ -122,24 +114,20 @@ class LaurentPoly:
         out._terms = terms
         return out
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: -c for e, c in self._terms.items()}
         return out
 
     def __sub__(self, other) -> "LaurentPoly":
-        q = self._coerce(other)
-        if q is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-q)
+        return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        q = self._coerce(other)
-        if q is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, q._terms
+        a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
         terms: dict[int, int] = {}
@@ -154,8 +142,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
         return out
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -179,17 +165,12 @@ class LaurentPoly:
     # -- comparisons & hashing ---------------------------------------
 
     def __eq__(self, other) -> bool:
-        q = self._coerce(other)
-        if q is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == q._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        terms = self._terms
-        if len(terms) > 1 or (terms and 0 not in terms):
-            return hash(tuple(sorted(terms.items())))
-        # zero or a constant: hash as the integer it equals
-        return hash(terms.get(0, 0))
+        return hash(tuple(sorted(self._terms.items())))
 
     # -- text form ---------------------------------------------------
 

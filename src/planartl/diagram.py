@@ -26,9 +26,8 @@ product act on them, and an algebra element keys its terms by them.
 The Dyck word is read off a pairing by one function,
 :func:`word_of_pairing`, and parsed back by one LIFO sweep,
 :func:`pairings_of_words`, which resumes each word's sweep where the
-word first differs from the previous one (:func:`pairing_of_word` is
-its one-word case); :func:`is_planar_pairing` decides whether a tuple
-is a diagram at all.
+word first differs from the previous one; :func:`is_planar_pairing`
+decides whether a tuple is a diagram at all.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from operator import gt
 __all__ = [
     "is_planar_pairing",
     "word_of_pairing",
-    "pairing_of_word",
     "pairings_of_words",
     "from_pairs",
     "identity",
@@ -63,8 +61,10 @@ def word_of_pairing(pairing: tuple[int, ...]) -> str:
 
 
 def pairings_of_words(words):
-    """Yield :func:`pairing_of_word` of each word in turn, by one LIFO
-    sweep per word that resumes where the word first differs from the
+    """Yield, for each word in turn, the pairing that matches each d
+    with the last unmatched u, or None unless the word is a Dyck word
+    over {u, d}: the unique noncrossing pairing whose word it is.  One
+    LIFO sweep per word resumes where the word first differs from the
     previous one.
 
     ``tops[p]`` is the stack of points still open before position p,
@@ -110,13 +110,6 @@ def pairings_of_words(words):
                 continue
         size = -1
         yield None
-
-
-def pairing_of_word(word: str) -> tuple[int, ...] | None:
-    """The pairing that matches each d with the last unmatched u, by one
-    LIFO sweep; None unless ``word`` is a Dyck word over {u, d}.  This
-    is the unique noncrossing pairing whose word is ``word``."""
-    return next(pairings_of_words((word,)))
 
 
 def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
@@ -263,7 +256,7 @@ def times_cup(pairing: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
 
 def from_dyck(word: str) -> tuple[int, ...]:
     """The diagram whose arcs match each d with its unmatched u."""
-    pairing = pairing_of_word(word)
+    pairing = next(pairings_of_words((word,)))
     if pairing is None:
         raise ValueError(f"not a Dyck word: {word!r}")
     return pairing

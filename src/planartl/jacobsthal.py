@@ -57,10 +57,9 @@ __all__ = [
 MATCHING_RATIO_SIGN = -1
 
 
-class JacobsthalElement(namedtuple("JacobsthalElement", "n l ratio_sign element term_count")):
-    """One Jacobsthal element together with its bookkeeping: the strand
-    count, the index l, the ratio sign used, and the monomial count
-    (which equals the Jacobsthal number J_l)."""
+class JacobsthalElement(namedtuple("JacobsthalElement", "element term_count")):
+    """One Jacobsthal element and its monomial count, which equals the
+    Jacobsthal number J_l."""
 
     __slots__ = ()
 
@@ -98,7 +97,7 @@ def jacobsthal_element(
     count = len(seqs)
     if l >= 1 and count != jacobsthal_number(l):
         raise RuntimeError(f"term count {count} differs from J_{l}")
-    return JacobsthalElement(n=n, l=l, ratio_sign=ratio_sign, element=elt, term_count=count)
+    return JacobsthalElement(element=elt, term_count=count)
 
 
 @cache

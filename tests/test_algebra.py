@@ -163,6 +163,22 @@ def test_algebra_axioms_on_random_elements():
             assert elt_mul(x + y, z) == elt_mul(x, z) + elt_mul(y, z)
 
 
+def test_sums_and_products_store_no_zero():
+    # a cancelled sum is deleted where it cancels, and a later move may
+    # put its diagram back
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for _ in range(20):
+            x = random_element(rng, n)
+            assert not (x + (-x)).terms
+            for y in (random_element(rng, n), x, -x):
+                assert all(elt_mul(x, y).terms.values())
+    u1 = AlgebraElement.generator(2, 1)
+    assert not elt_mul(u1 - AlgebraElement.one(2).scale(LOOP_FACTOR), u1).terms
+    d, one = generator_u(2, 1), LaurentPoly.one()
+    assert AlgebraElement._sum(2, {}, [(d, one), (d, -one), (d, LOOP_FACTOR)]).terms == {d: LOOP_FACTOR}
+
+
 def test_strand_mismatch_raises():
     with pytest.raises(ValueError):
         elt_mul(AlgebraElement.one(2), AlgebraElement.one(3))
@@ -214,7 +230,7 @@ def test_word_product_validation():
 
 
 def test_element_text_zero_and_order():
-    assert AlgebraElement.zero(3).to_text() == "0"
+    assert AlgebraElement(3).to_text() == "0"
     x = AlgebraElement.one(2) + AlgebraElement.generator(2, 1)
     # identity word uudd precedes udud in the u < d order
     assert x.to_text() == "(1) * uudd + (1) * udud"

@@ -625,6 +625,25 @@ def test_verify_rank_checks_fail_when_the_certificate_fails(monkeypatch, fresh_c
     assert "FAIL fineberg n=2  exactness certificate fails at phi_0, column 1: entry v^3" in out
 
 
+def test_verify_rank_checks_fail_where_d_d_survives(monkeypatch):
+    # phi = d i + i d is a chain map only where d o d = 0, so homology,
+    # hopf and fineberg check it on every 2 <= l <= n before they read
+    # the certificate, and fail from n = l on
+    import planartl.chains as chains
+
+    real = chains.boundary_composite_vanishes
+    monkeypatch.setattr(chains, "boundary_composite_vanishes", lambda l, c: l != 3 and real(l, c))
+    _no_rank_taken(monkeypatch)
+    code, out = run_cli_capture(["verify", "homology", "hopf", "fineberg", "--n-max", "4", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["n"], c["status"]) for c in checks] == [
+        (n, "pass" if n <= 2 else "fail") for n in range(1, 5) for _ in range(3)
+    ]
+    for c in checks[6:]:
+        assert c["details"] == {"failed": "d^1 o d^2 != 0, so phi is no chain map"}
+
+
 def test_verify_fineberg_fails_when_the_certificate_fails_below_the_top(monkeypatch, fresh_complexes):
     # an entry added above the diagonal of phi_0 on 3 strands, in a
     # column of d^1: fineberg reads only the top rank, yet fails at

@@ -146,18 +146,24 @@ def test_loop_factor_has_no_negative_power():
             loop_factor_power(k)
 
 
-def test_constants_hash_as_the_integers_they_equal():
-    # equal values must hash alike, so a constant and its integer are
-    # one set member and one dict key
+def test_operands_are_laurent_polys_only():
+    # an int is no polynomial: it neither equals nor combines with one
+    assert LaurentPoly.constant(3) != 3
+    with pytest.raises(TypeError):
+        LaurentPoly.one() + 1
+    with pytest.raises(TypeError):
+        2 * LaurentPoly.one()
+    with pytest.raises(TypeError):
+        LaurentPoly.one() - 1
+    # equal polynomials hash alike, the zero polynomial and the constants
+    # included
     for c in (0, 1, -1, 7):
         p = LaurentPoly.constant(c)
-        assert p == c
-        assert hash(p) == hash(c)
-        assert len({p, c}) == 1
-        assert {c: "int"}[p] == "int"
-        assert {p: "poly"}[c] == "poly"
-    assert hash(LaurentPoly.zero()) == hash(LaurentPoly()) == 0
-    assert len({LaurentPoly.constant(3), 3}) == 1
+        q = LaurentPoly({0: c, 2: 1}) - LaurentPoly.v_power(2)
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+    assert hash(LaurentPoly.zero()) == hash(LaurentPoly()) == hash(V - V)
+    assert hash(V + V_INV) == hash(LOOP_FACTOR)
 
 
 def test_text_form_examples():
