@@ -24,7 +24,9 @@ adds through strands, so d^i d^(i+1) = 0 holds on every W(n) with
 n >= l = i+2 exactly when one identity holds in TL_l: every term of
 b_(l-1) b_(l-2) joins the right dots 1 and 2.
 :func:`boundary_composite_vanishes`, cached per (l, convention),
-decides it, and its docstring holds the proof.  Each b_i, and the
+decides it, and its docstring holds the proof;
+:func:`first_nonvanishing_composite` reads those verdicts for every
+l <= n and is the one premise check on W(n).  Each b_i, and the
 product, is built by Horner over b_i's (or b_(l-2)'s) descending
 factors, one right multiplication by a braiding element at a time by
 the right cup rule :func:`planartl.diagram.times_cup` and summed by
@@ -66,8 +68,9 @@ d^i once, from :func:`differential`, forms only the rows on and above
 the diagonal of each column of phi, and ranks no point.  Where it fails,
 :func:`homology_ranks` raises and names the failing column: nothing is
 ranked in its place.  The proof rests on d o d = 0, so
-:func:`homology_ranks` first decides it over Z[v, v^-1], once per l as
-above, and raises where it fails.
+:func:`homology_ranks` first reads it from
+:func:`first_nonvanishing_composite`, over Z[v, v^-1] and once per l
+as above, and raises where it fails.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from .linalg import PolyMatrix
 __all__ = [
     "boundary_element",
     "boundary_composite_vanishes",
+    "first_nonvanishing_composite",
     "right_mult_matrix",
     "chain_basis",
     "differential",
@@ -182,6 +186,15 @@ def boundary_composite_vanishes(l: int, c: Convention) -> bool:
         raise ValueError(f"l must be at least 2, got {l}")
     product = _times_boundary(boundary_element(l, l - 1, c), l - 2, c)
     return all(largest_free_box(d) < 2 for d in product.terms)
+
+
+def first_nonvanishing_composite(n: int, c: Convention) -> int | None:
+    """The least l with 2 <= l <= n at which
+    :func:`boundary_composite_vanishes` fails, so that
+    d^(l-2) d^(l-1) != 0 on W(n), or None where d o d = 0 on W(n).
+    Each l is read from that function's cache: the ``ddzero`` check
+    and :func:`homology_ranks` share the verdicts."""
+    return next((l for l in range(2, n + 1) if not boundary_composite_vanishes(l, c)), None)
 
 
 def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> PolyMatrix:
@@ -355,6 +368,7 @@ def homology_ranks(n: int, c: Convention) -> tuple[dict[int, int], dict[int, int
     the ranks of every ring in which v and a = v + v^-1 are units, Q(v)
     and every nonzero rational point among them; no point is ranked.
     The certificate's premise d o d = 0 is checked first, by
+    :func:`first_nonvanishing_composite`, which reads
     :func:`boundary_composite_vanishes` at every 2 <= l <= n.  Where it
     or the certificate fails, RuntimeError is raised, naming the
     composite or phi_k, the column j and its entry: the verdict is
@@ -363,9 +377,9 @@ def homology_ranks(n: int, c: Convention) -> tuple[dict[int, int], dict[int, int
     No homology rank is negative: the closed forms give h_d = 0 below
     the top, and r_(n-1) <= c_(n-2) = c_(n-1) at the top.
     """
-    for l in range(2, n + 1):
-        if not boundary_composite_vanishes(l, c):
-            raise RuntimeError(f"d^{l - 2} o d^{l - 1} != 0, so phi is no chain map")
+    l = first_nonvanishing_composite(n, c)
+    if l is not None:
+        raise RuntimeError(f"d^{l - 2} o d^{l - 1} != 0, so phi is no chain map")
     failure = exactness_certificate(n, c)
     if failure is not None:
         k, j, text = failure

@@ -7,8 +7,10 @@ Three subcommands:
 * ``verify``  -- run theorem checks and emit a machine-readable report
 
 Reports are deterministic for a fixed invocation: no timestamps, fixed
-ordering by (n, check name).  Exit codes: 0 all checks pass, 1 some
-check failed, 2 usage error.
+ordering by (n, check name).  ``tables`` and ``verify`` each hand one
+writer, :func:`_write`, their text lines, CSV rows and JSON object, and
+it writes the one ``--format`` asks for.  Exit codes: 0 all checks
+pass, 1 some check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ from itertools import accumulate
 from . import __version__
 from .algebra import AlgebraElement, augment, braiding_s, braiding_s_inv, elt_mul
 from .chains import (
-    boundary_composite_vanishes,
-    chain_basis,
-    differential,
-    euler_characteristic,
-    homology_ranks,
+    chain_basis, differential, euler_characteristic, first_nonvanishing_composite, homology_ranks,
 )
 from .coeff import LOOP_FACTOR, Convention, convention
 from .combin import (
@@ -179,11 +177,10 @@ def _check_bcounts(n: int, c: Convention):
 
 def _check_ddzero(n: int, c: Convention):
     # d^i o d^{i+1} on W(n) is decided once, on l = i + 2 strands, as an
-    # element identity in TL_l (see boundary_composite_vanishes), and
-    # read here for every n >= l.
-    for l in range(2, n + 1):
-        if not boundary_composite_vanishes(l, c):
-            return False, {"failed": f"d^{l - 2} o d^{l - 1} != 0"}
+    # element identity in TL_l, and read here for every n >= l.
+    l = first_nonvanishing_composite(n, c)
+    if l is not None:
+        return False, {"failed": f"d^{l - 2} o d^{l - 1} != 0"}
     return True, {"degrees_checked": n - 1}
 
 
@@ -279,6 +276,18 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
+def _write(out, fmt: str, lines, rows, payload) -> None:
+    """Write a report in format ``fmt``: the text lines, the CSV rows
+    (header row first) joined by commas, or the JSON object indented by
+    two; each ends with a newline."""
+    if fmt == "text":
+        out.writelines(f"{line}\n" for line in lines)
+    elif fmt == "csv":
+        out.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    else:
+        out.write(json.dumps(payload, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommand: tables
 # ---------------------------------------------------------------------------
@@ -295,45 +304,20 @@ def cmd_tables(args, out) -> int:
         print("error: max_n must be nonnegative", file=sys.stderr)
         return 2
     if kind == "bgrid":
-        rows = [
-            (n, m, first_peak_count_B(n, m))
-            for n in range(max_n + 1)
-            for m in range(n + 1)
-        ]
-        if args.format == "text":
-            for n in range(max_n + 1):
-                values = " ".join(str(first_peak_count_B(n, m)) for m in range(n + 1))
-                out.write(f"{n}\t{values}\n")
-        elif args.format == "csv":
-            out.write("n,m,value\n")
-            for n, m, value in rows:
-                out.write(f"{n},{m},{value}\n")
-        else:
-            payload = {
-                "schema": 1,
-                "kind": "bgrid",
-                "max_n": max_n,
-                "rows": [{"n": n, "m": m, "value": value} for n, m, value in rows],
-            }
-            out.write(json.dumps(payload, indent=2) + "\n")
-        return 0
-    start, term = _SEQUENCES[kind]
-    rows = [(n, term(n)) for n in range(start, max_n + 1)]
-    if args.format == "text":
-        for n, value in rows:
-            out.write(f"{n}\t{value}\n")
-    elif args.format == "csv":
-        out.write("n,value\n")
-        for n, value in rows:
-            out.write(f"{n},{value}\n")
-    else:
+        grid = [[first_peak_count_B(n, m) for m in range(n + 1)] for n in range(max_n + 1)]
+        rows = [(n, m, value) for n, values in enumerate(grid) for m, value in enumerate(values)]
+        lines = [f"{n}\t{' '.join(map(str, values))}" for n, values in enumerate(grid)]
+        header = ("n", "m", "value")
         payload = {
-            "schema": 1,
-            "kind": kind,
-            "start": start,
-            "values": [value for _, value in rows],
+            "schema": 1, "kind": kind, "max_n": max_n, "rows": [dict(zip(header, row)) for row in rows],
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        start, term = _SEQUENCES[kind]
+        rows = [(n, term(n)) for n in range(start, max_n + 1)]
+        lines = [f"{n}\t{value}" for n, value in rows]
+        header = ("n", "value")
+        payload = {"schema": 1, "kind": kind, "start": start, "values": [value for _, value in rows]}
+    _write(out, args.format, lines, [header, *rows], payload)
     return 0
 
 
@@ -421,26 +405,22 @@ def cmd_verify(args, out) -> int:
         if args.emit_matrices:
             _emit_matrices(dump, args.n_max, c)
     all_pass = all(r["status"] == "pass" for r in results)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "tool": "planartl",
-            "version": __version__,
-            "n_max": args.n_max,
-            "convention": c.tag,
-            "points": [str(p) for p in points],
-            "checks": results,
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        out.write("check,n,status\n")
-        for r in results:
-            out.write(f"{r['name']},{r['n']},{r['status']}\n")
-    else:
-        for r in results:
-            summary = "" if r["status"] == "pass" else f"  {r['details'].get('failed', r['details'])}"
-            out.write(f"{r['status'].upper():4s} {r['name']} n={r['n']}{summary}\n")
-        out.write(f"{'all checks passed' if all_pass else 'SOME CHECKS FAILED'}\n")
+    lines = []
+    for r in results:
+        summary = "" if r["status"] == "pass" else f"  {r['details'].get('failed', r['details'])}"
+        lines.append(f"{r['status'].upper():4s} {r['name']} n={r['n']}{summary}")
+    lines.append("all checks passed" if all_pass else "SOME CHECKS FAILED")
+    rows = [("check", "n", "status"), *((r["name"], r["n"], r["status"]) for r in results)]
+    payload = {
+        "schema": 1,
+        "tool": "planartl",
+        "version": __version__,
+        "n_max": args.n_max,
+        "convention": c.tag,
+        "points": [str(p) for p in points],
+        "checks": results,
+    }
+    _write(out, args.format, lines, rows, payload)
     return 0 if all_pass else 1
 
 

@@ -15,9 +15,9 @@ turns each column into a primitive integer vector, and
 :func:`rank_of_int_columns` inserts them one at a time into an echelon
 form keyed by leading row.  A column is combined with a stored one by
 cross-multiplication only, with a gcd content reduction after each
-step, so no division ever leaves the integers.  A dense Bareiss
-elimination, :func:`rank_dense_bareiss`, is provided as an independent
-cross-check; the test suite keeps the two routes in agreement.
+step, so no division ever leaves the integers.  The test suite keeps
+this route in agreement with an independent one, a dense Bareiss
+elimination among its own oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "PolyMatrix",
     "rank_at",
     "rank_of_int_columns",
-    "rank_dense_bareiss",
 ]
 
 
@@ -190,39 +189,3 @@ def rank_at(matrix: PolyMatrix, x: Fraction) -> int:
     name the tracing harness in ``perfbench/traced.py`` wraps."""
     return rank_of_int_columns(matrix.specialize_int_columns(x))
 
-
-def rank_dense_bareiss(rows: list[list[int]]) -> int:
-    """Dense single-step Bareiss elimination over the integers.
-
-    Every intermediate entry is a minor of the input, so the divisions
-    by the previous pivot are exact.  Used as the independent oracle for
-    the sparse elimination.
-    """
-    if not rows:
-        return 0
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            fi = m[i][c]
-            rowi = m[i]
-            rowr = m[r]
-            for j in range(c, ncols):
-                rowi[j] = (pv * rowi[j] - fi * rowr[j]) // prev
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r

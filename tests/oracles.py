@@ -31,3 +31,40 @@ def point_ranks(n: int, c, x) -> tuple[int, ...]:
     each Laurent matrix specialized there: the oracle the certified
     closed forms are checked against."""
     return tuple(rank_at(differential(n, i, c), x) for i in range(n))
+
+
+def rank_dense_bareiss(rows: list[list[int]]) -> int:
+    """Dense single-step Bareiss elimination over the integers.
+
+    Every intermediate entry is a minor of the input, so the divisions
+    by the previous pivot are exact.  Used as the independent oracle for
+    the sparse elimination.
+    """
+    if not rows:
+        return 0
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0])
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, nrows):
+            fi = m[i][c]
+            rowi = m[i]
+            rowr = m[r]
+            for j in range(c, ncols):
+                rowi[j] = (pv * rowi[j] - fi * rowr[j]) // prev
+        prev = pv
+        r += 1
+        if r == nrows:
+            break
+    return r

@@ -19,6 +19,7 @@ from planartl.chains import (
     differential,
     euler_characteristic,
     exactness_certificate,
+    first_nonvanishing_composite,
     homology_ranks,
     right_mult_matrix,
 )
@@ -321,6 +322,17 @@ def test_horner_product_matches_elt_mul():
 def test_composite_verdict_rejects_fewer_than_two_strands():
     with pytest.raises(ValueError):
         boundary_composite_vanishes(1, CONVENTION_A)
+
+
+def test_first_nonvanishing_composite_reads_the_verdicts(monkeypatch):
+    # None where d o d = 0 on W(n), else the least l whose verdict fails
+    for conv in CONVENTIONS:
+        assert [first_nonvanishing_composite(n, conv) for n in range(1, 9)] == [None] * 8
+    real = chains.boundary_composite_vanishes
+    for failing in ({3}, {3, 5}):
+        monkeypatch.setattr(chains, "boundary_composite_vanishes", lambda l, c: l not in failing and real(l, c))
+        for conv in CONVENTIONS:
+            assert [first_nonvanishing_composite(n, conv) for n in range(1, 9)] == [None, None] + [3] * 6
 
 
 def test_euler_characteristic_small():

@@ -86,6 +86,30 @@ def test_tables_csv_and_json():
     assert payload["rows"][-1] == {"n": 2, "m": 2, "value": 1}
 
 
+# sha256 of every table kind in every format at max_n = 9
+TABLES_DIGESTS = {
+    ("bgrid", "csv"): "7a92d9ce63251ea9b42795b413a39bcc3e9acbf6b6ccc9f2d58773903b8c15aa",
+    ("bgrid", "json"): "3f217a11cb47ba0176de3aece7bad7cd58d718e48ffde6cae870850e92fdb791",
+    ("bgrid", "text"): "acbb20c1db994262bd81c6641d8dc921337ffe5558546eb468f6d4a4c4f08a02",
+    ("catalan", "csv"): "77a2decb6938c7584a83d89fc15fb11e35d237fa2d06aec2f05b6ba529a675de",
+    ("catalan", "json"): "03f799819954d7874ebf371cd84bfb6a2eb3b3527bf7a4b4c615faacdc520c53",
+    ("catalan", "text"): "ac36604fcc5c2ca7842710f3b8fa01326473a62b8893db96506e396624e6c67d",
+    ("fine", "csv"): "83a6c1f7ff8b7535d3e115db694fcc630e645ac5602eb8350261e8f8f17b7462",
+    ("fine", "json"): "48b37b8d273fc04debc17ec8227679042712233ecd6dfb63a7c2ce985f10af72",
+    ("fine", "text"): "1dd124ec3049c049458d5468cbb71a07a58c61697485f8dd2b7eceb4521a7901",
+    ("jacobsthal", "csv"): "b5b2ba5ec563aa0a7318c00956bb13931242552d7df363dbb88f9bc4ecfac95d",
+    ("jacobsthal", "json"): "c5f372a36825bdabe1e33181eccc43a8f68614219a283682b25ff402edc1116e",
+    ("jacobsthal", "text"): "1de0f6f043de0718381654077f09d8a80941d05d7be11b2a5b5c858d3273586d",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(TABLES_DIGESTS))
+def test_tables_byte_identical(kind, fmt):
+    code, out = run_cli_capture(["tables", kind, "9", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[kind, fmt]
+
+
 def test_mul_loop_example():
     code, out = run_cli_capture(["mul", "2", "udud", "udud"])
     assert code == 0
@@ -518,6 +542,22 @@ def test_verify_all_checks_byte_identical(tmp_path, conv, n_max):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha
 
 
+# sha256 of the text and csv reports of every check at n <= 5
+SUMMARY_DIGESTS = {
+    "csv": "bbab2907564ed669a71a8393b761e7368535e53e18a540dc8ec1582bcff2331e",
+    "text": "c5f9171403c47edbad7db18ac576f4659238a1958755d45f7f39129d3363a5a2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SUMMARY_DIGESTS))
+def test_verify_text_and_csv_byte_identical(fmt):
+    import planartl.cli as cli
+
+    code, out = run_cli_capture(["verify", *cli.CHECK_NAMES, "--n-max", "5", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUMMARY_DIGESTS[fmt]
+
+
 def test_verify_enumeration_checks_byte_identical():
     # the enumerate path past the all-checks pin: sha256 of the report
     code, out = run_cli_capture(
@@ -597,7 +637,7 @@ def _no_rank_taken(monkeypatch):
     def never(*args):
         raise AssertionError("a rank was taken")
 
-    for name in ("rank_at", "rank_of_int_columns", "rank_dense_bareiss"):
+    for name in ("rank_at", "rank_of_int_columns"):
         monkeypatch.setattr(linalg, name, never)
     monkeypatch.setattr(linalg.PolyMatrix, "specialize_int_columns", never)
 
@@ -625,16 +665,26 @@ def test_verify_rank_checks_fail_when_the_certificate_fails(monkeypatch, fresh_c
     assert "FAIL fineberg n=2  exactness certificate fails at phi_0, column 1: entry v^3" in out
 
 
+# sha256 of the text and csv reports of the rank checks at n <= 4 where
+# d o d survives at l = 3
+SURVIVING_DD_DIGESTS = {
+    "csv": "a55345105906f49b722b808ddd0cdc20e09551fad501fc11a7d086a46dbc6945",
+    "text": "2febbe0705698c9c736ec0700591b815cecc10531c2d4160913b2b5bfbaf38d8",
+}
+
+
 def test_verify_rank_checks_fail_where_d_d_survives(monkeypatch):
     # phi = d i + i d is a chain map only where d o d = 0, so homology,
     # hopf and fineberg check it on every 2 <= l <= n before they read
-    # the certificate, and fail from n = l on
+    # the certificate, and fail from n = l on; ddzero reads the same
+    # verdicts and fails there too, with its own text
     import planartl.chains as chains
 
     real = chains.boundary_composite_vanishes
     monkeypatch.setattr(chains, "boundary_composite_vanishes", lambda l, c: l != 3 and real(l, c))
     _no_rank_taken(monkeypatch)
-    code, out = run_cli_capture(["verify", "homology", "hopf", "fineberg", "--n-max", "4", "--format", "json"])
+    argv = ["verify", "homology", "hopf", "fineberg", "--n-max", "4"]
+    code, out = run_cli_capture([*argv, "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]
     assert [(c["n"], c["status"]) for c in checks] == [
@@ -642,6 +692,16 @@ def test_verify_rank_checks_fail_where_d_d_survives(monkeypatch):
     ]
     for c in checks[6:]:
         assert c["details"] == {"failed": "d^1 o d^2 != 0, so phi is no chain map"}
+    for fmt, digest in SURVIVING_DD_DIGESTS.items():
+        code, out = run_cli_capture([*argv, "--format", fmt])
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out = run_cli_capture(["verify", "ddzero", "--n-max", "4", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "fail", "fail"]
+    for c in checks[2:]:
+        assert c["details"] == {"failed": "d^1 o d^2 != 0"}
 
 
 def test_verify_fineberg_fails_when_the_certificate_fails_below_the_top(monkeypatch, fresh_complexes):
@@ -791,11 +851,11 @@ def test_verify_thmD_reports_the_first_mismatch(monkeypatch):
 def _fresh_verdicts(monkeypatch):
     """Give the ddzero and thmD checks empty verdict caches for this
     test, so that they decide every l again."""
-    import planartl.cli as cli
+    import planartl.chains as chains
     import planartl.jacobsthal as jacobsthal
 
-    fresh = cache(cli.boundary_composite_vanishes.__wrapped__)
-    monkeypatch.setattr(cli, "boundary_composite_vanishes", fresh)
+    fresh = cache(chains.boundary_composite_vanishes.__wrapped__)
+    monkeypatch.setattr(chains, "boundary_composite_vanishes", fresh)
     monkeypatch.setattr(jacobsthal, "theorem_D_mismatch", cache(jacobsthal.theorem_D_mismatch.__wrapped__))
 
 

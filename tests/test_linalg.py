@@ -14,13 +14,8 @@ from planartl.chains import differential, homology_ranks, right_mult_matrix
 from planartl.coeff import CONVENTION_A, CONVENTION_B, LaurentPoly
 from planartl.indmod import black_box_basis
 from planartl.jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_element
-from planartl.linalg import (
-    PolyMatrix,
-    rank_at,
-    rank_dense_bareiss,
-    rank_of_int_columns,
-)
-from oracles import point_ranks
+from planartl.linalg import PolyMatrix, rank_at, rank_of_int_columns
+from oracles import point_ranks, rank_dense_bareiss
 
 
 def rank_fraction_gauss(rows: list[list[int]]) -> int:
