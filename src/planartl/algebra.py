@@ -39,7 +39,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 
-from .coeff import Convention, LaurentPoly, loop_factor_power
+from .coeff import LOOP_FACTOR, Convention, LaurentPoly
 from .combin import dyck_lex_key, first_peak_count_B
 from .diagram import (
     cup_times,
@@ -183,7 +183,7 @@ def elt_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     products = (
         (multiply(dx, dy), cx * cy) for dx, cx in x.terms.items() for dy, cy in y.terms.items()
     )
-    return AlgebraElement._sum(x.n, {}, ((d, c * loop_factor_power(loops)) for (d, loops), c in products))
+    return AlgebraElement._sum(x.n, {}, ((d, c * LOOP_FACTOR**loops) for (d, loops), c in products))
 
 
 class GeneratorTables(namedtuple("GeneratorTables", "left parent order")):

@@ -51,11 +51,11 @@ distinct entries, so the walk takes a loop product or a sum from a memo
 keyed by the operands' ids, and each distinct result is computed once
 by the real arithmetic.  A child column shares every entry the move
 leaves unchanged with its parent, only a sum can cancel, and a
-cancelled entry is the interned zero, found by identity and dropped.
-So the walk owns its columns' invariants: no zero entry, every entry
-interned, every row in range.  The certificate checks none of them
-again, and :class:`PolyMatrix` only the rows.  The tables
-are built by the constant-time cup rule, and the general diagram
+cancelled entry is the interned zero, found by identity and deleted
+where the sum is taken.  So the walk owns its columns' invariants: no
+zero entry, every entry interned, every row in range.  The certificate
+checks none of them again, and :class:`PolyMatrix` only the rows.  The
+tables are built by the constant-time cup rule, and the general diagram
 product stays the test suite's oracle for them.
 
 Homology ranks come from the exactness certificate alone: where each
@@ -81,7 +81,7 @@ from .algebra import AlgebraElement, generator_tables
 from .coeff import INTERNED_LOOP, INTERNED_SUM, LOOP_FACTOR, Convention, InternedMemo, LaurentPoly, interned
 from .combin import first_peak_count_B
 from .diagram import times_cup
-from .indmod import black_box_basis, largest_free_box, project
+from .indmod import black_box_basis, project
 from .linalg import PolyMatrix
 
 __all__ = [
@@ -152,8 +152,9 @@ def boundary_composite_vanishes(l: int, c: Convention) -> bool:
     """Whether d^(l-2) d^(l-1) = 0 on W(n) for every n >= l: true
     exactly when every term of e_(l-1) e_(l-2) in TL_l, with
     e_i = ``boundary_element(l, i, c)``, joins the right dots 1 and 2,
-    that is has ``largest_free_box < 2``.  Cached, since the ``ddzero``
-    check reads it at every n >= l.
+    that is has ``d[0] == 1`` as a pairing d (the right dots 1 and 2
+    are its points 0 and 1).  Cached, since the ``ddzero`` check reads
+    it at every n >= l.
 
     The embedding.  Sending a diagram on l strands to the one on n
     strands with n-l through strands added at the right dots 1 ... n-l
@@ -185,7 +186,7 @@ def boundary_composite_vanishes(l: int, c: Convention) -> bool:
     if l < 2:
         raise ValueError(f"l must be at least 2, got {l}")
     product = _times_boundary(boundary_element(l, l - 1, c), l - 2, c)
-    return all(largest_free_box(d) < 2 for d in product.terms)
+    return all(d[0] == 1 for d in product.terms)
 
 
 def first_nonvanishing_composite(n: int, c: Convention) -> int | None:
@@ -221,7 +222,9 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
     from the memos :data:`INTERNED_LOOP` and :data:`INTERNED_SUM`, so
     each distinct result is computed once.  An entry moved without a
     loop or a sum is the parent's own :class:`LaurentPoly`, not a copy.
-    No entry is zero and every row lies in the target.
+    Only a sum can cancel, and one that does is the interned zero,
+    found by identity and deleted in the same pass, so no column is
+    walked twice.  No entry is zero and every row lies in the target.
     :func:`exactness_certificate` relies on all three, and
     :class:`PolyMatrix` checks only the rows.
     """
@@ -239,7 +242,6 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
             raise RuntimeError(f"parent {y} of diagram {k} lies outside the source basis")
         left = tables.left[j - 1]
         column: dict[int, LaurentPoly] = {}
-        summed = False
         for r, poly in columns[y].items():
             row = left[r]
             if row < size:
@@ -247,12 +249,10 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
                     poly = loops[id(poly)]
                 if row in column:
                     poly = sums[id(column[row]), id(poly)]
-                    summed = True
+                    if poly is zero:
+                        del column[row]
+                        continue
                 column[row] = poly
-        # Only a sum can cancel, and the zero it leaves is the interned
-        # one; it is dropped here, before any child inherits it.
-        if summed:
-            column = {row: poly for row, poly in column.items() if poly is not zero}
         columns[k] = column
     return PolyMatrix(size, count, columns)
 

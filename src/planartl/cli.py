@@ -33,6 +33,7 @@ from .combin import (
     catalan,
     dyck_words,
     fine,
+    fine_by_first_peaks,
     first_peak_count_B,
     first_peak_count_by_enumeration,
     jacobsthal_number,
@@ -215,7 +216,7 @@ def _check_hopf(n: int, c: Convention):
 
 
 def _check_thmB(n: int, c: Convention):
-    alternating = sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
+    alternating = fine_by_first_peaks(n)
     f = fine(n)
     return alternating == f, {"alternating_sum": alternating, "fine": f}
 

@@ -36,7 +36,6 @@ __all__ = [
     "convention",
     "mu_over_lambda",
     "LOOP_FACTOR",
-    "loop_factor_power",
     "interned",
     "InternedMemo",
     "INTERNED_SUM",
@@ -258,19 +257,6 @@ class InternedMemo(dict):
 INTERNED_SUM = InternedMemo(lambda a, b: interned(a + b))
 #: interned(a * LOOP_FACTOR), keyed by id(a) of an interned a.
 INTERNED_LOOP = InternedMemo(lambda a: interned(a * LOOP_FACTOR))
-
-_loop_powers: list[LaurentPoly] = [_ONE]
-
-
-def loop_factor_power(k: int) -> LaurentPoly:
-    """(v + v^-1)^k for k >= 0, cached.  Raises ValueError for k < 0:
-    v + v^-1 is no unit in Z[v, v^-1]."""
-    if k < 0:
-        raise ValueError(f"v + v^-1 is no unit, so it has no power {k}")
-    while len(_loop_powers) <= k:
-        _loop_powers.append(_loop_powers[-1] * LOOP_FACTOR)
-    return _loop_powers[k]
-
 
 class Convention(namedtuple("Convention", "tag lam mu")):
     """One of the two (lam, mu) weight choices for s_i = lam + mu*U_i."""

@@ -10,7 +10,6 @@ in any single route cannot silently produce a wrong table.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -25,6 +24,7 @@ __all__ = [
     "fine",
     "fine_by_enumeration",
     "fine_by_alternating_binomials",
+    "fine_by_first_peaks",
     "jacobsthal_number",
     "descending_opposite_parity_sequences",
     "ENUM_LIMIT",
@@ -151,28 +151,33 @@ def fine_by_alternating_binomials(n: int) -> int:
 
         F_n = (1/(n+1)) * sum_{m=0}^{n} (-1)^m (m+1) binom(2n-m, n)
 
-    evaluated in exact rational arithmetic; the result is integral.
+    summed in integers; the sum must be divisible by n+1, and
+    RuntimeError is raised where it is not.
     """
-    total = sum(
-        Fraction((-1) ** m * (m + 1), n + 1) * binom(2 * n - m, n)
-        for m in range(n + 1)
-    )
-    if total.denominator != 1:
+    total = sum((-1) ** m * (m + 1) * binom(2 * n - m, n) for m in range(n + 1))
+    if total % (n + 1):
         raise RuntimeError(f"alternating binomial sum for n={n} is not integral")
-    return int(total)
+    return total // (n + 1)
+
+
+def fine_by_first_peaks(n: int) -> int:
+    """The alternating first-peak sum sum_{m=0}^{n} (-1)^m B_m(n), read by
+    :func:`fine` and the ``thmB`` check: in (B_0 - B_1) + (B_2 - B_3) + ...
+    each bracket counts the paths whose first peak has that even height."""
+    return sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
 
 
 @cache
 def fine(n: int) -> int:
     """The n-th Fine number.
 
-    Computed as the alternating sum of first-peak counts
-    sum_m (-1)^m B_m(n), cross-asserted against the alternating binomial
-    sum, and (at small n) against direct even-first-peak enumeration.
+    Read off the first-peak route :func:`fine_by_first_peaks`,
+    cross-asserted against :func:`fine_by_alternating_binomials` and, at
+    n <= ``ENUM_LIMIT``, against :func:`fine_by_enumeration`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    by_peaks = sum((-1) ** m * first_peak_count_B(n, m) for m in range(n + 1))
+    by_peaks = fine_by_first_peaks(n)
     by_binomials = fine_by_alternating_binomials(n)
     if by_peaks != by_binomials:
         raise RuntimeError(f"Fine number routes disagree at n={n}")
@@ -236,20 +241,18 @@ def jacobsthal_number(n: int) -> int:
     """The n-th Jacobsthal number.
 
     All four characterizations are computed and cross-asserted: the
-    closed form (2^n - (-1)^n)/3, the recursion J_n = J_{n-1} + 2 J_{n-2},
-    the count of compositions of n ending in an odd part, and the count
-    of descending sequences below n starting with the opposite parity.
+    closed form (2^n - (-1)^n)/3, the recursion J_n = J_{n-1} + 2 J_{n-2}
+    run up from (J_0, J_1) = (0, 1), the count of compositions of n
+    ending in an odd part, and the count of descending sequences below
+    n starting with the opposite parity.
     """
     if n < 1:
         raise ValueError("n must be positive")
     closed = (2**n - (-1) ** n) // 3
-    a, b = 1, 1  # J_1, J_2
-    if n == 1:
-        by_recursion = 1
-    else:
-        for _ in range(n - 2):
-            a, b = b, b + 2 * a
-        by_recursion = b
+    a, b = 0, 1  # J_0, J_1
+    for _ in range(n - 1):
+        a, b = b, b + 2 * a
+    by_recursion = b
     by_compositions = _count_compositions_ending_odd(n)
     by_sequences = _count_descending_opposite_parity(n)
     if not (closed == by_recursion == by_compositions == by_sequences):

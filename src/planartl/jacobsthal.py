@@ -72,9 +72,7 @@ def jacobsthal_element(
         raise ValueError(f"l must lie in 0..{n}, got {l}")
     if ratio_sign not in (1, -1):
         raise ValueError("ratio_sign must be +1 or -1")
-    rho = mu_over_lambda(c)
-    if ratio_sign == -1:
-        rho = -rho
+    rho = mu_over_lambda(c) * LaurentPoly.constant(ratio_sign)
     terms: dict = {}
     seqs = descending_opposite_parity_sequences(l)
     for seq in seqs:

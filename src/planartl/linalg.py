@@ -136,13 +136,7 @@ class PolyMatrix(namedtuple("PolyMatrix", "nrows ncols columns")):
 
     def entries_list(self) -> list[tuple[int, int, str]]:
         """All nonzero entries as (row, col, text), sorted by (row, col)."""
-        items = [
-            (r, c, poly.to_text())
-            for c, col in enumerate(self.columns)
-            for r, poly in col.items()
-        ]
-        items.sort(key=lambda t: (t[0], t[1]))
-        return items
+        return sorted((r, c, poly.to_text()) for c, col in enumerate(self.columns) for r, poly in col.items())
 
 
 def rank_of_int_columns(columns: Iterable[dict[int, int]]) -> int:

@@ -26,7 +26,7 @@ from planartl.chains import (
 from planartl.coeff import CONVENTION_A, CONVENTION_B, Convention, LaurentPoly, interned, mu_over_lambda
 from planartl.combin import fine, fine_by_enumeration, first_peak_count_B
 from planartl.diagram import enumerate_pairings, identity
-from planartl.indmod import black_box_basis, project
+from planartl.indmod import black_box_basis, largest_free_box, project
 from planartl.jacobsthal import jacobsthal_element
 from planartl.linalg import PolyMatrix
 from oracles import point_ranks
@@ -322,6 +322,14 @@ def test_horner_product_matches_elt_mul():
 def test_composite_verdict_rejects_fewer_than_two_strands():
     with pytest.raises(ValueError):
         boundary_composite_vanishes(1, CONVENTION_A)
+
+
+def test_composite_verdict_test_is_a_free_box_below_two():
+    # the verdict reads d[0] == 1 for "joins the right dots 1 and 2":
+    # on every pairing that is a largest free box below 2
+    for n in range(2, 11):
+        for d in enumerate_pairings(n):
+            assert (d[0] == 1) == (largest_free_box(d) < 2), d
 
 
 def test_first_nonvanishing_composite_reads_the_verdicts(monkeypatch):

@@ -110,6 +110,20 @@ def test_tables_byte_identical(kind, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[kind, fmt]
 
 
+# sha256 of the Fine and Jacobsthal tables far past the max_n = 9 pins
+LONG_TABLE_DIGESTS = {
+    ("fine", "30"): "cee6d3adb651bd5c9fe86a80fe870c3ea55256bf7841d441fa5f8ef915f61aaa",
+    ("jacobsthal", "60"): "b4a28e565dc37cb12d0c66d05a10534713105c2df6412d177fbe72fe92a2dc2b",
+}
+
+
+@pytest.mark.parametrize("kind, max_n", sorted(LONG_TABLE_DIGESTS))
+def test_long_tables_byte_identical(kind, max_n):
+    code, out = run_cli_capture(["tables", kind, max_n, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_TABLE_DIGESTS[kind, max_n]
+
+
 def test_mul_loop_example():
     code, out = run_cli_capture(["mul", "2", "udud", "udud"])
     assert code == 0
@@ -131,6 +145,14 @@ def test_mul_intro_example():
     code, out = run_cli_capture(["mul", "5", x, y])
     assert code == 0
     assert out == f"(v^1+v^-1) * {x}\n"
+
+
+def test_mul_three_loops():
+    # the three right arcs of x meet the three left arcs of y and close
+    # three loops, weighted (v + v^-1)^3
+    code, out = run_cli_capture(["mul", "6", "udududududud", "udududududud"])
+    assert code == 0
+    assert out == "(v^3+3*v^1+3*v^-1+v^-3) * udududududud\n"
 
 
 def test_mul_empty_word():
@@ -566,6 +588,17 @@ def test_verify_enumeration_checks_byte_identical():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "598d179d3ee2e3f4b3c8a2105aada759fa50e4a2aeb2ca261226b65bcd7d689d"
+    )
+
+
+def test_verify_first_peak_and_euler_checks_byte_identical_to_16():
+    # thmB and thmC past the all-checks pin: sha256 of the report
+    code, out = run_cli_capture(
+        ["verify", "thmB", "thmC", "euler", "--n-max", "16", "--format", "json"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bf3f6b77bef3e3f89f17d17b31cbf9a81a294d2348f9a875e272f495f902ae4f"
     )
 
 

@@ -18,7 +18,6 @@ from planartl.coeff import (
     LaurentPoly,
     convention,
     interned,
-    loop_factor_power,
     mu_over_lambda,
 )
 
@@ -135,15 +134,14 @@ def test_powers():
     assert V**3 == LaurentPoly({3: 1})
     assert V**-2 == LaurentPoly({-2: 1})
     assert (V + V_INV) ** 0 == ONE
-    assert loop_factor_power(2) == LaurentPoly({2: 1, 0: 2, -2: 1})
+    assert LOOP_FACTOR**2 == LaurentPoly({2: 1, 0: 2, -2: 1})
 
 
 def test_loop_factor_has_no_negative_power():
-    # v + v^-1 is no unit, so no cached positive power may stand in
-    loop_factor_power(2)
+    # v + v^-1 is no unit, so it has no negative power
     for k in (-1, -2):
-        with pytest.raises(ValueError, match="no unit"):
-            loop_factor_power(k)
+        with pytest.raises(ValueError, match="is not a unit"):
+            LOOP_FACTOR**k
 
 
 def test_operands_are_laurent_polys_only():

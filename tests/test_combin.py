@@ -19,6 +19,7 @@ from planartl.combin import (
     fine,
     fine_by_alternating_binomials,
     fine_by_enumeration,
+    fine_by_first_peaks,
     first_peak_count_B,
     first_peak_count_by_enumeration,
     first_peak_height,
@@ -173,7 +174,7 @@ def test_fine_values():
 
 def test_fine_three_routes_agree():
     for n in range(13):
-        assert fine(n) == fine_by_enumeration(n) == fine_by_alternating_binomials(n)
+        assert fine(n) == fine_by_enumeration(n) == fine_by_alternating_binomials(n) == fine_by_first_peaks(n)
 
 
 def test_fine_alternating_binomials_large():
