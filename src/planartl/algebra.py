@@ -9,7 +9,8 @@ used as a rewriting system.
 
 Every element sum and product accumulates by one rule,
 :meth:`AlgebraElement._sum`; only :func:`planartl.chains.right_mult_matrix`
-stays apart, as it moves matrix rows through memos of interned entries.
+stays apart, as it moves matrix rows through caches keyed by the
+entries themselves, one object per Laurent value.
 
 Two routes multiply here.  :func:`elt_mul` glues diagrams with
 :func:`planartl.diagram.multiply`, one call per pair of terms; it serves

@@ -45,16 +45,16 @@ generator tables of :mod:`planartl.algebra`: assembly is integer
 lookups and counting, and no diagram is glued in the loop.  One cup
 generator closes at most one loop, and closes one exactly where it
 fixes the diagram, so an entry is weighted by a where its row stays
-put and by 1 where it moves.  Every entry is
-:func:`~planartl.coeff.interned`: a boundary map has a few dozen
-distinct entries, so the walk takes a loop product or a sum from a memo
-keyed by the operands' ids, and each distinct result is computed once
+put and by 1 where it moves.  A :class:`~planartl.coeff.LaurentPoly`
+is one object per value, and a boundary map has a few dozen distinct
+entries, so the walk takes a loop product or a sum from a cache keyed
+by the operands themselves, and each distinct result is computed once
 by the real arithmetic.  A child column shares every entry the move
 leaves unchanged with its parent, only a sum can cancel, and a
-cancelled entry is the interned zero, found by identity and deleted
+cancelled entry is the one zero object, found by identity and deleted
 where the sum is taken.  So the walk owns its columns' invariants: no
-zero entry, every entry interned, every row in range.  The certificate
-checks none of them again, and :class:`PolyMatrix` only the rows.  The
+zero entry and every row in range.  The certificate checks neither
+again, and :class:`PolyMatrix` only the rows.  The
 tables are built by the constant-time cup rule, and the general diagram
 product stays the test suite's oracle for them.
 
@@ -75,10 +75,11 @@ as above, and raises where it fails.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 
 from .algebra import AlgebraElement, generator_tables
-from .coeff import INTERNED_LOOP, INTERNED_SUM, LOOP_FACTOR, Convention, InternedMemo, LaurentPoly, interned
+from .coeff import LOOP_FACTOR, Convention, LaurentPoly
 from .combin import first_peak_count_B
 from .diagram import times_cup
 from .indmod import black_box_basis, project
@@ -218,24 +219,24 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
     positions, so one whose size is no B_m(n) for elt's n raises
     ValueError.
 
-    Every entry is :func:`interned`, and the loop products and sums come
-    from the memos :data:`INTERNED_LOOP` and :data:`INTERNED_SUM`, so
-    each distinct result is computed once.  An entry moved without a
-    loop or a sum is the parent's own :class:`LaurentPoly`, not a copy.
-    Only a sum can cancel, and one that does is the interned zero,
-    found by identity and deleted in the same pass, so no column is
-    walked twice.  No entry is zero and every row lies in the target.
-    :func:`exactness_certificate` relies on all three, and
+    The loop products and sums come from the caches :data:`_LOOP` and
+    :data:`_SUM`, keyed by the entries themselves (one object per
+    value), so each distinct result is computed once.  An entry moved
+    without a loop or a sum is the parent's own :class:`LaurentPoly`.
+    Only a sum can cancel, and one that does is the zero object, found
+    by identity and deleted in the same pass, so no column is walked
+    twice.  No entry is zero and every row lies in the target.
+    :func:`exactness_certificate` relies on both, and
     :class:`PolyMatrix` checks only the rows.
     """
     sizes = {first_peak_count_B(elt.n, m) for m in range(elt.n + 1)}
     count, size = len(source), len(target)
     if count not in sizes or size not in sizes:
         raise ValueError(f"a basis size is no box size on {elt.n} strands")
-    zero, loops, sums = LaurentPoly.zero(), INTERNED_LOOP, INTERNED_SUM
+    zero, loops, sums = LaurentPoly.zero(), _LOOP, _SUM
     tables = generator_tables(elt.n)
     columns: list = [None] * count
-    columns[0] = {row: interned(poly) for row, poly in project(elt, target).items()}
+    columns[0] = project(elt, target)
     for k in tables.order[1:count]:
         y, j = tables.parent[k]
         if y >= count:
@@ -246,9 +247,9 @@ def right_mult_matrix(elt: AlgebraElement, source: range, target: range) -> Poly
             row = left[r]
             if row < size:
                 if row == r:
-                    poly = loops[id(poly)]
+                    poly = loops(poly)
                 if row in column:
-                    poly = sums[id(column[row]), id(poly)]
+                    poly = sums(column[row], poly)
                     if poly is zero:
                         del column[row]
                         continue
@@ -273,19 +274,23 @@ def differential(n: int, i: int, c: Convention) -> PolyMatrix:
     return right_mult_matrix(elt, chain_basis(n, i), chain_basis(n, i - 1))
 
 
+#: The walk's loop product p * a and sum p + q, each computed once per
+#: distinct operand, keyed by the LaurentPoly objects themselves.
+_LOOP = cache(LOOP_FACTOR.__mul__)
+_SUM = cache(operator.add)
+
+
+@cache
 def _is_unit(poly: LaurentPoly) -> bool:
     """True when poly is +-v^e or +-v^e * a, with a = v + v^-1: a unit
     of Z[v^+-1, a^-1] of the two shapes a diagonal of the chain homotopy
-    takes (see :func:`exactness_certificate`)."""
+    takes (see :func:`exactness_certificate`).  Cached per distinct
+    entry."""
     terms = sorted(poly.coefficients().items())
     if len(terms) == 2:
         (low, low_coeff), (high, high_coeff) = terms
         return high - low == 2 and low_coeff == high_coeff in (1, -1)
     return poly.is_unit_monomial()
-
-
-#: _is_unit of an interned entry, keyed by its id.
-_UNITS = InternedMemo(_is_unit)
 
 
 @cache
@@ -313,9 +318,8 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     the diagonal and a unit diagonal is invertible whatever lies below
     the diagonal, so the rows > j never enter the verdict, and the
     column is the sum of the two terms' entries at rows <= j alone.
-    Every entry is :func:`interned` as :func:`right_mult_matrix` leaves
-    it; the sums come from :data:`INTERNED_SUM`, a cancelled one is the
-    interned zero, and the unit test is memoized per distinct entry.
+    The sums come from the walk's cache :data:`_SUM`, a cancelled one is
+    the zero object, and the unit test is cached per distinct entry.
 
     What None proves.  Since d o d = 0, phi = d i + i d is a chain map:
     d phi_k = d i_(k-1) d^k = phi_(k-1) d^k.  A triangular map with a
@@ -334,7 +338,7 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    zero, sums, units = LaurentPoly.zero(), INTERNED_SUM, _UNITS
+    zero, sums, units = LaurentPoly.zero(), _SUM, _is_unit
     below = None  # the columns of d^k, from degree k to degree k-1
     for k in range(-1, n - 1):
         above = differential(n, k + 1, c).columns
@@ -343,10 +347,10 @@ def exactness_certificate(n: int, c: Convention) -> tuple[int, int, str] | None:
             if below is not None:
                 for row, poly in below[j].items():
                     if row <= j:
-                        column[row] = sums[id(column[row]), id(poly)] if row in column else poly
+                        column[row] = sums(column[row], poly) if row in column else poly
             rows = [row for row, poly in column.items() if row < j and poly is not zero]
             entry = column[min(rows)] if rows else column.get(j, zero)
-            if rows or not units[id(entry)]:
+            if rows or not units(entry):
                 return k, j, entry.to_text()
         below = above
     return None

@@ -8,12 +8,14 @@ cancel loops, on LaurentPoly operands alone.  The tests' rank oracle
 evaluates the entries at a nonzero rational v = p/q in integers, so no
 floating point is ever involved.
 
-A boundary matrix has only a few dozen distinct entries.
-:func:`interned` maps each value to one canonical object, and an
-:class:`InternedMemo` keyed by interned operands' ids computes each
-distinct sum (:data:`INTERNED_SUM`) or loop product
-(:data:`INTERNED_LOOP`) once, by the class's own arithmetic, so a
-repeated one is a dict lookup and stays exact.
+LaurentPoly is hash-consed: each value is one object, made once and
+held for the life of the process, so equality is identity and the
+object's own hash is its value's.  A boundary matrix has only a few
+dozen distinct entries, so its millions of entries share a few dozen
+objects, and a memo keyed by the objects themselves (as the walk of
+:func:`planartl.chains.right_mult_matrix` keeps for its loop products
+and sums) computes each distinct result once, by the class's own
+arithmetic, and stays exact.
 
 The two weight conventions for the braiding elements s_i = lam + mu*U_i
 are packaged as :class:`Convention`:
@@ -36,31 +38,30 @@ __all__ = [
     "convention",
     "mu_over_lambda",
     "LOOP_FACTOR",
-    "interned",
-    "InternedMemo",
-    "INTERNED_SUM",
-    "INTERNED_LOOP",
 ]
 
 
 class LaurentPoly:
     """An integer-coefficient Laurent polynomial in one variable v.
 
-    Instances are immutable, hashable and kept in canonical form: the
-    internal exponent-to-coefficient map never stores a zero.  The zero
-    polynomial has empty support.  The operators take LaurentPoly
-    operands only: an int neither equals nor combines with one.
+    Instances are immutable and kept in canonical form: the internal
+    exponent-to-coefficient map never stores a zero, and the zero
+    polynomial has empty support.  Equal values are one object: the
+    constructor and every operator return the one object of their
+    value, so ``==`` is ``is`` and the hash is the object's own.  The
+    operators take LaurentPoly operands only: an int neither equals nor
+    combines with one.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = int(c)
-        self._terms = clean
+    def __new__(cls, terms: dict[int, int] | None = None):
+        return _canonical({int(e): int(c) for e, c in terms.items() if c} if terms else {})
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so
+        # they return the canonical object and never refill a shared one
+        return (LaurentPoly, (self._terms,))
 
     # -- constructors ------------------------------------------------
 
@@ -109,14 +110,10 @@ class LaurentPoly:
                 terms[e] = w
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _canonical(terms)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _canonical({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -138,9 +135,7 @@ class LaurentPoly:
                     terms[e] = w
                 elif e in terms:
                     del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _canonical(terms)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -159,17 +154,7 @@ class LaurentPoly:
         if not self.is_unit_monomial():
             raise ValueError(f"{self} is not a unit in Z[v, v^-1]")
         ((e, c),) = self._terms.items()
-        return LaurentPoly({-e: c})
-
-    # -- comparisons & hashing ---------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return _canonical({-e: c})
 
     # -- text form ---------------------------------------------------
 
@@ -202,61 +187,29 @@ class LaurentPoly:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
 
 
+# Each value's one object, keyed by its sorted terms.  The table holds
+# every object for as long as the process runs, so no object is freed
+# and no id is ever reused: a cache keyed by these objects stays right.
+_TABLE: dict[tuple, LaurentPoly] = {}
+
+
+def _canonical(terms: dict[int, int]) -> LaurentPoly:
+    """The one object whose exponent -> coefficient map is terms, a
+    fresh dict with no zero coefficient that the object may keep."""
+    key = tuple(sorted(terms.items()))
+    poly = _TABLE.get(key)
+    if poly is None:
+        poly = _TABLE[key] = object.__new__(LaurentPoly)
+        poly._terms = terms
+    return poly
+
+
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 
 #: The weight of an erased closed loop: a = v + v^-1.
 LOOP_FACTOR = LaurentPoly({1: 1, -1: 1})
 
-# The interning table: each canonical object under its sorted terms, and
-# under its id.  The table holds every object it hands out for as long as
-# the process runs, so no other object can take such an id.
-_canonical: dict[tuple, LaurentPoly] = {(): _ZERO, ((0, 1),): _ONE}
-_held: dict[int, LaurentPoly] = {id(_ZERO): _ZERO, id(_ONE): _ONE}
-
-
-def interned(poly: LaurentPoly) -> LaurentPoly:
-    """The one canonical object equal to poly: poly itself the first
-    time its value is seen, and ``LaurentPoly.zero()`` for any zero.  An
-    object the table does not hold is looked up by its terms, never by
-    its id, so equal values from distinct objects share one object and
-    two interned values are equal exactly when they are identical."""
-    if _held.get(id(poly)) is poly:
-        return poly
-    canon = _canonical.setdefault(tuple(sorted(poly._terms.items())), poly)
-    _held[id(canon)] = canon
-    return canon
-
-
-class InternedMemo(dict):
-    """The results of one function of interned polynomials, keyed by the
-    operands' ids: ``memo[id(a)]`` or ``memo[id(a), id(b)]``.  A miss
-    computes the result by the real arithmetic, once per distinct key,
-    so a hit is one dict lookup and the results stay exact.
-
-    Every stored key is made of ids the interning table holds, so a key
-    never outlives its operand and no id is reused under it.  The id of
-    a live object the table does not hold is no held id, so such a key
-    misses and raises KeyError on the lookup of its operand: intern an
-    operand first.  The memo is bounded by the number of distinct
-    interned values (their pairs, for two operands)."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key):
-        operands = key if isinstance(key, tuple) else (key,)
-        value = self[key] = self.function(*(_held[k] for k in operands))
-        return value
-
-
-#: interned(a + b), keyed by (id(a), id(b)) of interned a and b.
-INTERNED_SUM = InternedMemo(lambda a, b: interned(a + b))
-#: interned(a * LOOP_FACTOR), keyed by id(a) of an interned a.
-INTERNED_LOOP = InternedMemo(lambda a: interned(a * LOOP_FACTOR))
 
 class Convention(namedtuple("Convention", "tag lam mu")):
     """One of the two (lam, mu) weight choices for s_i = lam + mu*U_i."""

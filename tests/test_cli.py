@@ -743,15 +743,14 @@ def test_verify_fineberg_fails_when_the_certificate_fails_below_the_top(monkeypa
     # n = 3, with the real certificate's failing column
     import planartl.chains as chains
     from planartl.chains import chain_basis, exactness_certificate
-    from planartl.coeff import CONVENTION_A, LaurentPoly, interned
+    from planartl.coeff import CONVENTION_A, LaurentPoly
 
     real = chains.right_mult_matrix
 
     def doctoring(elt, source, target):
         matrix = real(elt, source, target)
         if elt.n == 3 and target == chain_basis(3, 0):
-            # the kernel's entries are interned, so a doctored one is too
-            matrix.columns[1][0] = interned(LaurentPoly.v_power(3))
+            matrix.columns[1][0] = LaurentPoly.v_power(3)
         return matrix
 
     monkeypatch.setattr(chains, "right_mult_matrix", doctoring)

@@ -1,5 +1,7 @@
 """Coefficient ring tests: ring axioms, specialization, text round trip."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -8,16 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planartl.chains as chains
 import planartl.coeff as coeff
 from planartl.coeff import (
     CONVENTION_A,
     CONVENTION_B,
-    INTERNED_LOOP,
-    INTERNED_SUM,
     LOOP_FACTOR,
     LaurentPoly,
     convention,
-    interned,
     mu_over_lambda,
 )
 
@@ -219,67 +219,62 @@ def small_poly(rng: random.Random) -> LaurentPoly:
 
 
 def test_interned_arithmetic_equals_the_real_one():
+    # the walk's caches, keyed by the objects, return the operators' own
     rng = random.Random(2024)
     for _ in range(400):
         p, q = small_poly(rng), small_poly(rng)
-        a, b = interned(p), interned(q)
-        assert a == p and b == q
-        assert INTERNED_SUM[id(a), id(b)] == p + q
-        assert INTERNED_LOOP[id(a)] == p * LOOP_FACTOR
-        # results are interned too, so they key the memos in turn
-        total = INTERNED_SUM[id(a), id(b)]
-        assert interned(total) is total
-        assert INTERNED_LOOP[id(total)] == (p + q) * LOOP_FACTOR
-        # a cancelling pair gives the one interned zero
-        assert INTERNED_SUM[id(a), id(interned(-p))] is ZERO
+        assert chains._SUM(p, q) is p + q
+        assert chains._LOOP(p) is p * LOOP_FACTOR
+        # results are canonical too, so they key the caches in turn
+        total = chains._SUM(p, q)
+        assert chains._LOOP(total) is (p + q) * LOOP_FACTOR
+        # a cancelling pair gives the one zero
+        assert chains._SUM(p, -p) is ZERO
 
 
 def test_equal_values_share_one_interned_object():
     rng = random.Random(5)
     for _ in range(200):
         p = small_poly(rng)
-        twin = LaurentPoly(p.coefficients())
-        assert twin is not p
-        assert interned(twin) is interned(p)
-        assert interned(interned(p)) is interned(p)
-    assert interned(LaurentPoly()) is ZERO
-    assert interned(LaurentPoly({3: 0})) is ZERO
-    assert interned(LaurentPoly.constant(1)) is ONE
+        assert LaurentPoly(p.coefficients()) is p
+        assert LaurentPoly({**p.coefficients(), 9: 0}) is p
+    assert LaurentPoly() is ZERO
+    assert LaurentPoly({3: 0}) is ZERO
+    assert LaurentPoly.constant(1) is ONE
 
 
 def test_interning_tables_grow_with_distinct_values_only():
     rng = random.Random(11)
-    polys = [small_poly(rng) for _ in range(300)]
-    distinct = {tuple(sorted(p.coefficients().items())) for p in polys}
-    before, loops = len(coeff._canonical), len(INTERNED_LOOP)
-    for p in polys + [LaurentPoly(p.coefficients()) for p in polys]:
-        INTERNED_LOOP[id(interned(p))]
-    assert len(coeff._canonical) - before <= len(distinct)
-    assert len(INTERNED_LOOP) - loops <= len(distinct)
+    values = [{rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))} for _ in range(300)]
+    distinct = {tuple(sorted((e, c) for e, c in v.items() if c)) for v in values}
+    before, loops = len(coeff._TABLE), chains._LOOP.cache_info().currsize
+    for v in values + [dict(v) for v in values]:
+        chains._LOOP(LaurentPoly(v))
+    # each distinct value adds at most itself and its loop product
+    assert distinct <= set(coeff._TABLE)
+    assert len(coeff._TABLE) - before <= 2 * len(distinct)
+    assert chains._LOOP.cache_info().currsize - loops <= len(distinct)
 
 
-def test_memo_keys_survive_dropped_objects():
-    # Fresh objects are made, interned and dropped between calls, so
-    # later ones may reuse their ids; every later result stays right,
-    # and the id of an object the table does not hold never hits a memo.
-    # A LaurentPoly has slots and makes no cycle, so ``del`` frees it at
-    # once, and the reuse of a dropped object's id is seen, not assumed.
-    rng = random.Random(3)
-    reused = 0
-    for _ in range(300):
-        values = [small_poly(rng).coefficients() for _ in range(2)]
-        fresh = [LaurentPoly(v) for v in values]
-        a, b = (interned(p) for p in fresh)
-        dropped = {id(p) for p, kept in zip(fresh, (a, b)) if p is not kept}
-        del fresh
-        again = [LaurentPoly(v) for v in values]
-        assert INTERNED_SUM[id(a), id(b)] == again[0] + again[1]
-        assert INTERNED_LOOP[id(interned(again[1]))] == again[1] * LOOP_FACTOR
-        for p in again:
-            if interned(p) is not p:
-                reused += id(p) in dropped
-                with pytest.raises(KeyError):
-                    INTERNED_LOOP[id(p)]
-                with pytest.raises(KeyError):
-                    INTERNED_SUM[id(p), id(a)]
-    assert reused
+@given(polys, polys, st.integers(0, 3), st.integers(-9, 9), st.integers(-6, 6), st.sampled_from((1, -1)))
+def test_every_result_is_the_canonical_object(p, q, k, c, e, sign):
+    unit = LaurentPoly.v_power(e, sign)
+    results = (
+        p + q, p - q, -p, p * q, p**k, unit**-k, unit.inverse(),
+        LaurentPoly.constant(c), LaurentPoly.v_power(e, c),
+    )
+    for r in results:
+        assert LaurentPoly(r.coefficients()) is r
+
+
+def test_copies_and_pickles_are_the_canonical_object():
+    # a copy that skipped the constructor would refill a shared object,
+    # the zero first of all
+    for p in (ZERO, ONE, LOOP_FACTOR, LaurentPoly({1: 1}), LaurentPoly({-3: 2, 4: -1})):
+        assert copy.copy(p) is p
+        assert copy.deepcopy(p) is p
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(p, protocol)) is p
+    assert LaurentPoly.zero().to_text() == "0"
+    assert ONE.to_text() == "1"
+    assert LaurentPoly({1: 1}).coefficients() == {1: 1}
