@@ -1,6 +1,6 @@
 """The diagram algebra on n strands over Z[v, v^-1]: sparse Laurent
 weighted combinations of planar diagrams, each diagram its pairing
-tuple (see :mod:`planartl.diagram`), with a = v + v^-1 as the weight of
+bytes (see :mod:`planartl.diagram`), with a = v + v^-1 as the weight of
 every erased loop.
 
 The diagram basis is the source of truth; the familiar presentation by
@@ -26,8 +26,8 @@ matrix column for U_j y is U_j acting on the column for y; that is how
 :func:`planartl.chains.right_mult_matrix` assembles every boundary
 matrix.  The tables come from the cup
 rule :func:`planartl.diagram.cup_times`, not from the general product:
-(n-1) * C_n constant-time steps on pairing tuples, each followed by one
-lookup in the tuple-keyed Dyck-lex index.  The cup rule returns the
+(n-1) * C_n constant-time steps on pairing bytes, each followed by one
+lookup in the bytes-keyed Dyck-lex index.  The cup rule returns the
 diagram itself exactly when U_j closes a loop, so the tables record no
 loop count: U_j closes one on diagram k exactly where it fixes k.
 ``elt_mul`` still does not use the tables: at n = 12 they would cost
@@ -69,7 +69,7 @@ _EMPTY_WORD = '""'
 
 class AlgebraElement:
     """A finite Laurent-weighted combination of diagrams on n strands,
-    keyed by their pairing tuples.
+    keyed by their pairing bytes.
 
     Canonical form: no zero coefficients are stored.  Elements are
     immutable, unhashable values.  The constructor raises ValueError on
@@ -79,11 +79,11 @@ class AlgebraElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[tuple[int, ...], LaurentPoly] | None = None):
-        clean: dict[tuple[int, ...], LaurentPoly] = {}
+    def __init__(self, n: int, terms: dict[bytes, LaurentPoly] | None = None):
+        clean: dict[bytes, LaurentPoly] = {}
         if terms:
             for d, c in terms.items():
-                if not (isinstance(d, tuple) and len(d) == 2 * n and is_planar_pairing(d)):
+                if not (isinstance(d, bytes) and len(d) == 2 * n and is_planar_pairing(d)):
                     raise ValueError(f"{d!r} is no planar pairing on {n} strands")
                 if c:
                     clean[d] = c
@@ -97,7 +97,7 @@ class AlgebraElement:
         return cls(n, {identity(n): _ONE})
 
     @classmethod
-    def from_diagram(cls, d: tuple[int, ...]) -> "AlgebraElement":
+    def from_diagram(cls, d: bytes) -> "AlgebraElement":
         return cls(len(d) // 2, {d: _ONE})
 
     @classmethod
@@ -105,14 +105,14 @@ class AlgebraElement:
         return cls(n, {generator_u(n, i): _ONE})
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[tuple[int, ...], LaurentPoly]) -> "AlgebraElement":
+    def _trusted(cls, n: int, terms: dict[bytes, LaurentPoly]) -> "AlgebraElement":
         """An element on terms already checked, none of them zero."""
         out = cls.__new__(cls)
         out.n, out.terms = n, terms
         return out
 
     @classmethod
-    def _sum(cls, n: int, terms: dict[tuple[int, ...], LaurentPoly], moves) -> "AlgebraElement":
+    def _sum(cls, n: int, terms: dict[bytes, LaurentPoly], moves) -> "AlgebraElement":
         """The element on terms plus every (diagram, coefficient) pair of
         moves, all checked and nonzero.  Each move is added in place into
         terms, a dict the call owns, and a cancelled sum is deleted where
@@ -205,7 +205,7 @@ class GeneratorTables(namedtuple("GeneratorTables", "left parent order")):
     each position still comes after its parent, and every box basis
     range(B_m(n)) is the prefix ``order[:B_m(n)]``.  Every product is
     read off the cup rule :func:`planartl.diagram.cup_times` on pairing
-    tuples and looked up in the tuple-keyed
+    bytes and looked up in the bytes-keyed
     :func:`planartl.diagram.dyck_lex_index`; the general product
     :func:`planartl.diagram.multiply` is only the tests' oracle here.
     """

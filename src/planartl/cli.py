@@ -41,7 +41,14 @@ from .combin import (
     theorem_C_multiplicity,
     two_column_partitions,
 )
-from .diagram import enumerate_pairings, from_dyck, from_pairs, pairings_of_words, word_of_pairing
+from .diagram import (
+    check_strands,
+    enumerate_pairings,
+    from_dyck,
+    from_pairs,
+    pairings_of_words,
+    word_of_pairing,
+)
 from .indmod import largest_free_box
 from .jacobsthal import MATCHING_RATIO_SIGN, jacobsthal_kernel_rank, verify_theorem_D
 
@@ -330,8 +337,7 @@ def cmd_tables(args, out) -> int:
 def cmd_mul(args, out) -> int:
     n = args.n
     try:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        check_strands(n)
         x = from_dyck(args.word_x)
         y = from_dyck(args.word_y)
         if len(x) != 2 * n or len(y) != 2 * n:

@@ -18,16 +18,19 @@ A cup generator on either side needs no walk: its cap meets two
 adjacent dots of the other factor, and one cup rule rejoins their
 partners, on the left dots for U_j x and on the right dots for x U_k.
 
-A diagram is its pairing: the tuple whose entry p is the partner of
-point p.  Every path takes and returns these tuples: the enumeration
-walks pairings directly, building and parsing no word, the Dyck-lex
-index is keyed by them (hashed in C), the cup rule and the general
-product act on them, and an algebra element keys its terms by them.
-The Dyck word is read off a pairing by one function,
+A diagram is its pairing: the bytes whose entry p is the partner of
+point p.  A bytes object indexes to ints, hashes in C and sorts as the
+tuple of its entries does, and holds each point in one byte, so a
+diagram has at most MAX_STRANDS = 128 strands, on the points 0..255;
+every constructor raises ValueError past that.  Every path takes and
+returns these bytes: the enumeration joins them by halves, building and
+parsing no word, the Dyck-lex index is keyed by them, the cup rule and
+the general product act on them, and an algebra element keys its terms
+by them.  The Dyck word is read off a pairing by one function,
 :func:`word_of_pairing`, and parsed back by one LIFO sweep,
 :func:`pairings_of_words`, which resumes each word's sweep where the
 word first differs from the previous one; :func:`is_planar_pairing`
-decides whether a tuple is a diagram at all.
+decides whether a sequence is a diagram at all.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from functools import cache
 from operator import gt
 
 __all__ = [
+    "MAX_STRANDS",
+    "check_strands",
     "is_planar_pairing",
     "word_of_pairing",
     "pairings_of_words",
@@ -50,11 +55,22 @@ __all__ = [
     "dyck_lex_index",
 ]
 
+# The points of a diagram on n strands are the bytes 0..2n-1.
+MAX_STRANDS = 128
+
 # Byte 1 where a point's partner comes later in the sweep, 0 where earlier.
 _WORD_LETTERS = bytes.maketrans(b"\x00\x01", b"du")
 
 
-def word_of_pairing(pairing: tuple[int, ...]) -> str:
+def check_strands(n: int) -> None:
+    """Raise ValueError unless a diagram can have n strands."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_STRANDS:
+        raise ValueError(f"a diagram has at most {MAX_STRANDS} strands, one byte per point; got {n}")
+
+
+def word_of_pairing(pairing: bytes) -> str:
     """The Dyck word of a pairing: u where the partner comes later in
     the sweep, d where it came earlier."""
     return bytes(map(gt, pairing, range(len(pairing)))).translate(_WORD_LETTERS).decode()
@@ -73,10 +89,11 @@ def pairings_of_words(words):
     big-endian integers: the top set bit of their XOR.  The prefix
     before it pairs as it did, and each point open there is paired
     again by the rest of the sweep.  A rejected word or a change of
-    length sends the next sweep back to position 0."""
+    length sends the next sweep back to position 0.  A word longer than
+    2 * MAX_STRANDS letters raises ValueError."""
     size = -1            # the length of the last word swept, -1 for none
     previous = 0         # that word's ASCII bytes as a big-endian integer
-    pairing: list[int] = []
+    pairing = bytearray()
     tops: list = []
     for word in words:
         try:
@@ -89,8 +106,9 @@ def pairings_of_words(words):
             start = size - ((key ^ previous).bit_length() + 7) // 8
         else:
             size = len(word)
+            check_strands((size + 1) // 2)
             start = 0
-            pairing = [0] * size
+            pairing = bytearray(size)
             tops = [None] * (size + 1)
         previous = key
         stack = tops[start]
@@ -106,13 +124,13 @@ def pairings_of_words(words):
                 break
         else:
             if stack is None:
-                yield tuple(pairing)
+                yield bytes(pairing)
                 continue
         size = -1
         yield None
 
 
-def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
+def is_planar_pairing(pairing) -> bool:
     """Whether ``pairing`` is a fixed-point-free noncrossing involution,
     by one stack sweep: a closing point must close the last point opened,
     whose partner it must be, and no point may be left open at the end."""
@@ -125,31 +143,28 @@ def is_planar_pairing(pairing: tuple[int, ...]) -> bool:
     return not stack
 
 
-def from_pairs(n: int, pairs) -> tuple[int, ...]:
+def from_pairs(n: int, pairs) -> bytes:
     """The pairing of the diagram with these 1-based matched point pairs.
-    Raises ValueError unless n is nonnegative, the pairs name each point
-    of 1..2n exactly once, and no two of them cross."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    Raises ValueError unless n lies in 0..MAX_STRANDS, the pairs name each
+    point of 1..2n exactly once, and no two of them cross."""
+    check_strands(n)
     pairs = list(pairs)
     if sorted(p for pair in pairs for p in pair) != list(range(1, 2 * n + 1)):
         raise ValueError(f"pairs must name each point of 1..{2 * n} exactly once")
-    pairing = [0] * (2 * n)
+    pairing = bytearray(2 * n)
     for a, b in pairs:
         pairing[a - 1] = b - 1
         pairing[b - 1] = a - 1
     if not is_planar_pairing(pairing):
         raise ValueError("pairs must not cross")
-    return tuple(pairing)
+    return bytes(pairing)
 
 
 @cache
-def identity(n: int) -> tuple[int, ...]:
+def identity(n: int) -> bytes:
     """The diagram joining right dot i to left dot i for every i."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    size = 2 * n
-    return tuple(size - 1 - p for p in range(size))
+    check_strands(n)
+    return bytes(range(2 * n - 1, -1, -1))
 
 
 def _check_generator_index(n: int, i: int) -> None:
@@ -157,20 +172,20 @@ def _check_generator_index(n: int, i: int) -> None:
         raise ValueError(f"generator index must lie in 1..{n - 1}, got {i}")
 
 
-def generator_u(n: int, i: int) -> tuple[int, ...]:
+def generator_u(n: int, i: int) -> bytes:
     """The cup generator U_i: cups joining dots i, i+1 on both sides,
     all other strands horizontal."""
     _check_generator_index(n, i)
+    pairing = bytearray(identity(n))
     size = 2 * n
-    pairing = list(size - 1 - p for p in range(size))
     a, b = i - 1, i                    # right dots i, i+1
     c, d = size - i, size - i - 1      # left dots i, i+1
     pairing[a], pairing[b] = b, a
     pairing[c], pairing[d] = d, c
-    return tuple(pairing)
+    return bytes(pairing)
 
 
-def multiply(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def multiply(x: bytes, y: bytes) -> tuple[bytes, int]:
     """The product of x (drawn on the left) and y, as the pair
     (diagram, loops): the glued diagram and the number of closed loops
     erased from the wall.
@@ -191,7 +206,7 @@ def multiply(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], i
     size = len(x)
     n = size // 2
     last = 2 * size - 1
-    arc = x + tuple(q + size for q in y)
+    arc = [*x, *(q + size for q in y)]  # a list: past 64 strands y's points pass 255
     res = [-1] * size
     crossed = [False] * n
     for start in range(n, n + size):
@@ -210,10 +225,10 @@ def multiply(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], i
             while q != p:
                 crossed[q if q < n else last - q] = True
                 q = arc[last - q]
-    return tuple(res), loops
+    return bytes(res), loops
 
 
-def _cap(pairing: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], int]:
+def _cap(pairing: bytes, a: int, b: int) -> tuple[bytes, int]:
     """The cup rule at two adjacent boundary points a and b that a cup
     generator's cap meets, as the pair (pairing, loops).
 
@@ -227,12 +242,12 @@ def _cap(pairing: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], int
     if pa == b:
         return pairing, 1
     pb = pairing[b]
-    res = list(pairing)
+    res = bytearray(pairing)
     res[a], res[b], res[pa], res[pb] = b, a, pb, pa
-    return tuple(res), 0
+    return bytes(res), 0
 
 
-def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def cup_times(j: int, pairing: bytes) -> tuple[bytes, int]:
     """The product of U_j (drawn on the left) and the diagram with this
     pairing, as the pair (pairing, loops) that
     ``multiply(generator_u(n, j), d)`` gives for the diagram d, by a
@@ -243,7 +258,7 @@ def cup_times(j: int, pairing: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return _cap(pairing, len(pairing) - j, len(pairing) - j - 1)
 
 
-def times_cup(pairing: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
+def times_cup(pairing: bytes, k: int) -> tuple[bytes, int]:
     """The product of the diagram with this pairing and U_k (drawn on
     the right), as the pair (pairing, loops) that
     ``multiply(d, generator_u(n, k))`` gives: the mirror of
@@ -254,55 +269,88 @@ def times_cup(pairing: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
     return _cap(pairing, k - 1, k)
 
 
-def from_dyck(word: str) -> tuple[int, ...]:
-    """The diagram whose arcs match each d with its unmatched u."""
+def from_dyck(word: str) -> bytes:
+    """The diagram whose arcs match each d with its unmatched u; a word
+    longer than 2 * MAX_STRANDS letters raises ValueError."""
     pairing = next(pairings_of_words((word,)))
     if pairing is None:
         raise ValueError(f"not a Dyck word: {word!r}")
     return pairing
 
 
+# The enumeration marks a point still open at stack depth k by the byte
+# 255 - k, which must lie above every point 0..2n-1: so 3n <= 256.
+_ENUM_MAX_STRANDS = 85
+
+
 @cache
-def enumerate_pairings(n: int) -> tuple[tuple[int, ...], ...]:
+def enumerate_pairings(n: int) -> tuple[bytes, ...]:
     """The pairings of all diagrams on n strands in Dyck-lex order
-    (u < d), from one depth-first walk: each point opens an arc (tried
-    first) or closes the last one opened; once all n are open, the rest
-    close."""
+    (u < d), joined by halves with no recursion.
+
+    The first halves, on points 0..n-1, are grown a point at a time in
+    Dyck-lex order: each point opens an arc (tried first) or closes the
+    last one opened.  A point still open at stack depth k holds the
+    placeholder 255 - k.  A second half, on points n..2n-1, is a first
+    half g of the same end height mirrored: reversed, with each point v
+    mapped to 2n-1-v and placeholders kept.  So g's open point at depth
+    k becomes the point that closes depth k of the joined stack, under
+    the same label.  The second halves of each height are sorted once by
+    their words.  Each pairing is then two translations and one join, in
+    C: in the first half f, each placeholder becomes the mirror of g's
+    open point at its depth; in the second half, f's open point there.
+
+    The placeholders stay above every point only while 3n <= 256, so n
+    past 85 raises ValueError.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[tuple[int, ...]] = []
-    pairing = [0] * (2 * n)
-    stack: list[int] = []  # open points, the last one opened on top
+    if n > _ENUM_MAX_STRANDS:
+        raise ValueError(
+            f"enumerate_pairings takes at most {_ENUM_MAX_STRANDS} strands: its open-point "
+            f"placeholders 256-n..255 must lie above every point 0..2n-1, got n = {n}"
+        )
+    size = 2 * n
+    # (first half, its open points bottom first), in Dyck-lex order
+    firsts = [(b"", b"")]
+    for p in range(n):
+        grown = []
+        for half, opened in firsts:
+            grown.append((half + bytes((255 - len(opened),)), opened + bytes((p,))))
+            if opened:
+                closed = bytearray(half)
+                closed[opened[-1]] = p
+                closed.append(opened[-1])
+                grown.append((bytes(closed), opened[:-1]))
+        firsts = grown
+    labels = bytes(range(255, 255 - n - 1, -1))   # depth k -> 255 - k
+    mirror = bytes.maketrans(bytes(range(size)), bytes(range(size - 1, -1, -1)))
+    seconds: dict[int, list[tuple[bytes, bytes, bytes]]] = {}
+    for half, opened in firsts:
+        h = len(opened)
+        # byte 0 where the second half reads u: sorts it in Dyck-lex order
+        word = bytes(map(gt, half, range(n)))[::-1]
+        closes = bytes.maketrans(labels[:h], bytes(size - 1 - q for q in opened))
+        seconds.setdefault(h, []).append((word, half[::-1].translate(mirror), closes))
+    for group in seconds.values():
+        group.sort()
+    pairings: list[bytes] = []
+    for left, opened in firsts:
+        opens = bytes.maketrans(labels[: len(opened)], opened)
+        pairings += [
+            left.translate(closes) + right.translate(opens) for _, right, closes in seconds[len(opened)]
+        ]
+    return tuple(pairings)
 
-    def walk(p: int, opened: int) -> None:
-        if opened == n:
-            for r, q in enumerate(reversed(stack), p):
-                pairing[r] = q
-                pairing[q] = r
-            out.append(tuple(pairing))
-            return
-        stack.append(p)
-        walk(p + 1, opened + 1)
-        stack.pop()
-        if stack:
-            q = stack.pop()
-            pairing[p] = q
-            pairing[q] = p
-            walk(p + 1, opened)
-            stack.append(q)
 
-    walk(0, 0)
-    return tuple(out)
-
-
-def enumerate_diagrams(n: int) -> tuple[tuple[int, ...], ...]:
+def enumerate_diagrams(n: int) -> tuple[bytes, ...]:
     """:func:`enumerate_pairings` under the name the tracing harness in
     ``perfbench/traced.py`` wraps; never called in the library."""
     return enumerate_pairings(n)
 
 
 @cache
-def dyck_lex_index(n: int) -> dict[tuple[int, ...], int]:
+def dyck_lex_index(n: int) -> dict[bytes, int]:
     """Position of every pairing on n strands in the Dyck-lex list."""
     pairings = enumerate_pairings(n)
     return dict(zip(pairings, range(len(pairings))))

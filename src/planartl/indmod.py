@@ -14,7 +14,7 @@ A diagram product that lands on a banned diagram (an arc inside the
 box) is identified with 0; that rule makes the span a left module.  The
 action is the algebra product followed by that projection, which keeps
 an entry exactly when its Dyck-lex position is below B_m(n).  An
-element's terms are pairing tuples, the very keys of the one per-n
+element's terms are pairing bytes, the very keys of the one per-n
 :func:`planartl.diagram.dyck_lex_index`, so each is looked up as it
 stands.
 :func:`project` applies it to an algebra element, and the
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-def largest_free_box(pairing: tuple[int, ...]) -> int:
+def largest_free_box(pairing: bytes) -> int:
     """The largest box size m with no arc inside the box: the right dots
     0..m-1 (0-indexed) all pair outside it.  A box with an arc inside
     makes every larger box fail too, and the box of size n + 1 always

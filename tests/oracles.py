@@ -68,3 +68,33 @@ def rank_dense_bareiss(rows: list[list[int]]) -> int:
         if r == nrows:
             break
     return r
+
+
+def pairings_by_walk(n: int) -> tuple[bytes, ...]:
+    """The pairings of all diagrams on n strands in Dyck-lex order, from
+    one depth-first walk: each point opens an arc (tried first) or closes
+    the last one opened; once all n are open, the rest close.  The
+    oracle that the enumeration by halves is checked against."""
+    out: list[bytes] = []
+    pairing = bytearray(2 * n)
+    stack: list[int] = []  # open points, the last one opened on top
+
+    def walk(p: int, opened: int) -> None:
+        if opened == n:
+            for r, q in enumerate(reversed(stack), p):
+                pairing[r] = q
+                pairing[q] = r
+            out.append(bytes(pairing))
+            return
+        stack.append(p)
+        walk(p + 1, opened + 1)
+        stack.pop()
+        if stack:
+            q = stack.pop()
+            pairing[p] = q
+            pairing[q] = p
+            walk(p + 1, opened)
+            stack.append(q)
+
+    walk(0, 0)
+    return tuple(out)

@@ -283,7 +283,7 @@ def _add_through_strands(elt, n):
         # at 2n-1-(x+shift): every point of d moves up by shift
         image = list(identity(n))
         image[shift : shift + len(d)] = [q + shift for q in d]
-        terms[tuple(image)] = w
+        terms[bytes(image)] = w
     return AlgebraElement(n, terms)
 
 

@@ -172,6 +172,19 @@ def test_mul_bad_word_exits_2(capsys):
     assert "n must be nonnegative" in capsys.readouterr().err
 
 
+def test_mul_past_the_strand_cap_exits_2(capsys):
+    # a diagram holds one byte per point: 128 strands is the most
+    word = "ud" * 129
+    code, out = run_cli_capture(["mul", "129", word, word])
+    assert (code, out) == (2, "")
+    assert "error: a diagram has at most 128 strands" in capsys.readouterr().err
+    # at the cap, the 64 right arcs of (ud)^128 meet its 64 left arcs
+    word = "ud" * 128
+    code, out = run_cli_capture(["mul", "128", word, word])
+    assert code == 0
+    assert out.startswith("(v^64+64*v^62+2016*v^60+") and out.endswith(f"+v^-64) * {word}\n")
+
+
 def test_verify_passes_and_exit_zero():
     code, out = run_cli_capture(
         ["verify", "relations", "bijection", "bcounts", "--n-max", "4"]
@@ -378,7 +391,7 @@ def test_verify_bijection_fails_on_crossing_pairing(monkeypatch):
             else:
                 q = opened.pop(0)
                 pairing[p], pairing[q] = q, p
-        return tuple(pairing)
+        return bytes(pairing)
 
     monkeypatch.setattr(
         cli, "enumerate_pairings", lambda n: tuple(from_dyck_fifo(w) for w in dyck_words(n))
@@ -414,11 +427,11 @@ def test_verify_bijection_fails_on_a_repeated_oracle_word(monkeypatch):
 _BROKEN_WALKS = {
     # not an involution (points 2 and 5 both claim 3), yet it reads
     # uuuddd, the oracle's word at position 0
-    "broken involution": ({0: (5, 4, 3, 2, 3, 0)}, "uuuddd"),
+    "broken involution": ({0: bytes((5, 4, 3, 2, 3, 0))}, "uuuddd"),
     # positions 0 and 1 (uuuddd and uududd) swapped
-    "neighbours swapped": ({0: (5, 2, 1, 4, 3, 0), 1: (5, 4, 3, 2, 1, 0)}, "uuuddd"),
+    "neighbours swapped": ({0: bytes((5, 2, 1, 4, 3, 0)), 1: bytes((5, 4, 3, 2, 1, 0))}, "uuuddd"),
     # arcs {2,4} and {3,5} cross, yet the pairing reads uuuddd
-    "crossing pairing": ({0: (5, 3, 4, 1, 2, 0)}, "uuuddd"),
+    "crossing pairing": ({0: bytes((5, 3, 4, 1, 2, 0))}, "uuuddd"),
 }
 
 

@@ -11,7 +11,10 @@ import pytest
 from planartl import combin
 from planartl.algebra import AlgebraElement
 from planartl.combin import catalan, dyck_words
+from planartl.coeff import LaurentPoly
 from planartl.diagram import (
+    MAX_STRANDS,
+    check_strands,
     cup_times,
     dyck_lex_index,
     enumerate_diagrams,
@@ -26,6 +29,7 @@ from planartl.diagram import (
     times_cup,
     word_of_pairing,
 )
+from oracles import pairings_by_walk
 
 
 def test_identity_pairs():
@@ -36,10 +40,38 @@ def test_identity_pairs():
 
 
 def test_word_of_a_long_pairing():
-    # the word is read off points 0..2n-1, however many there are
-    assert word_of_pairing(identity(200)) == "u" * 200 + "d" * 200
-    u7 = generator_u(200, 7)
+    # the word is read off points 0..2n-1, up to the last byte, 255
+    assert word_of_pairing(identity(MAX_STRANDS)) == "u" * 128 + "d" * 128
+    u7 = generator_u(128, 7)
     assert from_dyck(word_of_pairing(u7)) == u7
+    assert max(u7) == 255
+
+
+def test_constructors_refuse_past_the_strand_cap():
+    # a point is one byte, so 128 strands is the most a diagram has; each
+    # constructor names that cap rather than the bytes' own range error
+    cap = "at most 128 strands"
+    assert MAX_STRANDS == 128
+    with pytest.raises(ValueError, match=cap):
+        identity(129)
+    with pytest.raises(ValueError, match=cap):
+        generator_u(129, 7)
+    with pytest.raises(ValueError, match=cap):
+        from_pairs(129, [(p, 259 - p) for p in range(1, 130)])
+    with pytest.raises(ValueError, match=cap):
+        from_dyck("u" * 129 + "d" * 129)
+    with pytest.raises(ValueError, match=cap):
+        list(pairings_of_words(["ud", "u" * 129 + "d" * 129]))
+    with pytest.raises(ValueError, match=cap):
+        check_strands(129)
+    check_strands(128)
+
+
+def test_enumeration_refuses_past_its_placeholders():
+    # an open point at depth k is the byte 255 - k, above every point
+    # 0..2n-1 only while 3n <= 256
+    with pytest.raises(ValueError, match="at most 85 strands"):
+        enumerate_pairings(86)
 
 
 def test_generator_pinned():
@@ -78,11 +110,21 @@ def test_diagram_validation_rejects_bad_pairings():
     for bad in _BAD_PAIRINGS:
         assert not is_planar_pairing(bad)
         with pytest.raises(ValueError, match="no planar pairing"):
-            AlgebraElement(len(bad) // 2, {bad: 1})
+            AlgebraElement(len(bad) // 2, {bytes(bad): 1})
     with pytest.raises(ValueError, match="no planar pairing on 3 strands"):
         AlgebraElement(3, {identity(2): 1})
     with pytest.raises(ValueError, match="no planar pairing"):
         AlgebraElement(2, {"uudd": 1})
+
+
+def test_algebra_element_rejects_a_tuple_term():
+    # a diagram is its pairing bytes: the tuple of the same entries is no
+    # term
+    for n in range(4):
+        d = identity(n)
+        with pytest.raises(ValueError, match=f"no planar pairing on {n} strands"):
+            AlgebraElement(n, {tuple(d): 1})
+        assert AlgebraElement.from_diagram(d).terms == {d: LaurentPoly.one()}
 
 
 def test_from_pairs_rejects_malformed_pairs():
@@ -98,7 +140,7 @@ def test_from_pairs_rejects_malformed_pairs():
         from_pairs(2, [(1, 2)])  # points 3 and 4 left out
     with pytest.raises(ValueError, match="must not cross"):
         from_pairs(2, [(1, 3), (2, 4)])  # crossing arcs
-    assert from_pairs(2, [(4, 3), (2, 1)]) == (1, 0, 3, 2)
+    assert from_pairs(2, [(4, 3), (2, 1)]) == bytes((1, 0, 3, 2))
 
 
 def test_from_pairs_rejects_a_negative_strand_count():
@@ -217,7 +259,7 @@ def _glue_by_union_find(x, y):
         pairing[p], pairing[q] = q, p
     components = {find(point) for point in parent}
     assert is_planar_pairing(pairing)
-    return tuple(pairing), len(components) - len(ends)
+    return bytes(pairing), len(components) - len(ends)
 
 
 def test_product_matches_a_union_find_oracle():
@@ -358,6 +400,22 @@ def test_enumeration_is_dyck_lex_ordered():
     for n in range(11):
         words = [word_of_pairing(d) for d in enumerate_pairings(n)]
         assert words == list(dyck_words(n))
+
+
+def test_enumeration_by_halves_matches_the_walk():
+    # the joined halves are the depth-first walk's pairings, as bytes, in
+    # the walk's order
+    for n in range(12):
+        assert enumerate_pairings(n) == pairings_by_walk(n), n
+
+
+def test_enumeration_leaks_no_placeholder():
+    # every open-point placeholder (a byte 255 - k) is replaced by a point
+    for n in range(10):
+        for pairing in enumerate_pairings(n):
+            assert type(pairing) is bytes and len(pairing) == 2 * n
+            assert is_planar_pairing(pairing), pairing
+            assert all(q < 2 * n for q in pairing), pairing
 
 
 def test_enumeration_walks_pairings_not_words():
